@@ -67,6 +67,9 @@ class IpAllocator:
         # Allocation cache: loaded lazily from the store, then maintained
         # incrementally so bulk materialization stays linear.
         self._taken: list | None = None
+        # Highest broadcast address in ``_taken`` (-1 when empty), kept
+        # beside it so the sequential-fit start is not a rescan per call.
+        self._max_broadcast = -1
 
     @property
     def version(self) -> int:
@@ -102,15 +105,14 @@ class IpAllocator:
                 f"({self._network})"
             )
         if self._taken is None:
-            self._taken = self.allocated_subnets()
+            self._taken = []
+            for subnet in self.allocated_subnets():
+                self._take(subnet)
         taken = self._taken
         # Start past the highest allocated block (sequential-fit fast path);
         # fall back to a scan from the pool base if that lands out of range.
-        start = int(self._network.network_address)
-        max_broadcast = -1
-        if taken:
-            max_broadcast = max(int(t.broadcast_address) for t in taken)
-            start = max(start, max_broadcast + 1)
+        max_broadcast = self._max_broadcast
+        start = max(int(self._network.network_address), max_broadcast + 1)
         block = 2 ** (self._network.max_prefixlen - prefixlen)
         if start % block:
             start += block - (start % block)
@@ -123,7 +125,7 @@ class IpAllocator:
         )
         if not wrapped and int(candidate.network_address) > max_broadcast:
             # Beyond every existing block: no overlap scan needed.
-            taken.append(candidate)
+            self._take(candidate)
             return candidate
         while True:
             if not candidate.subnet_of(self._network):
@@ -131,7 +133,7 @@ class IpAllocator:
                     f"pool {self.pool.name} ({self._network}) is exhausted"
                 )
             if not any(candidate.overlaps(existing) for existing in taken):
-                taken.append(candidate)
+                self._take(candidate)
                 return candidate
             # Jump past the end of this candidate block.
             next_address = int(candidate.broadcast_address) + 1
@@ -143,6 +145,10 @@ class IpAllocator:
             candidate = ipaddress.ip_network(
                 f"{ipaddress.ip_address(next_address)}/{prefixlen}"
             )
+
+    def _take(self, subnet: ipaddress._BaseNetwork) -> None:
+        self._taken.append(subnet)
+        self._max_broadcast = max(self._max_broadcast, int(subnet.broadcast_address))
 
     def assign_p2p(self, a_interface, z_interface) -> tuple:
         """Allocate a point-to-point subnet and assign both endpoint addresses.

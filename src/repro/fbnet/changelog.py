@@ -40,7 +40,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.fbnet.base import model_registry
-from repro.fbnet.query import And, Expr, Op, Or, Query
+from repro.fbnet.query import And, Expr, Or, Query, fold_equalities
 
 if TYPE_CHECKING:
     from repro.fbnet.base import Model
@@ -90,31 +90,16 @@ def equality_dependencies(query: Query) -> list[tuple[str, tuple[Any, ...]]] | N
     equality tests (dotted paths, ordered/regex/null operators, ``Not``)
     — the caller must then fall back to a model-level dependency.
 
-    ``And`` only needs one analyzable child: its result set is a subset
-    of that child's matches, and any record that could change membership
-    either matches the child's values (new state matches) or changed the
-    child's field (old state matched).  ``Or`` needs *every* child
-    analyzable, since a record may affect membership through any branch.
+    The And/Or logic is :func:`repro.fbnet.query.fold_equalities` — the
+    same decomposition the query planner serves from its indexes: ``And``
+    only needs one analyzable child (its result set is a subset of that
+    child's matches, and any record that could change membership either
+    matches the child's values or changed the child's field), ``Or``
+    needs *every* child analyzable.
     """
-    if isinstance(query, Expr):
-        if query.op is not Op.EQUAL or "." in query.field:
-            return None
-        return [(query.field, tuple(_norm(v) for v in query.rvalues))]
-    if isinstance(query, Or):
-        deps: list[tuple[str, tuple[Any, ...]]] = []
-        for child in query.children:
-            child_deps = equality_dependencies(child)
-            if child_deps is None:
-                return None
-            deps.extend(child_deps)
-        return deps
-    if isinstance(query, And):
-        for child in query.children:
-            child_deps = equality_dependencies(child)
-            if child_deps is not None:
-                return child_deps
-        return None
-    return None
+    return fold_equalities(
+        query, lambda expr: [(expr.field, tuple(_norm(v) for v in expr.rvalues))]
+    )
 
 
 def _iter_exprs(query: Query) -> Iterable[Expr]:

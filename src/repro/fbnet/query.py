@@ -15,14 +15,17 @@ which case an expression matches if *any* leaf value matches.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from enum import Enum
+from itertools import product
 from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import QueryError
+from repro.fbnet.base import Model, model_registry
 from repro.fbnet.fields import ForeignKey
 
 if TYPE_CHECKING:
-    from repro.fbnet.base import Model
+    from repro.fbnet.store import ObjectStore
 
 __all__ = [
     "And",
@@ -31,7 +34,8 @@ __all__ = [
     "Op",
     "Or",
     "Query",
-    "indexable_equalities",
+    "fold_equalities",
+    "plan",
     "resolve_path",
 ]
 
@@ -62,13 +66,13 @@ def resolve_path(obj: Model, path: str) -> list[Any]:
     segment must be a value field (or ``id``); enum values are unwrapped
     to their raw ``.value`` for comparison.
     """
-    from repro.fbnet.base import model_registry
-
     parts = path.split(".")
     current: list[Model] = [obj]
     for index, part in enumerate(parts):
         is_last = index == len(parts) - 1
+        id_follows = parts[index + 1 :] == ["id"]
         next_objects: list[Model] = []
+        next_ids: list[int] = []
         leaves: list[Any] = []
         for node in current:
             meta = type(node)._meta
@@ -77,13 +81,18 @@ def resolve_path(obj: Model, path: str) -> list[Any]:
                 continue
             field = meta.fields.get(part)
             if isinstance(field, ForeignKey):
-                related = node.related(part)
-                if related is not None:
-                    if is_last:
-                        # Terminal FK segment compares against the raw id.
-                        leaves.append(related.id)
-                    else:
-                        next_objects.append(related)
+                # A terminal FK segment, or an FK followed only by ``id``,
+                # asks for the id the row itself holds: the target is not
+                # resolved through the store just to read it back.
+                raw = node.__dict__.get(part)
+                if raw is None:
+                    continue
+                if is_last:
+                    leaves.append(raw)
+                elif id_follows:
+                    next_ids.append(raw)
+                else:
+                    next_objects.append(node.related(part))
                 continue
             if field is not None:
                 value = node.__dict__.get(part)
@@ -105,6 +114,8 @@ def resolve_path(obj: Model, path: str) -> list[Any]:
                     "append a value field (e.g. '.name')"
                 )
             return leaves
+        if next_ids:
+            return next_ids
         current = next_objects
         if not current:
             return []
@@ -321,27 +332,126 @@ def ensure_query(query: Query | None) -> Query | None:
     return query
 
 
-def indexable_equalities(query: Query) -> tuple[Expr, ...]:
-    """The direct equality children an ``And`` query can be narrowed by.
+def _is_local_equality(query: Query) -> bool:
+    return (
+        isinstance(query, Expr)
+        and query.op is Op.EQUAL
+        and "." not in query.field
+    )
 
-    Planner hint: an ``And``'s result set is a subset of any one child's
-    matches, so a child that is a plain (non-dotted) equality expression
-    may be servable from a unique or reverse index — the planner then
-    filters those candidates with the full query instead of scanning
-    every row.  For a bare equality ``Expr`` the expression itself is
-    returned; ``Or``/``Not`` (and dotted or non-equality children) offer
-    no sound narrowing and yield nothing.
+
+def fold_equalities(
+    query: Query,
+    leaf: Callable[[Expr], list | None],
+    conjunction: Callable[[list[Expr]], list | None] | None = None,
+) -> list | None:
+    """The equality decomposition of a query, written once.
+
+    Folds ``query`` over its local-field equality tests and returns their
+    concatenated answers, or ``None`` when such tests cannot bound the
+    query (dotted paths, other operators, ``Not``).  ``leaf`` answers one
+    ``field == values`` test with a list, or ``None`` for "cannot"; the
+    fold supplies the logic:
+
+    * ``Or`` needs *every* child answered, since a row may match through
+      any branch.
+    * ``And`` needs only one: its matches are a subset of any child's.
+      ``conjunction``, when given, is first offered the ``And``'s direct
+      equality children together, for a caller that can answer a field
+      *combination* more tightly than any single field.
+
+    Two consumers: :func:`plan` (an answer is index candidates) and
+    :func:`repro.fbnet.changelog.equality_dependencies` (an answer is a
+    read dependency) — so what a query reads and how it is served are
+    derived from the same decomposition.
     """
     if isinstance(query, Expr):
-        children: tuple[Query, ...] = (query,)
-    elif isinstance(query, And):
-        children = query.children
-    else:
-        return ()
-    return tuple(
-        child
-        for child in children
-        if isinstance(child, Expr)
-        and child.op is Op.EQUAL
-        and "." not in child.field
-    )
+        return leaf(query) if _is_local_equality(query) else None
+    if isinstance(query, Or):
+        answers: list = []
+        for child in query.children:
+            answer = fold_equalities(child, leaf, conjunction)
+            if answer is None:
+                return None
+            answers.extend(answer)
+        return answers
+    if isinstance(query, And):
+        if conjunction is not None:
+            together = [c for c in query.children if _is_local_equality(c)]
+            answer = conjunction(together) if len(together) > 1 else None
+            if answer is not None:
+                return answer
+        for child in query.children:
+            answer = fold_equalities(child, leaf, conjunction)
+            if answer is not None:
+                return answer
+    return None
+
+
+def plan(
+    store: ObjectStore, model: type[Model], query: Query
+) -> dict[str, set[int]] | None:
+    """The one index-or-scan decision, for every read verb of every store.
+
+    Returns candidate row ids per concrete model name — a superset of the
+    rows matching ``query``, which the caller filters with
+    ``query.matches`` so the answer is by construction the scan's — or
+    ``None`` when only a scan can answer.  It consults nothing but the
+    three indexes ``store`` already maintains for constraint checking:
+    reverse-FK, unique, and ``unique_together``.
+
+    A concrete subclass without the queried field contributes no
+    candidates; a subclass that has it but holds no index for it forces
+    the scan.
+    """
+    concretes = [c for c in model_registry.all() if issubclass(c, model)]
+
+    def probe(exprs: list[Expr]) -> list[dict[str, set[int]]] | None:
+        wanted = {expr.field: expr.rvalues for expr in exprs}
+        found: dict[str, set[int]] = {}
+        for concrete in concretes:
+            if wanted.keys() <= concrete._meta.fields.keys():
+                ids = _index_ids(store, concrete, wanted)
+                if ids is None:
+                    return None
+                found[concrete.__name__] = ids
+        return [found] if found else None
+
+    answers = fold_equalities(query, lambda expr: probe([expr]), probe)
+    if answers is None:
+        return None
+    candidates: dict[str, set[int]] = {}
+    for found in answers:
+        for name, ids in found.items():
+            candidates.setdefault(name, set()).update(ids)
+    return candidates
+
+
+def _index_ids(
+    store: ObjectStore, concrete: type[Model], wanted: dict[str, tuple[Any, ...]]
+) -> set[int] | None:
+    """Ids of ``concrete`` rows equal to ``wanted`` on every field, or ``None``.
+
+    ``None`` means no index covers the field combination.  The indexes
+    skip null values, so a null rvalue is never answered from them.
+    """
+    if any(value is None for values in wanted.values() for value in values):
+        return None
+    meta = concrete._meta
+    key = store._hashable
+    if len(wanted) == 1:
+        ((name, values),) = wanted.items()
+        if name in meta.fk_fields:
+            if not all(isinstance(value, int) for value in values):
+                return None
+            buckets = store._reverse_index.get((concrete.__name__, name), {})
+            return {i for value in values for i in buckets.get(value, ())}
+        if meta.fields[name].unique:
+            held = store._unique_index.get((store._family_root(concrete), name), {})
+            return {held[k] for k in map(key, values) if k in held}
+    for group in meta.unique_together:
+        if wanted.keys() >= set(group):
+            held = store._unique_together_index.get((concrete.__name__, group), {})
+            combos = product(*([key(v) for v in wanted[name]] for name in group))
+            return {held[combo] for combo in combos if combo in held}
+    return None

@@ -39,11 +39,12 @@ import sys
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from hashlib import sha256
+from itertools import chain
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Iterator, TypeVar
 
-from repro import faults, obs, parallel
+from repro import faults, obs
 from repro.common.errors import (
     DurabilityError,
     IntegrityError,
@@ -51,7 +52,7 @@ from repro.common.errors import (
     TransactionError,
 )
 from repro.fbnet.base import Model, model_registry
-from repro.fbnet.query import Query, ensure_query, indexable_equalities
+from repro.fbnet.query import Query
 from repro.fbnet.store import ChangeOp, ChangeRecord, ObjectStore
 
 __all__ = [
@@ -84,10 +85,6 @@ ORDER_LOG_NAME = "order.log"
 #: → device → cluster → site → region); the cap only guards pathological
 #: cycles.
 _TOKEN_DEPTH_LIMIT = 16
-
-#: Fan a cross-shard scan out through the worker pool only past this many
-#: candidate rows — below it, thread handoff costs more than the scan.
-FANOUT_MIN_ROWS = 512
 
 _MISSING = object()
 
@@ -401,10 +398,6 @@ class ShardedObjectStore(ObjectStore):
             return None
         return self.shards[index]._tables.get(model_name, {}).get(obj_id)
 
-    def _iter_rows(self, model: type[M]) -> Iterator[M]:
-        for shard in self.shards:
-            yield from ObjectStore._iter_rows(shard, model)
-
     # ------------------------------------------------------------------
     # Transactions: one global id, N joined shards
     # ------------------------------------------------------------------
@@ -568,144 +561,50 @@ class ShardedObjectStore(ObjectStore):
             self._next_id = max(self._next_id, record.obj_id + 1)
 
     # ------------------------------------------------------------------
-    # Query planner
+    # Reads: routing only
     # ------------------------------------------------------------------
+    #
+    # Planning is the base class's: every verb goes through
+    # ``ObjectStore._select``, whose index probes read the global indexes
+    # this router shares with its shards.  What the router adds is where
+    # rows live — ``_row`` (one id, its home shard), ``_iter_rows`` (every
+    # shard) and ``_candidate_rows`` — and the counters that say which of
+    # the two a read took.  ``all``/``filter``/``count`` only defer: they
+    # stay defined here so the router's read surface is its own (what
+    # wraps or patches ``ShardedObjectStore.filter`` sees sharded reads
+    # only), while ``exists``/``first`` reach the same hooks inherited.
 
     def get(self, model: type[M], obj_id: int) -> M:
-        found = self._home_resolve(model, obj_id)
-        if found is None:
-            raise ObjectDoesNotExist(f"no {model.__name__} with id {obj_id}")
-        self._note_object_read(found)
+        found = super().get(model, obj_id)
         obs.counter("store.planner.single_shard", store=self.name).inc()
         return found
 
     def all(self, model: type[M]) -> list[M]:
-        self._note_model_read(model)
-        return self._fanout_scan(model, None)
+        return super().all(model)
 
     def filter(self, model: type[M], query: Query | None = None) -> list[M]:
-        ensure_query(query)
-        obs.counter("store.query", store=self.name, model=model.__name__).inc()
-        with obs.timed("store.query.latency", store=self.name):
-            if query is None:
-                self._note_model_read(model)
-                return self._fanout_scan(model, None)
-            fast = self._indexed_filter(model, query)
-            if fast is not None:
-                self._count_planner_hit(fast)
-                return fast
-            narrowed = self._narrowed_filter(model, query)
-            if narrowed is not None:
-                return narrowed
-            self._note_query_read(model, query)
-            return self._fanout_scan(model, query)
+        return super().filter(model, query)
 
     def count(self, model: type[M], query: Query | None = None) -> int:
-        ensure_query(query)
-        obs.counter("store.query", store=self.name, model=model.__name__).inc()
-        if query is None:
-            self._note_model_read(model)
-            return sum(
-                len(shard._tables.get(concrete.__name__, ()))
-                for concrete in model_registry.all()
-                if issubclass(concrete, model)
-                for shard in self.shards
-            )
-        fast = self._indexed_filter(model, query)
-        if fast is not None:
-            self._count_planner_hit(fast)
-            return len(fast)
-        narrowed = self._narrowed_filter(model, query)
-        if narrowed is not None:
-            return len(narrowed)
-        self._note_query_read(model, query)
-        return len(self._fanout_scan(model, query))
+        return super().count(model, query)
 
-    def _count_planner_hit(self, rows: list[Model]) -> None:
-        """Count an index-served query whose answer lives on one shard."""
-        if len(self.shards) == 1:
-            obs.counter("store.planner.single_shard", store=self.name).inc()
-            return
-        homes = {
-            self._home.get(obj.id) for obj in rows if obj.id is not None
-        }
-        if len(homes) <= 1:
-            obs.counter("store.planner.single_shard", store=self.name).inc()
-
-    def _narrowed_filter(self, model: type[M], query: Query) -> list[M] | None:
-        """Serve an ``And`` query from one equality child's index.
-
-        The candidates come from the index (suspended, so the extra
-        probe adds nothing to read-sets) and the full query filters
-        them; the recorded dependency is the same ``_note_query_read``
-        a single store records, keeping incremental regeneration
-        byte-compatible.
-        """
-        for child in indexable_equalities(query):
-            if child is query:
-                return None  # bare Expr: _indexed_filter already tried it
-            with self._suspend_tracking():
-                candidates = self._indexed_filter(model, child)
-            if candidates is None:
-                continue
-            self._note_query_read(model, query)
-            with self._suspend_tracking():
-                rows = [obj for obj in candidates if query.matches(obj)]
-            self._count_planner_hit(rows)
-            return rows
-        return None
-
-    def _model_row_total(self, model: type[Model]) -> int:
-        total = 0
-        for concrete in model_registry.all():
-            if issubclass(concrete, model):
-                for shard in self.shards:
-                    total += len(shard._tables.get(concrete.__name__, ()))
-        return total
-
-    def _fanout_scan(self, model: type[M], query: Query | None) -> list[M]:
-        """Scan every shard and merge in shard-key order, then by id.
-
-        Fans out through :mod:`repro.parallel` for large tables (outside
-        any worker task — config renders already run in the pool), and
-        runs serially otherwise; either way the merged result is sorted
-        by id, so the answer is identical at any worker count.
-        """
-        shards = self.shards
-        if len(shards) > 1:
-            for shard in shards:
+    def _iter_rows(self, model: type[M]) -> Iterator[M]:
+        """Every shard's rows, in shard order: a fan-out, counted per shard."""
+        if len(self.shards) > 1:
+            for shard in self.shards:
                 obs.counter(
                     "store.planner.fanout", store=self.name, shard=shard.shard_key
                 ).inc()
+        return chain.from_iterable(
+            ObjectStore._iter_rows(shard, model) for shard in self.shards
+        )
 
-        def scan(shard: _ShardStore) -> list[M]:
-            return [
-                obj
-                for obj in ObjectStore._iter_rows(shard, model)
-                if query is None or query.matches(obj)
-            ]
-
-        # Suspended either way: the per-row ``matches`` FK hops are
-        # membership tests, and the pooled path must record exactly what
-        # the serial path does (nothing) at every worker count.
-        with self._suspend_tracking():
-            if (
-                len(shards) > 1
-                and parallel.current_task() is None
-                and self._model_row_total(model) >= FANOUT_MIN_ROWS
-            ):
-                results = parallel.run_tasks(
-                    [
-                        (shard.shard_key, (lambda s=shard: scan(s)))
-                        for shard in shards
-                    ],
-                    section="store.scan",
-                )
-                parallel.raise_first_error(results)
-                rows = [obj for result in results for obj in result.value]
-            else:
-                rows = [obj for shard in shards for obj in scan(shard)]
-        return sorted(rows, key=lambda o: o.id or 0)
+    def _candidate_rows(self, candidates: dict[str, set[int]]) -> list[Model]:
+        """Index-served rows; counted when one shard held all of them."""
+        rows = super()._candidate_rows(candidates)
+        if len({self._home[row.id] for row in rows}) <= 1:
+            obs.counter("store.planner.single_shard", store=self.name).inc()
+        return rows
 
     # ------------------------------------------------------------------
     # Durability: a manifest plus one WAL root per shard

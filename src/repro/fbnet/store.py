@@ -33,7 +33,7 @@ from repro.common.errors import (
 from repro.fbnet.base import Model, model_registry
 from repro.fbnet.changelog import ReadSet, equality_dependencies, query_models
 from repro.fbnet.fields import OnDelete
-from repro.fbnet.query import Query, ensure_query
+from repro.fbnet.query import Expr, Query, ensure_query, plan
 
 __all__ = ["ChangeOp", "ChangeRecord", "ObjectStore"]
 
@@ -171,13 +171,13 @@ class ObjectStore:
             tracker.add_field(model_name, field_name, values)
 
     def _note_query_read(self, model: type[Model], query: Query) -> None:
-        """Record a full-scan query: field deps when analyzable, else models.
+        """Record a query read: field deps when analyzable, else models.
 
         The unanalyzable fallback covers every model the query's paths
-        traverse, so evaluating ``query.matches`` during the scan runs
-        under :meth:`_suspend_tracking` — the FK hops it resolves through
-        the store are membership tests, not semantic reads, and recording
-        them would drag every scanned candidate into the read-set.
+        traverse, which is why ``query.matches`` itself runs under
+        :meth:`_suspend_tracking` — the FK hops it resolves through the
+        store are membership tests, not semantic reads, and recording
+        them would drag every examined row into the read-set.
         """
         if not self._read_trackers:
             return
@@ -678,126 +678,65 @@ class ObjectStore:
 
     def filter(self, model: type[M], query: Query | None = None) -> list[M]:
         """Objects of ``model`` matching ``query`` (all if ``None``)."""
+        return sorted(self._select(model, query), key=lambda o: o.id or 0)
+
+    def count(self, model: type[M], query: Query | None = None) -> int:
+        """Number of matching objects."""
+        return len(self._select(model, query))
+
+    def exists(self, model: type[M], query: Query | None = None) -> bool:
+        """Whether any object matches."""
+        return bool(self._select(model, query))
+
+    def first(self, model: type[M], query: Query | None = None) -> M | None:
+        """The matching object with the smallest id, if any."""
+        return min(self._select(model, query), key=lambda o: o.id or 0, default=None)
+
+    def _select(self, model: type[M], query: Query | None) -> list[M]:
+        """The rows matching ``query``, unsorted: the one read path.
+
+        Every query verb lands here, so this is the one place that counts
+        the query, records its read-set, asks :func:`repro.fbnet.query.plan`
+        for index candidates, and falls back to the scan.  Candidates are
+        a superset; the same ``query.matches`` filter runs over them as
+        over a scan, so the plan taken never changes the answer.
+
+        The filter runs under :meth:`_suspend_tracking`: the FK hops
+        ``matches`` resolves are membership tests, not semantic reads.
+        """
         ensure_query(query)
         obs.counter("store.query", store=self.name, model=model.__name__).inc()
         with obs.timed("store.query.latency", store=self.name):
             if query is None:
-                return self.all(model)
-            fast = self._indexed_filter(model, query)
-            if fast is not None:
-                return fast
-            self._note_query_read(model, query)
-            with self._suspend_tracking():
-                return sorted(
-                    (obj for obj in self._iter_rows(model) if query.matches(obj)),
-                    key=lambda o: o.id or 0,
-                )
-
-    def _indexed_filter(self, model: type[M], query: Query) -> list[M] | None:
-        """Serve single-FK equality queries from the reverse index.
-
-        ``filter(PhysicalInterface, Expr("agg_interface", ==, 7))`` is the
-        store's hottest query shape; answering it from the reverse index
-        keeps bulk materialization linear.
-        """
-        from repro.fbnet.query import Expr, Op
-
-        if not isinstance(query, Expr) or query.op is not Op.EQUAL:
-            return None
-        if "." in query.field:
-            return None
-        rows: list[M] = []
-        served = False
-        read_deps: list[str] = []
-        fk_values_ok = all(isinstance(rv, int) for rv in query.rvalues)
-        for concrete in model_registry.all():
-            if not issubclass(concrete, model):
-                continue
-            field = concrete._meta.fields.get(query.field)
-            if field is None:
-                continue
-            fk = concrete._meta.fk_fields.get(query.field)
-            if fk is not None:
-                if not fk_values_ok:
-                    return None
-                served = True
-                read_deps.append(concrete.__name__)
-                buckets = self._reverse_index.get(
-                    (concrete.__name__, query.field), {}
-                )
-                for rvalue in query.rvalues:
-                    for obj_id in buckets.get(rvalue, ()):
-                        obj = self._row(concrete.__name__, obj_id)
-                        if obj is not None:
-                            rows.append(obj)  # type: ignore[arg-type]
-            elif field.unique:
-                served = True
-                read_deps.append(concrete.__name__)
-                root = self._family_root(concrete)
-                bucket = self._unique_index.get((root, query.field), {})
-                for rvalue in query.rvalues:
-                    obj_id = bucket.get(self._hashable(rvalue))
-                    if obj_id is None:
-                        continue
-                    obj = self._row(concrete.__name__, obj_id)
-                    if obj is not None:
-                        rows.append(obj)  # type: ignore[arg-type]
+                self._note_model_read(model)
+                return list(self._iter_rows(model))
+            candidates = plan(self, model, query)
+            # What is recorded depends on the query and the schema, never
+            # on the data or on which rows the plan touched.
+            if candidates is not None and isinstance(query, Expr):
+                # An indexed lookup depends on exactly the tables it probed.
+                for name in candidates:
+                    self._note_field_read(name, query.field, query.rvalues)
             else:
-                # A plain value field needs a full scan.
-                return None
-        if not served:
-            return None
-        if self._read_trackers:
-            for name in read_deps:
-                self._note_field_read(name, query.field, query.rvalues)
-        return sorted(set(rows), key=lambda o: o.id or 0)
-
-    def count(self, model: type[M], query: Query | None = None) -> int:
-        """Number of matching objects, without materializing a sorted list."""
-        ensure_query(query)
-        obs.counter("store.query", store=self.name, model=model.__name__).inc()
-        if query is None:
-            self._note_model_read(model)
-            return sum(
-                len(self._tables.get(concrete.__name__, ()))
-                for concrete in model_registry.all()
-                if issubclass(concrete, model)
-            )
-        fast = self._indexed_filter(model, query)
-        if fast is not None:
-            return len(fast)
-        self._note_query_read(model, query)
-        with self._suspend_tracking():
-            return sum(1 for obj in self._iter_rows(model) if query.matches(obj))
-
-    def exists(self, model: type[M], query: Query | None = None) -> bool:
-        """Whether any object matches; short-circuits on the first hit."""
-        ensure_query(query)
-        if query is not None:
-            fast = self._indexed_filter(model, query)
-            if fast is not None:
-                return bool(fast)
-            self._note_query_read(model, query)
+                self._note_query_read(model, query)
+            if candidates is None:
+                obs.counter(
+                    "store.planner.scan", store=self.name, model=model.__name__
+                ).inc()
+                rows = self._iter_rows(model)
+            else:
+                rows = self._candidate_rows(candidates)
             with self._suspend_tracking():
-                return any(query.matches(obj) for obj in self._iter_rows(model))
-        self._note_model_read(model)
-        return any(True for _ in self._iter_rows(model))
+                return [row for row in rows if query.matches(row)]
 
-    def first(self, model: type[M], query: Query | None = None) -> M | None:
-        ensure_query(query)
-        if query is not None:
-            fast = self._indexed_filter(model, query)
-            if fast is not None:
-                return fast[0] if fast else None
-            self._note_query_read(model, query)
-            with self._suspend_tracking():
-                return min(
-                    (obj for obj in self._iter_rows(model) if query.matches(obj)),
-                    key=lambda o: o.id or 0,
-                    default=None,
-                )
-        self._note_model_read(model)
-        return min(self._iter_rows(model), key=lambda o: o.id or 0, default=None)
+    def _candidate_rows(self, candidates: dict[str, set[int]]) -> list[Model]:
+        """The live rows behind a plan's candidate ids."""
+        rows = (
+            self._row(name, obj_id)
+            for name, ids in candidates.items()
+            for obj_id in ids
+        )
+        return [row for row in rows if row is not None]
 
     # ------------------------------------------------------------------
     # Journal / replication hooks

@@ -143,6 +143,21 @@ class TestPaths:
     def test_resolve_id(self, store, network):
         assert resolve_path(network["pr"], "id") == [network["pr"].id]
 
+    def test_fk_id_is_read_off_the_row_without_a_store_get(
+        self, store, network, monkeypatch
+    ):
+        pif, agg = network["pr_pif"], network["pr_agg"]
+        dangling = store.create(Circuit, name="dangling")
+        monkeypatch.setattr(
+            store, "get", lambda *args: pytest.fail(f"store.get{args} was called")
+        )
+        assert Expr("agg_interface", Op.EQUAL, agg.id).matches(pif)
+        assert not Expr("agg_interface", Op.EQUAL, agg.id + 1).matches(pif)
+        assert resolve_path(pif, "agg_interface.id") == [agg.id]
+        # A null FK still contributes no leaf, on either spelling.
+        assert resolve_path(dangling, "a_interface") == []
+        assert resolve_path(dangling, "a_interface.id") == []
+
 
 class TestComposition:
     def test_and(self, store, network):

@@ -1,28 +1,47 @@
-"""The query planner's fast paths and shard-labeled observability.
+"""The one query planner: planner ≡ brute-force scan, and routing counters.
 
-Satellites: indexed point lookups route to the owning shard and count
-under ``store.planner.single_shard``; full scans count one
-``store.planner.fanout`` per shard; per-shard object/txn telemetry shows
-up in ``obs.report()``; and read tracking records exactly what the
-single store records, so the incremental cycle's dirty mapping is
-shard-oblivious.
+``repro.fbnet.query.plan`` is the only index-or-scan decision, shared by
+``ObjectStore`` and ``ShardedObjectStore`` and by all four read verbs.
+The property here holds it to its contract: for any query tree, every
+verb on every store variant returns what a brute-force ``matches`` scan
+returns, and records one and the same read-set — so neither the plan
+taken nor the shard layout is observable.  The router's part is routing:
+``store.planner.single_shard`` / ``store.planner.fanout`` say which way a
+read went, identically for every verb, and ``store.planner.scan`` names
+the shapes no index covers.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro import obs, seed_environment
+from repro.common.errors import QueryError
+from repro.configgen.derive import _derive_bgp
+from repro.design.cluster import build_cluster
 from repro.fbnet.models import (
+    BgpV4Session,
+    BgpV6Session,
+    ClusterGeneration,
+    DerivedInterface,
     Device,
+    OperStatus,
     PeeringRouter,
+    PhysicalInterface,
     Pop,
     Region,
 )
-from repro.fbnet.query import And, Expr, Op
+from repro.fbnet.query import And, Expr, Not, Op, Or, resolve_path
+from repro.fbnet.sharding import ShardedObjectStore
 from repro.fbnet.store import ObjectStore
+from repro.monitoring.backends import DerivedModelBackend
+from repro.simulation.clock import EventScheduler
 
 pytestmark = pytest.mark.sharding
+
+VERBS = ("filter", "count", "exists", "first")
 
 
 def readset_shape(reads):
@@ -34,6 +53,282 @@ def readset_shape(reads):
             for model, per_field in reads.fields.items()
         },
     )
+
+
+def counter_sum(name: str, store) -> float:
+    return sum(
+        series.value
+        for series in obs.registry().series()
+        if series.name == name and series.labels.get("store") == store.name
+    )
+
+
+def plan_counters(store) -> dict[str, float]:
+    return {
+        name: counter_sum(name, store)
+        for name in (
+            "store.query",
+            "store.planner.single_shard",
+            "store.planner.fanout",
+            "store.planner.scan",
+        )
+    }
+
+
+# ---------------------------------------------------------------------------
+# The object graph every store variant holds, id for id
+# ---------------------------------------------------------------------------
+
+
+def populate(store):
+    """Two POP clusters in two regions, null FKs, and Derived rows."""
+    env = seed_environment(store)
+    for pop in ("pop01", "pop02"):
+        build_cluster(store, f"{pop}.c01", env.pops[pop], ClusterGeneration.POP_GEN2)
+    store.update(store.all(PhysicalInterface)[0], agg_interface=None)
+    store.update(store.all(BgpV6Session)[0], peer_device=None)
+    for device in ("psw01", "psw02"):
+        for port, status in enumerate((OperStatus.UP, OperStatus.DOWN, OperStatus.UP)):
+            store.create(
+                DerivedInterface,
+                device_name=device,
+                name=f"et1/{port}",
+                oper_status=status,
+            )
+    return store
+
+
+@pytest.fixture(scope="module")
+def variants():
+    """The plain store and the sharded store at 1 and 4 shards."""
+    return [
+        populate(ObjectStore(name="plain")),
+        populate(ShardedObjectStore(shards=1, name="one-shard")),
+        populate(ShardedObjectStore(shards=4, name="four-shards")),
+    ]
+
+
+#: Per model, the field paths queries are drawn over: FK, unique,
+#: ``unique_together`` members, plain values, enums, ``id`` and dotted
+#: paths (forward FK hops, a terminal FK, a trailing ``fk.id``, a reverse
+#: relation).
+PATHS = {
+    PhysicalInterface: (
+        "id", "name", "port", "speed_mbps", "enabled", "linecard", "agg_interface",
+        "linecard.id", "linecard.device", "linecard.device.name", "agg_interface.name",
+    ),
+    BgpV6Session: (
+        "device", "peer_device", "peer_ip", "session_type", "local_asn",
+        "device.name", "peer_device.id",
+    ),
+    Pop: ("name", "region", "domain", "region.name", "peering_routers.name"),
+    Device: ("name", "drain_state", "status", "cluster", "hardware_profile", "linecards.slot"),
+    DerivedInterface: ("device_name", "name", "oper_status"),
+}
+MODELS = tuple(PATHS)
+
+
+def value_pool(store, model, path) -> list:
+    """Rvalues to draw from: stored values, a miss, null, an enum member."""
+    seen: dict[str, object] = {}
+    for row in store.all(model):
+        for leaf in resolve_path(row, path):
+            seen.setdefault(repr(leaf), leaf)
+    stored = [seen[key] for key in sorted(seen)]
+    sample = next((v for v in stored if v is not None), "")
+    miss = "zz-miss" if isinstance(sample, str) else -7
+    field = model._meta.fields.get(path)
+    enum_members = list(getattr(field, "enum_type", ()))[:1]
+    return stored[:4] + stored[-2:] + [miss, None] + enum_members
+
+
+# A query tree as plain data, realised against a model's paths and pools.
+leaf_shape = st.tuples(
+    st.just("leaf"),
+    st.integers(0, 31),
+    st.sampled_from(list(Op)),
+    st.lists(st.integers(0, 31), min_size=1, max_size=3),
+)
+tree_shape = st.recursive(
+    leaf_shape,
+    lambda children: st.one_of(
+        st.tuples(st.just("and"), st.lists(children, min_size=1, max_size=3)),
+        st.tuples(st.just("or"), st.lists(children, min_size=1, max_size=3)),
+        st.tuples(st.just("not"), children),
+    ),
+    max_leaves=6,
+)
+
+
+def realise(shape, store, model):
+    kind = shape[0]
+    if kind == "leaf":
+        _kind, path_pick, op, value_picks = shape
+        paths = PATHS[model]
+        path = paths[path_pick % len(paths)]
+        pool = value_pool(store, model, path)
+        values = [pool[pick % len(pool)] for pick in value_picks]
+        if op in (Op.GT, Op.GTE, Op.LT, Op.LTE, Op.IS_NULL):
+            values = values[0]
+        return Expr(path, op, values)
+    if kind == "not":
+        return Not(realise(shape[1], store, model))
+    children = [realise(child, store, model) for child in shape[1]]
+    return And(*children) if kind == "and" else Or(*children)
+
+
+# ---------------------------------------------------------------------------
+# The property
+# ---------------------------------------------------------------------------
+
+
+def assert_planner_is_scan(variants, model, query):
+    """Every verb on every variant answers ``query`` as a brute-force scan does."""
+    plain = variants[0]
+    expected = [row.id for row in plain.all(model) if query.matches(row)]
+    answers = {
+        "filter": expected,
+        "count": len(expected),
+        "exists": bool(expected),
+        "first": expected[0] if expected else None,
+    }
+    read_sets = []
+    for store in variants:
+        for verb in VERBS:
+            with store.track_reads() as reads:
+                got = getattr(store, verb)(model, query)
+            if verb == "filter":
+                got = [row.id for row in got]
+            elif verb == "first":
+                got = got.id if got is not None else None
+            assert got == answers[verb], (store.name, verb, query)
+            read_sets.append(readset_shape(reads))
+    assert all(shape == read_sets[0] for shape in read_sets), query
+    return expected
+
+
+class TestPlannerEqualsScan:
+    @settings(
+        max_examples=120,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(model_pick=st.integers(0, len(MODELS) - 1), shape=tree_shape)
+    def test_any_query_tree(self, variants, model_pick, shape):
+        model = MODELS[model_pick]
+        try:
+            query = realise(shape, variants[0], model)
+            [query.matches(row) for row in variants[0].all(model)]
+        except QueryError:
+            # A bad regexp, or an ordered comparison across types: the scan
+            # itself refuses, so there is no answer to agree with.
+            assume(False)
+        assert_planner_is_scan(variants, model, query)
+
+    def test_unique_index_hit_and_miss(self, variants):
+        hit = assert_planner_is_scan(variants, Pop, Expr("name", Op.EQUAL, "pop01"))
+        assert len(hit) == 1
+        assert assert_planner_is_scan(variants, Pop, Expr("name", Op.EQUAL, "nope")) == []
+
+    def test_and_narrowed_by_one_indexed_child(self, variants):
+        pop = variants[0].first(Pop, Expr("name", Op.EQUAL, "pop01"))
+        query = And(
+            Expr("name", Op.EQUAL, "pop01"), Expr("region", Op.EQUAL, pop.region_id)
+        )
+        assert assert_planner_is_scan(variants, Pop, query) == [pop.id]
+
+    def test_abstract_model_unique_lookup(self, variants):
+        name = variants[0].all(PeeringRouter)[0].name
+        found = assert_planner_is_scan(variants, Device, Expr("name", Op.EQUAL, name))
+        assert len(found) == 1
+
+    def test_null_and_enum_rvalues_fall_back_to_the_scan(self, variants):
+        null_agg = assert_planner_is_scan(
+            variants, PhysicalInterface, Expr("agg_interface", Op.EQUAL, None)
+        )
+        assert null_agg == []  # a null FK contributes no leaf to compare
+        by_member = assert_planner_is_scan(
+            variants, DerivedInterface, Expr("oper_status", Op.EQUAL, OperStatus.UP)
+        )
+        by_value = assert_planner_is_scan(
+            variants, DerivedInterface, Expr("oper_status", Op.EQUAL, "up")
+        )
+        assert by_member == [] and len(by_value) == 4  # enums compare by value
+
+
+class TestTrafficShapes:
+    """The two shapes that were scans before the one planner (ISSUE 12)."""
+
+    def test_derive_bgp_or_is_index_served(self, variants):
+        for store in variants[1:]:
+            device = store.all(PeeringRouter)[0]
+            obs.reset()
+            assert _derive_bgp(store, device)["neighbors"]
+            assert counter_sum("store.planner.fanout", store) == 0
+            assert counter_sum("store.planner.scan", store) == 0
+        for model in (BgpV4Session, BgpV6Session):
+            query = Or(
+                Expr("device", Op.EQUAL, device.id),
+                Expr("peer_device", Op.EQUAL, device.id),
+            )
+            assert assert_planner_is_scan(variants, model, query)
+
+    def test_derived_upsert_and_is_index_served(self, variants):
+        payload = [{"name": "et1/1", "oper_status": "down"}]
+        for store in variants[1:]:
+            obs.reset()
+            DerivedModelBackend(store, EventScheduler().clock).store(
+                {"data_type": "interfaces", "device": "psw01", "payload": payload}, 1.0
+            )
+            assert counter_sum("store.planner.fanout", store) == 0
+            assert counter_sum("store.planner.scan", store) == 0
+        query = And(
+            Expr("device_name", Op.EQUAL, "psw01"), Expr("name", Op.EQUAL, "et1/1")
+        )
+        assert len(assert_planner_is_scan(variants, DerivedInterface, query)) == 1
+
+
+class TestVerbsShareOnePlan:
+    """``first``/``exists`` used to skip the planner ``filter``/``count`` ran."""
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_four_verbs_agree_on_counters_and_result(self, shards):
+        store = ShardedObjectStore(shards=shards)
+        seed_environment(store)
+        pop = store.first(Pop, Expr("name", Op.EQUAL, "pop01"))
+        query = And(
+            Expr("name", Op.STARTSWITH, "pop"), Expr("region", Op.EQUAL, pop.region_id)
+        )
+        seen = {}
+        for verb in VERBS:
+            obs.reset()
+            got = getattr(store, verb)(Pop, query)
+            seen[verb] = (got, plan_counters(store))
+        counters = seen["filter"][1]
+        assert counters == {
+            "store.query": 1,
+            "store.planner.single_shard": 1,
+            "store.planner.fanout": 0,
+            "store.planner.scan": 0,
+        }
+        assert all(seen[verb][1] == counters for verb in VERBS)
+        assert seen["filter"][0] == [pop]
+        assert seen["count"][0] == 1
+        assert seen["exists"][0] is True
+        assert seen["first"][0] is pop
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_unindexed_shape_counts_one_scan_on_every_verb(self, shards):
+        store = ShardedObjectStore(shards=shards)
+        seed_environment(store)
+        for verb in VERBS:
+            obs.reset()
+            getattr(store, verb)(Region, Expr("name", Op.STARTSWITH, "na-"))
+            counters = plan_counters(store)
+            assert counters["store.planner.scan"] == 1
+            assert counters["store.planner.single_shard"] == 0
+            assert counters["store.planner.fanout"] == (shards if shards > 1 else 0)
+        assert "store.planner.scan" in obs.report()
 
 
 @pytest.fixture
@@ -105,7 +400,8 @@ class TestShardObservability:
         )
 
     def test_report_renders_shard_metrics(self, seeded):
-        seeded.create(Region, name="zz-extra")
+        region = seeded.create(Region, name="zz-extra")
+        seeded.get(Region, region.id)  # counted at any shard count
         seeded.all(Device)
         report = obs.report()
         assert "store.shard.objects" in report
