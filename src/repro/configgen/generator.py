@@ -186,7 +186,7 @@ class ConfigGenerator:
         """Fetch → derive → render one device; pure (no generator state).
 
         This is the unit of work the pool fans out: it reads the store
-        (thread-local read tracking), renders from the pre-compiled
+        (per-task read tracking), renders from the pre-compiled
         template cache, and returns the config without touching
         ``self.golden`` — the coordinator registers results in task-key
         order so the outcome is identical at any worker count.

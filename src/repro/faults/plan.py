@@ -24,15 +24,14 @@ with its point, so telemetry shows exactly where chaos landed.
 
 from __future__ import annotations
 
-import hashlib
 import random
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro import obs
 from repro.common.errors import FaultInjectedError
+from repro.common.task import FaultScope, current
 
 __all__ = [
     "FaultPlan",
@@ -43,36 +42,6 @@ __all__ = [
     "should_inject",
     "uninstall",
 ]
-
-
-def _scope_seed(seed: int, key: str) -> int:
-    """A sub-seed derived from (plan seed, task key) — stable across runs
-    and interpreter invocations (unlike ``hash()``, which is salted)."""
-    digest = hashlib.sha256(f"{seed}:{key}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-class _TaskScope:
-    """A per-task partition of a plan's mutable injection state.
-
-    While a scope is active on a thread, ``should_inject`` draws from the
-    scope's derived RNG and tracks ``seen``/``injected`` per spec locally
-    (keyed by spec index), recording injections into the scope's buffer.
-    The pool coordinator merges scopes back in task-key order, so the
-    plan's record is identical at any worker count.  Count-based spec
-    semantics (``after``/``times``) apply *per task* inside pooled
-    sections — the only reading that is order-independent.
-    """
-
-    __slots__ = ("key", "rng", "clock", "seen", "injected", "injections")
-
-    def __init__(self, plan: FaultPlan, key: str, clock: Any | None = None):
-        self.key = str(key)
-        self.rng = random.Random(_scope_seed(plan.seed, self.key))
-        self.clock = clock
-        self.seen: dict[int, int] = {}
-        self.injected: dict[int, int] = {}
-        self.injections: list[tuple[float | None, str, dict[str, str]]] = []
 
 
 @dataclass
@@ -136,7 +105,6 @@ class FaultPlan:
         self._rng = random.Random(seed)
         self._specs: list[FaultSpec] = []
         self._clock = clock
-        self._scopes = threading.local()
         #: Every injection, in order: (sim time or None, point, labels).
         self.injections: list[tuple[float | None, str, dict[str, str]]] = []
 
@@ -175,27 +143,12 @@ class FaultPlan:
 
     # -- task-scoped state (deterministic parallel execution) ----------------
 
-    @contextmanager
-    def task_scope(self, key: str, *, clock: Any | None = None) -> Iterator[Any]:
-        """Partition this plan's state for one pool task on this thread.
+    def merge_scope(self, scope: FaultScope) -> None:
+        """Fold one pool task's scope back into the plan.
 
-        Inside the block, decisions draw from an RNG derived from the
-        plan seed and ``key`` and count against scope-local spec state;
-        the caller (the pool coordinator) merges the scope back with
-        :meth:`merge_scope` in task-key order.  ``clock`` (a task-local
-        clock) overrides the plan's bound clock for window checks and
-        injection timestamps.
+        The pool coordinator calls this once per merged task, in task-key
+        order, so the plan's record is identical at any worker count.
         """
-        scope = _TaskScope(self, key, clock)
-        previous = getattr(self._scopes, "current", None)
-        self._scopes.current = scope
-        try:
-            yield scope
-        finally:
-            self._scopes.current = previous
-
-    def merge_scope(self, scope: Any) -> None:
-        """Fold one task scope's record back into the plan."""
         for index, count in scope.seen.items():
             self._specs[index].seen += count
         for index, count in scope.injected.items():
@@ -209,16 +162,15 @@ class FaultPlan:
 
         Probability draws consume the plan's seeded RNG in call order, so
         two runs issuing the same calls make the same decisions.  Inside
-        a :meth:`task_scope`, draws and counters are scope-local instead
-        (derived RNG, per-task ``after``/``times``), so the decision for
-        a given call depends only on the task key — not on how pool tasks
-        interleave.
+        a pool task, draws and counters go to the task's
+        :class:`~repro.common.task.FaultScope` instead (derived RNG,
+        per-task ``after``/``times``) and time is the task's clock, so
+        the decision for a given call depends only on the task key — not
+        on how pool tasks interleave.
         """
-        scope = getattr(self._scopes, "current", None)
-        if scope is not None and scope.clock is not None:
-            now = scope.clock.now
-        else:
-            now = self._now()
+        context = current()
+        scope = context.fault_scope
+        now = context.clock.now if context.clock is not None else self._now()
         for index, spec in enumerate(self._specs):
             if spec.point != point:
                 continue

@@ -20,9 +20,7 @@ change journal then maps each committed mutation onto *exactly* the
 entries whose read-sets it invalidates — no TTLs, no blanket flushes.
 :class:`CachingReadService` plugs the cache into a read
 :class:`ServiceReplica`, and ``multi_get`` batches many reads into one
-RPC, with misses filled through :mod:`repro.parallel` under the
-task-order merge discipline (results and counters are bit-identical at
-any worker count).
+RPC, filling each distinct miss once.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro import faults, obs, parallel
+from repro import faults, obs
 from repro.common.errors import ReplicaUnavailable, RpcError
 from repro.fbnet.api import ReadApi, WriteApi
 from repro.fbnet.changelog import ReadSet, _family
@@ -49,12 +47,6 @@ __all__ = [
     "decode_message",
     "encode_message",
 ]
-
-#: Fan a multi-get's misses out through the worker pool only from this
-#: many fills — below it, thread handoff costs more than the fills.  The
-#: threshold keys off the (deterministic) miss count, never the worker
-#: count, so pooled and serial runs count the same metrics.
-FILL_FANOUT_MIN = 4
 
 _WIRE_VERSION = 1
 
@@ -418,49 +410,27 @@ class ReadCache:
         Hits and misses are classified up front against the advanced
         cache (each request counts once, so duplicate specs within one
         batch count one miss per occurrence but share a single fill);
-        unique misses then fill through :func:`repro.parallel.run_tasks`
-        when the batch is worth fanning out.  Admission happens on the
-        coordinator in key order, so the cache contents — and every
-        counter — are identical at any worker count.
+        unique misses then fill and are admitted in first-request order.
         """
         self.advance()
         normalized = [_normalize_spec(spec) for spec in specs]
         keys = [self.cache_key("get", *spec) for spec in normalized]
         payload_by_key: dict[str, Any] = {}
-        fill_order: list[str] = []
-        fill_specs: dict[str, tuple[str, tuple[str, ...] | None, dict | None]] = {}
-        for index, key in enumerate(keys):
+        fills: dict[str, tuple[str, tuple[str, ...] | None, dict | None]] = {}
+        for key, spec in zip(keys, normalized):
             entry = self._entries.get(key)
             if entry is not None:
                 obs.counter("rpc.cache.hits", cache=self.name).inc()
                 payload_by_key[key] = entry.payload
             else:
                 obs.counter("rpc.cache.misses", cache=self.name).inc()
-                if key not in fill_specs:
-                    fill_specs[key] = normalized[index]
-                    fill_order.append(key)
-        if fill_order:
-            positions = dict(self._positions)
-            computed = self._compute_fills([fill_specs[key] for key in fill_order])
-            for key, (payload, read_set) in zip(fill_order, computed):
-                self._admit(key, payload, read_set, positions)
-                payload_by_key[key] = payload
+                fills.setdefault(key, spec)
+        positions = dict(self._positions)
+        for key, spec in fills.items():
+            payload, read_set = self._compute("get", *spec)
+            self._admit(key, payload, read_set, positions)
+            payload_by_key[key] = payload
         return [payload_by_key[key] for key in keys]
-
-    def _compute_fills(
-        self, specs: list[tuple[str, tuple[str, ...] | None, dict | None]]
-    ) -> list[tuple[Any, ReadSet]]:
-        if len(specs) >= FILL_FANOUT_MIN and parallel.current_task() is None:
-            results = parallel.run_tasks(
-                [
-                    (f"{index:06d}", (lambda s=spec: self._compute("get", *s)))
-                    for index, spec in enumerate(specs)
-                ],
-                section="rpc.cache.fill",
-            )
-            parallel.raise_first_error(results)
-            return [result.value for result in results]
-        return [self._compute("get", *spec) for spec in specs]
 
     # -- introspection -------------------------------------------------
 

@@ -184,6 +184,7 @@ class _ShardStore(ObjectStore):
     def __init__(self, router: ShardedObjectStore, index: int):
         super().__init__(name=f"{router.name}/s{index:02d}")
         self._router = router
+        self._tracked_as = router  # read tracking lives on the router
         self.shard_index = index
         self.shard_key = f"s{index:02d}"
         # Global indexes, shared by reference with the router (and thus
@@ -227,17 +228,6 @@ class _ShardStore(ObjectStore):
         if obj.id is not None:
             self._router._home.pop(obj.id, None)
             self._router._token_cache.pop(obj.id, None)
-
-    # -- read tracking lives on the router -----------------------------
-
-    @property
-    def _read_trackers(self):
-        return self._router._read_trackers
-
-    @contextmanager
-    def _suspend_tracking(self) -> Iterator[None]:
-        with self._router._suspend_tracking():
-            yield
 
     # -- transactions join the router ----------------------------------
 

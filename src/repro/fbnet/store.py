@@ -14,7 +14,6 @@ provides an in-process relational store with the same observable semantics:
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -30,6 +29,7 @@ from repro.common.errors import (
     ObjectDoesNotExist,
     TransactionError,
 )
+from repro.common.task import current
 from repro.fbnet.base import Model, model_registry
 from repro.fbnet.changelog import ReadSet, equality_dependencies, query_models
 from repro.fbnet.fields import OnDelete
@@ -122,23 +122,21 @@ class ObjectStore:
         self._current_txn_id: int | None = None
         self._txn_started_at: float | None = None
 
-        # Active read trackers (see track_reads); reads are recorded into
-        # every tracker on the stack, so nested computations compose.
-        # The stack is thread-local: parallel config renders each track
-        # their own reads without seeing (or corrupting) each other's.
-        self._tracking = threading.local()
+        # Whose read-tracker stack this store records into (see
+        # track_reads); a shard points at its router.
+        self._tracked_as: ObjectStore = self
 
     # ------------------------------------------------------------------
     # Read tracking (change propagation, see repro.fbnet.changelog)
     # ------------------------------------------------------------------
 
     @property
-    def _read_trackers(self) -> list[ReadSet]:
-        stack = getattr(self._tracking, "stack", None)
-        if stack is None:
-            stack = []
-            self._tracking.stack = stack
-        return stack
+    def _read_trackers(self) -> list[ReadSet] | tuple[()]:
+        """The active trackers: reads are recorded into every one, so
+        nested computations compose.  The stack lives on the ambient task
+        context — a pool task records into a frame of its own, which the
+        coordinator merges into the enclosing trackers."""
+        return current().trackers.get(self._tracked_as, ())
 
     @contextmanager
     def track_reads(self, read_set: ReadSet | None = None) -> Iterator[ReadSet]:
@@ -149,11 +147,15 @@ class ObjectStore:
         that performed the reads needs to be redone.
         """
         read_set = read_set if read_set is not None else ReadSet()
-        self._read_trackers.append(read_set)
+        trackers = current().trackers
+        stack = trackers.setdefault(self._tracked_as, [])
+        stack.append(read_set)
         try:
             yield read_set
         finally:
-            self._read_trackers.pop()
+            stack.pop()
+            if not stack:
+                del trackers[self._tracked_as]
 
     def _note_model_read(self, model: type[Model]) -> None:
         for tracker in self._read_trackers:
@@ -192,12 +194,13 @@ class ObjectStore:
 
     @contextmanager
     def _suspend_tracking(self) -> Iterator[None]:
-        previous = self._read_trackers
-        self._tracking.stack = []
+        trackers = current().trackers
+        previous = trackers.pop(self._tracked_as, None)
         try:
             yield
         finally:
-            self._tracking.stack = previous
+            if previous is not None:
+                trackers[self._tracked_as] = previous
 
     # ------------------------------------------------------------------
     # Transactions

@@ -7,10 +7,10 @@ monitoring plane then passes verdict on.  Metrics count those events and
 the tracer nests them in time, but neither can answer the operator
 question that matters during an incident: *which change did this?*
 
-This module answers it.  A :class:`ChangeContext` — contextvar-based, so
-it follows the call stack and (via :mod:`repro.parallel`) survives the
-worker pool — is opened by the pipeline's entry points and carries a
-process-unique **change id**.  Every layer then emits typed
+This module answers it.  A :class:`ChangeContext` — held on the ambient
+:class:`~repro.common.task.TaskContext`, so it follows the call stack
+and pool tasks inherit it — is opened by the pipeline's entry points and
+carries a process-unique **change id**.  Every layer then emits typed
 :class:`FlightEvent` records into one bounded, append-only ring buffer:
 
 ======================  ====================================================
@@ -36,9 +36,10 @@ process-unique **change id**.  Every layer then emits typed
 ======================  ====================================================
 
 Events emitted inside :func:`repro.parallel.run_tasks` tasks land in
-per-task buffers that the coordinator merges back **in task-key order**
-(the same discipline fault scopes use), so the ring — and therefore
-:func:`deterministic_dump` — is byte-identical at any worker count.
+the task context's buffer, which the coordinator merges back **in
+task-key order** (the same discipline fault scopes use), so the ring —
+and therefore :func:`deterministic_dump` — is byte-identical at any
+worker count.
 Wall-clock times and tracer span ids are recorded on every event for the
 Chrome-trace export but excluded from the deterministic dump, which
 keeps only workload-determined fields.
@@ -54,21 +55,20 @@ import itertools
 import json
 import threading
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
 from typing import Any, Iterable, Iterator
+
+from repro.common.task import current
 
 __all__ = [
     "ChangeContext",
     "FlightEvent",
     "FlightRecorder",
     "PHASES",
-    "activate",
     "change_context",
     "current_change",
     "current_change_id",
-    "deactivate",
     "deterministic_dump",
     "export_jsonl",
     "for_change",
@@ -79,24 +79,11 @@ __all__ = [
     "render_lineage",
     "reset",
     "suppressed",
-    "task_buffer",
     "timeline",
 ]
 
 #: Pipeline phases in causal order — the lineage renderer groups by these.
 PHASES = ("intent", "model", "generation", "deployment", "monitoring")
-
-#: The active change context for this thread of control (contextvars, so
-#: scheduler callbacks and nested calls inherit it automatically; the
-#: worker pool re-activates the coordinator's context inside each task).
-_active: ContextVar[ChangeContext | None] = ContextVar(
-    "flight_change", default=None
-)
-
-#: When set, recording and change-id stamping are no-ops — used by layers
-#: whose store writes are *derived* from observation (monitoring
-#: backends), not caused by the ambient change.
-_suppressed: ContextVar[bool] = ContextVar("flight_suppressed", default=False)
 
 
 @dataclass(frozen=True)
@@ -179,10 +166,6 @@ class FlightRecorder:
         self._seq = itertools.count(1)
         self._change_ids = itertools.count(1)
         self._lock = threading.Lock()
-        # Per-thread stack of task buffers (see task_buffer): events
-        # recorded while a buffer is open divert there and are merged by
-        # the pool coordinator in task-key order.
-        self._local = threading.local()
 
     # -- change ids ----------------------------------------------------------
 
@@ -197,13 +180,6 @@ class FlightRecorder:
         return f"chg-{next(self._change_ids):06d}"
 
     # -- recording -----------------------------------------------------------
-
-    def _buffer_stack(self) -> list[list[FlightEvent]]:
-        stack = getattr(self._local, "buffers", None)
-        if stack is None:
-            stack = []
-            self._local.buffers = stack
-        return stack
 
     def record(
         self,
@@ -224,27 +200,27 @@ class FlightRecorder:
         downstream effect to the upstream change that caused it (e.g. a
         regeneration to the journal record that dirtied the config).
         """
-        if not self.enabled or _suppressed.get():
+        ambient = current()
+        if not self.enabled or ambient.suppressed:
             return None
         if change_id is None:
-            context = _active.get()
-            change_id = context.change_id if context is not None else ""
+            change = ambient.change
+            change_id = change.change_id if change is not None else ""
         span_id: int | None = None
         sim_time: float | None = None
         tracer = _tracer
         if tracer is not None:
-            current = tracer.current()
-            if current is not None:
-                span_id = current.span_id
+            span = tracer.current()
+            if span is not None:
+                span_id = span.span_id
             clock = tracer.sim_clock
             if clock is not None:
                 sim_time = clock.now
         task_key = ""
-        task = _current_pool_task()
-        if task is not None:
-            task_key = f"{task.section}/{task.key}"
-            if task.clock is not None:
-                sim_time = task.clock.now
+        if ambient.key is not None:
+            task_key = f"{ambient.section}/{ambient.key}"
+            if ambient.clock is not None:
+                sim_time = ambient.clock.now
         event = FlightEvent(
             seq=0,
             change_id=change_id,
@@ -260,12 +236,11 @@ class FlightRecorder:
             sim_time=sim_time,
             wall_time=perf_counter(),
         )
-        stack = self._buffer_stack()
-        if stack:
-            stack[-1].append(event)
-            return event
-        with self._lock:
-            self._append(event)
+        if ambient.events is not None:
+            ambient.events.append(event)
+        else:
+            with self._lock:
+                self._append(event)
         return event
 
     def _append(self, event: FlightEvent) -> None:
@@ -287,17 +262,6 @@ class FlightRecorder:
         with self._lock:
             for event in events:
                 self._append(event)
-
-    @contextmanager
-    def task_buffer(self) -> Iterator[list[FlightEvent]]:
-        """Divert this thread's events into a buffer for later merging."""
-        buffer: list[FlightEvent] = []
-        stack = self._buffer_stack()
-        stack.append(buffer)
-        try:
-            yield buffer
-        finally:
-            stack.pop()
 
     # -- queries -------------------------------------------------------------
 
@@ -415,19 +379,6 @@ def _set_tracer(tracer: Any) -> None:
     _tracer = tracer
 
 
-def _current_pool_task() -> Any | None:
-    """The running :class:`repro.parallel.TaskContext`, if any.
-
-    Imported lazily: ``repro.parallel`` imports ``repro.obs`` at module
-    load, so the reverse edge must not exist at import time.
-    """
-    try:
-        from repro.parallel import current_task
-    except ImportError:  # pragma: no cover - parallel always ships
-        return None
-    return current_task()
-
-
 def _eviction_counter(name: str, amount: int) -> None:
     """Bump an eviction metric without a module-level obs import."""
     from repro import obs
@@ -448,10 +399,6 @@ def merge_events(events: Iterable[FlightEvent]) -> None:
     _recorder.merge_events(events)
 
 
-def task_buffer():
-    return _recorder.task_buffer()
-
-
 def reset() -> None:
     """Wipe events and restart id allocation; re-enable.  Test hook."""
     _recorder.clear()
@@ -463,9 +410,8 @@ def reset() -> None:
 
 def current_change() -> ChangeContext | None:
     """The active change context on this thread of control, if any."""
-    if _suppressed.get():
-        return None
-    return _active.get()
+    ambient = current()
+    return None if ambient.suppressed else ambient.change
 
 
 def current_change_id() -> str:
@@ -474,28 +420,15 @@ def current_change_id() -> str:
     return context.change_id if context is not None else ""
 
 
-def activate(context: ChangeContext | None):
-    """Set the change context on this thread; returns the reset token.
-
-    The worker pool uses this pair to re-activate the coordinator's
-    context inside each task (contextvars do not cross thread-pool
-    boundaries on their own).
-    """
-    return _active.set(context)
-
-
-def deactivate(token) -> None:
-    _active.reset(token)
-
-
 @contextmanager
 def suppressed() -> Iterator[None]:
     """No stamping or recording inside the block (derived-write paths)."""
-    token = _suppressed.set(True)
+    ambient = current()
+    previous, ambient.suppressed = ambient.suppressed, True
     try:
         yield
     finally:
-        _suppressed.reset(token)
+        ambient.suppressed = previous
 
 
 @contextmanager
@@ -517,9 +450,9 @@ def change_context(
       recorded; exiting records ``change.close`` (or ``change.abort``
       with the error, which re-raises).
     """
-    active = _active.get()
-    if active is not None:
-        yield active
+    ambient = current()
+    if ambient.change is not None:
+        yield ambient.change
         return
     resumed = change_id is not None
     context = ChangeContext(
@@ -528,7 +461,7 @@ def change_context(
         causes=tuple(causes),
         resumed=resumed,
     )
-    token = _active.set(context)
+    ambient.change = context
     detail = intent
     if context.causes:
         detail += f" (causes: {', '.join(context.causes)})"
@@ -557,7 +490,7 @@ def change_context(
             verdict="ok",
         )
     finally:
-        _active.reset(token)
+        ambient.change = None
 
 
 # -- module-level query conveniences -------------------------------------------

@@ -15,11 +15,11 @@ spans evicted) which can render the whole run as a text flame tree.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any
 
+from repro.common.task import current
 from repro.obs.metrics import NOOP, _Noop
 
 __all__ = ["Span", "TraceSink", "Tracer"]
@@ -206,17 +206,13 @@ class Tracer:
         self.sink = sink or TraceSink()
         self.sim_clock: Any | None = None
         self._ids = itertools.count(1)
-        # Span nesting is per-thread: a pool worker's spans must not nest
-        # under (or pop) the coordinator's open spans.
-        self._local = threading.local()
 
     @property
     def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
+        # Open spans live on the ambient task context: a pool task starts
+        # from the coordinator's innermost span (its parent) and can
+        # neither see nor pop the rest.
+        return current().spans
 
     def set_sim_clock(self, clock: Any | None) -> None:
         """Attach a simulated clock (anything with a float ``.now``)."""
@@ -224,18 +220,19 @@ class Tracer:
 
     def current(self) -> Span | None:
         """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
+        stack = self._stack
+        return stack[-1] if stack else None
 
     def span(self, name: str, **attributes: Any) -> _ActiveSpan | _Noop:
         """Open a child span of the current one (a root if none is open)."""
         if not self.enabled:
             return NOOP
-        parent = self._stack[-1].span_id if self._stack else None
+        parent = self.current()
         return _ActiveSpan(
             self,
             Span(
                 span_id=next(self._ids),
-                parent_id=parent,
+                parent_id=parent.span_id if parent is not None else None,
                 name=name,
                 attributes=dict(attributes),
             ),
@@ -243,5 +240,5 @@ class Tracer:
 
     def reset(self) -> None:
         self.sink.clear()
-        self._local = threading.local()
+        self._stack.clear()
         self._ids = itertools.count(1)

@@ -1,9 +1,10 @@
 """repro.parallel — deterministic worker-pool execution.
 
 See :mod:`repro.parallel.pool` for the design rules (stable task keys,
-task-order merge, per-task fault-plan partitioning, coordinator-owned
-clock).  The hot paths — config generation, phased deployment, ConfMon
-sweeps — all fan out through :func:`run_tasks`.
+task-order merge) and :mod:`repro.common.task` for the one per-task
+context every kind of ambient state rides on.  The hot paths — config
+generation, phased deployment, ConfMon sweeps — all fan out through
+:func:`run_tasks`.
 """
 
 from repro.parallel.pool import (

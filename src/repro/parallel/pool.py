@@ -6,20 +6,17 @@ leaves the hardware idle exactly where the scale lives.  This module is
 the substrate the hot paths fan out on — with one hard rule: **the result
 of a run must not depend on the worker count**.
 
-Three mechanisms make that hold:
-
-* every task carries a stable string *key*, and :func:`run_tasks` merges
-  results (and raises errors) in task order, never completion order;
-* the active :class:`~repro.faults.plan.FaultPlan` is partitioned per
-  task: each task draws from an RNG derived from ``(plan seed, task
-  key)`` and keeps private spec counters, merged back in task order by
-  the coordinator — so chaos runs are bit-for-bit reproducible at any
-  parallelism level;
-* tasks never touch the shared simulated clock.  Each task gets a
-  :class:`TaskClock` view; the coordinator advances the real clock once
-  per batch by the *maximum* per-task offset (concurrent waits overlap
-  in simulated time, and a float max — unlike a sum — does not depend
-  on completion order).
+Every task carries a stable string *key*, and :func:`run_tasks` merges
+results (and raises errors) in task order, never completion order.  All
+ambient state follows the same discipline through one value: each task
+runs under a :class:`~repro.common.task.TaskContext` derived from the
+coordinator's (that module's table says what is inherited, what is fresh
+and what is merged back), so a task draws faults from an RNG seeded by
+``(plan seed, task key)``, buffers its flight events and reads, and
+never touches the shared simulated clock — the coordinator advances it
+once per batch by the *maximum* per-task offset (concurrent waits
+overlap in simulated time, and a float max — unlike a sum — does not
+depend on completion order).
 
 Worker count comes from ``ROBOTRON_WORKERS`` (default 1) or the
 :func:`workers` override.  Instrumentation: ``parallel.tasks`` counts
@@ -43,6 +40,14 @@ from statistics import median
 from typing import Any
 
 from repro import faults, obs
+from repro.common.task import (
+    TaskClock,
+    TaskContext,
+    current,
+    current_task,
+    task_clock,
+    use,
+)
 from repro.obs import flight
 
 __all__ = [
@@ -107,42 +112,6 @@ def workers(count: int) -> Iterator[None]:
         set_workers(previous)
 
 
-class TaskClock:
-    """A task-local view of the simulated clock.
-
-    Reads start from the shared clock's value at task launch; ``advance``
-    accumulates into a private offset.  The coordinator folds the maximum
-    offset of a batch back into the real clock, so retry backoffs taken
-    concurrently overlap in simulated time instead of serializing — and
-    the final clock value is independent of completion order.
-    """
-
-    __slots__ = ("_base", "offset")
-
-    def __init__(self, base_now: float):
-        self._base = base_now
-        self.offset = 0.0
-
-    @property
-    def now(self) -> float:
-        return self._base + self.offset
-
-    def advance(self, seconds: float) -> float:
-        if seconds < 0:
-            raise ValueError(f"cannot advance by {seconds}")
-        self.offset += seconds
-        return self.now
-
-
-@dataclass
-class TaskContext:
-    """What a task knows about itself while running in the pool."""
-
-    key: str
-    section: str
-    clock: TaskClock | None = None
-
-
 @dataclass
 class TaskResult:
     """One task's outcome, in task (not completion) order."""
@@ -160,27 +129,6 @@ class TaskResult:
     @property
     def ok(self) -> bool:
         return self.error is None and not self.cancelled
-
-
-_current = threading.local()
-
-
-def current_task() -> TaskContext | None:
-    """The pool task running on this thread, if any."""
-    return getattr(_current, "task", None)
-
-
-def task_clock(default: Any) -> Any:
-    """The running task's :class:`TaskClock`, else ``default``.
-
-    Call sites that sleep on the simulated clock (retry backoff, poll
-    timestamps) route through this so the same code is correct both on
-    the coordinator and inside a pool task.
-    """
-    context = current_task()
-    if context is not None and context.clock is not None:
-        return context.clock
-    return default
 
 
 def raise_first_error(results: list[TaskResult]) -> list[TaskResult]:
@@ -205,15 +153,15 @@ def run_tasks(
     fault point.  With ``clock``, each task runs against a private
     :class:`TaskClock` and the real clock is advanced once, by the batch
     maximum.  With ``cancel_on_error`` (for *pure* tasks like config
-    renders), tasks after the first-keyed error are cancelled — never
-    merged into fault-plan or clock state — so the visible outcome is
+    renders), tasks after the first-keyed error are cancelled — their
+    contexts are never merged — so the visible outcome is
     identical at any worker count; tasks that had already started still
     run to completion (the pool drains cleanly) but their effects are
     discarded.
 
     Tasks started before the cancellation signal may still bump their own
     subsystem counters; everything merged here (results, fault record,
-    clock) stays deterministic.
+    flight events, read-sets, clock) stays deterministic.
     """
     task_list = [(str(key), fn) for key, fn in tasks]
     keys = [key for key, _ in task_list]
@@ -225,16 +173,10 @@ def run_tasks(
     count = min(count, len(task_list)) if task_list else 1
 
     plan = faults.active_plan()
+    fault_seed = plan.seed if plan is not None else None
+    parent = current()
     results = [TaskResult(key=key) for key in keys]
-    scopes: list[Any] = [None] * len(task_list)
-    # Change provenance crosses the pool the same way fault scopes do:
-    # the coordinator's ChangeContext (a contextvar, invisible to pool
-    # threads) is captured here and re-activated inside each task, and
-    # each task's flight events land in a private buffer merged back in
-    # task-key order below — so the flight log is identical at any
-    # worker count.
-    inherited_change = flight.current_change()
-    event_buffers: list[list[Any]] = [[] for _ in task_list]
+    children: list[TaskContext | None] = [None] * len(task_list)
     stop = threading.Event()
     state_lock = threading.Lock()
     started_count = 0
@@ -255,33 +197,25 @@ def run_tasks(
             "parallel.queue_depth", obs.COUNT_BUCKETS, section=section
         ).observe(depth)
         key, fn = task_list[index]
-        local_clock = TaskClock(clock.now) if clock is not None else None
-        context = TaskContext(key=key, section=section, clock=local_clock)
-        previous = getattr(_current, "task", None)
-        _current.task = context
-        change_token = flight.activate(inherited_change)
+        child = children[index] = parent.derive(
+            key,
+            section,
+            clock_now=clock.now if clock is not None else None,
+            fault_seed=fault_seed,
+        )
         started = time.perf_counter()
         try:
-            with flight.task_buffer() as buffer:
-                event_buffers[index] = buffer
-                if plan is not None:
-                    with plan.task_scope(key, clock=local_clock) as scope:
-                        scopes[index] = scope
-                        _maybe_straggle(section, key)
-                        result.value = fn()
-                else:
-                    _maybe_straggle(section, key)
-                    result.value = fn()
+            with use(child):
+                _maybe_straggle(section, key)
+                result.value = fn()
         except BaseException as exc:  # noqa: BLE001 - merged, re-raised in key order
             result.error = exc
             if cancel_on_error:
                 stop.set()
         finally:
-            flight.deactivate(change_token)
-            _current.task = previous
             result.wall_seconds = time.perf_counter() - started
-            if local_clock is not None:
-                result.clock_advance = local_clock.offset
+            if child.clock is not None:
+                result.clock_advance = child.clock.offset
             with state_lock:
                 worker_busy[threading.get_ident()] = (
                     worker_busy.get(threading.get_ident(), 0.0)
@@ -316,13 +250,14 @@ def run_tasks(
             result.error = None
 
     merged = [r for r in results[:merge_until] if not r.cancelled]
-    if plan is not None:
-        for index in range(merge_until):
-            if scopes[index] is not None and not results[index].cancelled:
-                plan.merge_scope(scopes[index])
-    for index in range(merge_until):
-        if event_buffers[index] and not results[index].cancelled:
-            flight.merge_events(event_buffers[index])
+    for child, result in zip(children, results[:merge_until]):
+        if result.cancelled:  # never started, so no context either
+            continue
+        if child.fault_scope is not None:
+            plan.merge_scope(child.fault_scope)
+        if child.events:
+            flight.merge_events(child.events)
+        parent.merge_reads(child)
     if clock is not None and merged:
         advance = max(result.clock_advance for result in merged)
         if advance > 0.0:
