@@ -150,18 +150,8 @@ class Robotron:
         re-derived from it the same way a fresh deployment would:
         ``boot_fleet()``, ``attach_monitoring()``, ``attach_remediation()``.
         """
-        from pathlib import Path
-
-        from repro.fbnet.sharding import MANIFEST_NAME, ShardedObjectStore
-
-        # A sharded root carries a manifest next to its shard dirs; a
-        # single-store root is the WAL directory itself.
-        store_cls = (
-            ShardedObjectStore
-            if (Path(root) / MANIFEST_NAME).is_file()
-            else ObjectStore
-        )
-        store = store_cls.recover(
+        # Plain or sharded, as the root itself says.
+        store = ObjectStore.recover(
             root, snapshot_every=snapshot_every, fsync=fsync
         )
         return cls(

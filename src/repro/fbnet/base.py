@@ -317,7 +317,7 @@ class Model(metaclass=ModelMeta):
                 f"{type(self).__name__}.{fk_name}: cannot resolve FK on an "
                 "object not attached to a store"
             )
-        return self._store.get(meta.fk_fields[fk_name].to, raw)
+        return self._store._hop(meta.fk_fields[fk_name].to, raw)
 
     # -- serialization ---------------------------------------------------------
 

@@ -292,17 +292,3 @@ class ChangeLog:
     def models_changed(self, since: int = 0) -> set[str]:
         """The concrete model names with at least one record since ``position``."""
         return {record.model for record in self.since(since)}
-
-    def shards(self) -> dict[str, ChangeLog]:
-        """Per-partition change logs, keyed by shard key.
-
-        A sharded store journals twice: globally on the router (what this
-        facade normally reads) and per partition on each shard.  The
-        per-shard views let consumers that only care about one region's
-        changes — e.g. a regional config sweep — skip the rest of the
-        journal.  Empty for a single store.
-        """
-        partitions = getattr(self._store, "shards", None)
-        if not partitions:
-            return {}
-        return {shard.shard_key: ChangeLog(shard) for shard in partitions}

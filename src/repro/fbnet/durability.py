@@ -9,7 +9,7 @@ the same property:
   it becomes visible in memory — one length-prefixed, CRC-checksummed
   frame per commit, carrying the transaction's
   :class:`~repro.fbnet.store.ChangeRecord` batch in a deterministic wire
-  encoding (the same encoding the future sharding wire format will use);
+  encoding;
 * periodic **snapshots** serialize the full store state (the journal is
   the state: replaying it rebuilds tables, indexes, and shadow values
   bit-identically — exactly what replication's resync already proves)
@@ -41,6 +41,16 @@ File layout under one durability root directory::
     wal-000000000421.log   # segment opened by a rotation at position 421
     snap-000000000421.snap # snapshot covering journal positions [0, 421)
 
+A sharded store (:mod:`repro.fbnet.sharding`) uses the same files, with
+two additions: segment headers and snapshots carry ``"shards": N``, and
+every commit frame and snapshot carries ``"homes"``, one shard index per
+record, beside ``"records"`` — so recovery builds an N-shard store and
+puts each row back where it lived without re-deriving placement.  A plain
+store writes neither key.  The reader checks both: ``shards`` must agree
+across the snapshot and every segment, and ``homes`` must be absent for a
+plain root and, for a sharded one, as long as ``records`` with every
+index in ``[0, N)`` — anything else is a :class:`DurabilityError`.
+
 Frame format (everywhere): ``u32 body length | u32 crc32(body) | body``,
 with canonical-JSON bodies (sorted keys, no whitespace) so identical
 state encodes to identical bytes.
@@ -51,8 +61,10 @@ from __future__ import annotations
 import importlib
 import json
 import zlib
+from collections.abc import Iterable
 from enum import Enum
 from hashlib import sha256
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, BinaryIO
 
@@ -284,6 +296,52 @@ def load_snapshot(path: Path) -> dict[str, Any] | None:
     return _load_json_body(bodies[0], "snapshot")
 
 
+def _refuse_old_layout(root: Path) -> None:
+    if (root / "shards.json").exists():
+        raise DurabilityError(
+            f"{root} holds a shards.json: that is the pre-PR-14 sharded layout "
+            "(one WAL root per shard plus an order log), which has no reader; "
+            "a sharded store now logs to one root like a plain one"
+        )
+
+
+def _layout(store: ObjectStore) -> dict[str, Any]:
+    """The header/snapshot entry saying how many shards rows are spread over."""
+    return {} if store.shard_count is None else {"shards": store.shard_count}
+
+
+def _batch(store: ObjectStore, records: list[ChangeRecord]) -> dict[str, Any]:
+    """The ``records`` entry of a commit frame or snapshot — and, for a
+    sharded store, the ``homes`` entry beside it."""
+    payload: dict[str, Any] = {"records": [record_payload(r) for r in records]}
+    if store.shard_count is not None:
+        payload["homes"] = store._homes(records)
+    return payload
+
+
+def _read_batch(
+    payload: dict[str, Any], shards: int | None, where: str
+) -> Iterable[tuple[dict[str, Any], int | None]]:
+    """Invert :func:`_batch`: ``(record payload, home)`` pairs, checked
+    against the root's ``shards``."""
+    records, homes = payload.get("records"), payload.get("homes")
+    if not isinstance(records, list):
+        raise DurabilityError(f"{where}: no record list")
+    if shards is None:
+        if homes is not None:
+            raise DurabilityError(f"{where}: homes in a plain store's log")
+        return zip(records, repeat(None))
+    if (
+        not isinstance(homes, list)
+        or len(homes) != len(records)
+        or not all(type(home) is int and 0 <= home < shards for home in homes)
+    ):
+        raise DurabilityError(
+            f"{where}: needs one home shard in [0, {shards}) per record"
+        )
+    return zip(records, homes)
+
+
 # ---------------------------------------------------------------------------
 # The engine: WAL appends + snapshots on a live store
 # ---------------------------------------------------------------------------
@@ -312,6 +370,7 @@ class DurabilityEngine:
         self.store = store
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        _refuse_old_layout(self.root)
         if snapshot_every is not None and snapshot_every < 1:
             raise DurabilityError("snapshot_every must be >= 1 (or None)")
         #: Auto-snapshot after this many commits (None = manual only).
@@ -352,7 +411,13 @@ class DurabilityEngine:
         path = _segment_path(self.root, base)
         self._file = path.open("wb")
         header = _canonical(
-            {"kind": "wal-header", "base": base, "store": self.store.name, "version": 1}
+            {
+                "kind": "wal-header",
+                "base": base,
+                "store": self.store.name,
+                "version": 1,
+                **_layout(self.store),
+            }
         )
         self._file.write(WAL_MAGIC + frame(header))
         self._flush()
@@ -386,20 +451,17 @@ class DurabilityEngine:
         runs: a crash after the append loses only volatile state that
         recovery rebuilds from this very frame.
         """
-        if self.snapshot_every and self._commits_since_snapshot >= self.snapshot_every:
-            self.snapshot()
-        body = _canonical(
-            {"kind": "commit", "records": [record_payload(r) for r in records]}
-        )
-        self._append_frame(frame(body), len(records))
-        self._commits_since_snapshot += 1
+        self._log(records)
 
     def log_applied(self, record: ChangeRecord) -> None:
         """Make one replication-applied record durable (``apply_record``)."""
+        self._log([record])
+
+    def _log(self, records: list[ChangeRecord]) -> None:
         if self.snapshot_every and self._commits_since_snapshot >= self.snapshot_every:
             self.snapshot()
-        body = _canonical({"kind": "commit", "records": [record_payload(record)]})
-        self._append_frame(frame(body), 1)
+        body = _canonical({"kind": "commit", **_batch(self.store, records)})
+        self._append_frame(frame(body), len(records))
         self._commits_since_snapshot += 1
 
     def _append_frame(self, data: bytes, record_count: int) -> None:
@@ -442,7 +504,8 @@ class DurabilityEngine:
             "position": position,
             "next_id": store._next_id,
             "next_txn_id": store._next_txn_id,
-            "records": [record_payload(r) for r in store._journal],
+            **_layout(store),
+            **_batch(store, store._journal),
         }
         data = SNAP_MAGIC + frame(_canonical(payload))
         final = _snapshot_path(self.root, position)
@@ -496,18 +559,21 @@ class DurabilityEngine:
 # ---------------------------------------------------------------------------
 
 
-def _scan_segment(path: Path) -> tuple[dict[str, Any], list[bytes], int, bool]:
-    """Read one segment: (header, commit bodies, valid byte length, torn?)."""
+def _scan_segment(
+    path: Path,
+) -> tuple[dict[str, Any] | None, list[bytes], int, bool]:
+    """Read one segment: (header, commit bodies, valid byte length, torn?).
+
+    The header is ``None`` when not even its frame survived: the whole
+    file is a torn tail.
+    """
     data = path.read_bytes()
     if not data.startswith(WAL_MAGIC):
         raise DurabilityError(f"{path.name}: bad WAL magic")
     bodies, end, torn = scan_frames(data, len(WAL_MAGIC))
     if not bodies:
         if torn:
-            # Not even the header frame survived; treat the whole file as
-            # a torn tail with an implicit base parsed from the filename.
-            base = int(path.stem.split("-")[1])
-            return {"kind": "wal-header", "base": base}, [], len(WAL_MAGIC), True
+            return None, [], len(WAL_MAGIC), True
         raise DurabilityError(f"{path.name}: missing WAL header frame")
     header = _load_json_body(bodies[0], "wal-header")
     if header is None or not isinstance(header.get("base"), int):
@@ -522,30 +588,28 @@ def recover_store(
     attach: bool = True,
     snapshot_every: int | None = None,
     fsync: bool = False,
-    into: ObjectStore | None = None,
 ) -> ObjectStore:
-    """Rebuild an :class:`ObjectStore` from its durability root.
+    """Rebuild a store — plain or sharded, as the root says — from its
+    durability root.
 
     Loads the newest snapshot that validates (magic + checksum), replays
     it, then replays every WAL record past the snapshot position.  A torn
     frame at the tail of the *last* segment is truncated (that commit
     never became durable); an invalid frame anywhere else is corruption
     and raises :class:`DurabilityError`, as does a coverage gap between
-    the snapshot and the surviving segments.
+    the snapshot and the surviving segments, or a ``shards``/``homes``
+    entry that does not fit the rest of the root.
 
     With ``attach`` (the default) the recovered store continues journaling
     into the same root, appending to the surviving segment.
-
-    ``into`` replays history into a caller-provided *empty* store instead
-    of constructing a fresh one — how a sharded store recovers each of
-    its partitions (the partition object needs router wiring a plain
-    constructor cannot provide).
     """
+    from repro.fbnet.sharding import ShardedObjectStore
     from repro.fbnet.store import ObjectStore
 
     root = Path(root)
     if not root.is_dir():
         raise DurabilityError(f"durability root {root} does not exist")
+    _refuse_old_layout(root)
 
     snapshot: dict[str, Any] | None = None
     for candidate in snapshot_files(root):
@@ -555,66 +619,67 @@ def recover_store(
         obs.counter("store.recovery.invalid_snapshots").inc()
 
     segments = wal_segments(root)
-    store_name = name or (snapshot or {}).get("store")
-    if store_name is None and segments:
-        header, _bodies, _end, _torn = _scan_segment(segments[0])
-        store_name = header.get("store")
-    if into is not None:
-        if into.journal_position or into.total_objects():
-            raise DurabilityError("recover_store(into=...) needs an empty store")
-        store = into
+    scans = [_scan_segment(segment) for segment in segments]
+    layout = snapshot or (scans[0][0] if scans else None) or {}
+    shards = layout.get("shards")
+    store_name = name or layout.get("store") or "fbnet"
+    store: ObjectStore
+    if shards is None:
+        store = ObjectStore(name=store_name)
+    elif type(shards) is int and shards >= 1:
+        store = ShardedObjectStore(shards=shards, name=store_name)
     else:
-        store = ObjectStore(name=store_name or "fbnet")
+        raise DurabilityError(f"{root}: shards must be a positive integer, not {shards!r}")
 
-    store._recovering = True
     torn_truncated = 0
-    try:
-        snap_next_id = 1
-        snap_next_txn = 1
-        if snapshot is not None:
-            for payload in snapshot["records"]:
-                store.apply_record(record_from_payload(payload))
-            if store.journal_position != snapshot["position"]:
-                raise DurabilityError(
-                    f"snapshot claims position {snapshot['position']} but carries "
-                    f"{store.journal_position} records"
-                )
-            snap_next_id = snapshot.get("next_id", 1)
-            snap_next_txn = snapshot.get("next_txn_id", 1)
+    snap_next_id = 1
+    snap_next_txn = 1
+    if snapshot is not None:
+        for payload, home in _read_batch(snapshot, shards, "snapshot"):
+            store.apply_record(record_from_payload(payload), home)
+        if store.journal_position != snapshot["position"]:
+            raise DurabilityError(
+                f"snapshot claims position {snapshot['position']} but carries "
+                f"{store.journal_position} records"
+            )
+        snap_next_id = snapshot.get("next_id", 1)
+        snap_next_txn = snapshot.get("next_txn_id", 1)
 
-        for index, segment in enumerate(segments):
-            header, bodies, valid_end, torn = _scan_segment(segment)
-            last = index == len(segments) - 1
-            if torn and not last:
-                raise DurabilityError(
-                    f"{segment.name}: invalid frame mid-history (not the WAL tail)"
-                )
-            position = header["base"]
-            for body in bodies:
-                commit = _load_json_body(body, "commit")
-                if commit is None:
-                    raise DurabilityError(f"{segment.name}: malformed commit frame")
-                for payload in commit["records"]:
-                    if position > store.journal_position:
-                        raise DurabilityError(
-                            f"{segment.name}: WAL coverage gap at position {position} "
-                            f"(store is at {store.journal_position})"
-                        )
-                    if position == store.journal_position:
-                        store.apply_record(record_from_payload(payload))
-                    position += 1
-            if torn and last:
-                with segment.open("r+b") as handle:
-                    handle.truncate(valid_end)
-                torn_truncated += 1
-                obs.counter("store.wal.torn_truncated", store=store.name).inc()
-                flight.record(
-                    "store.wal.truncated",
-                    phase="store",
-                    detail=f"{segment.name} truncated to {valid_end} bytes",
-                )
-    finally:
-        store._recovering = False
+    for segment, (header, bodies, valid_end, torn) in zip(segments, scans):
+        last = segment is segments[-1]
+        if torn and not last:
+            raise DurabilityError(
+                f"{segment.name}: invalid frame mid-history (not the WAL tail)"
+            )
+        if header is not None and header.get("shards") != shards:
+            raise DurabilityError(
+                f"{segment.name}: written for shards={header.get('shards')!r}, "
+                f"the rest of {root} for shards={shards!r}"
+            )
+        position = header["base"] if header is not None else 0
+        for body in bodies:
+            commit = _load_json_body(body, "commit")
+            if commit is None:
+                raise DurabilityError(f"{segment.name}: malformed commit frame")
+            for payload, home in _read_batch(commit, shards, segment.name):
+                if position > store.journal_position:
+                    raise DurabilityError(
+                        f"{segment.name}: WAL coverage gap at position {position} "
+                        f"(store is at {store.journal_position})"
+                    )
+                if position == store.journal_position:
+                    store.apply_record(record_from_payload(payload), home)
+                position += 1
+        if torn and last:
+            with segment.open("r+b") as handle:
+                handle.truncate(valid_end)
+            torn_truncated += 1
+            obs.counter("store.wal.torn_truncated", store=store.name).inc()
+            flight.record(
+                "store.wal.truncated",
+                phase="store",
+                detail=f"{segment.name} truncated to {valid_end} bytes",
+            )
 
     tail_txn = store._journal[-1].txn_id if store._journal else 0
     store._next_txn_id = max(snap_next_txn, tail_txn + 1, store._next_txn_id)

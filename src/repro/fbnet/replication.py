@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
 from typing import Any
 
 from repro import faults, obs
@@ -460,14 +459,7 @@ class ReplicatedFBNet:
         """
         master = self.master
         master.store.detach_durability()
-        from repro.fbnet.sharding import MANIFEST_NAME, ShardedObjectStore
-
-        store_cls = (
-            ShardedObjectStore
-            if (Path(root) / MANIFEST_NAME).is_file()
-            else ObjectStore
-        )
-        recovered = store_cls.recover(
+        recovered = ObjectStore.recover(
             root,
             name=f"fbnet-{self.master_region}",
             snapshot_every=snapshot_every,

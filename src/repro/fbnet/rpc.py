@@ -15,7 +15,7 @@ On top of raw dispatch this module provides the **read front door**
 (ROADMAP item 2): :class:`ReadCache` is a read-through cache layered
 over the read API.  Every cache entry carries the
 :class:`~repro.fbnet.changelog.ReadSet` captured while the entry's fill
-ran, plus the per-shard journal positions the fill observed; the store's
+ran, plus the journal position the fill observed; the store's
 change journal then maps each committed mutation onto *exactly* the
 entries whose read-sets it invalidates — no TTLs, no blanket flushes.
 :class:`CachingReadService` plugs the cache into a read
@@ -184,10 +184,9 @@ class _CacheEntry:
     #: Everything the fill read; a journal record invalidates the entry
     #: iff ``read_set.matches(record)``.
     read_set: ReadSet
-    #: Per-shard journal positions observed when the fill started (one
-    #: ``""`` entry for an unsharded store) — the entry is consistent
-    #: with exactly this journal prefix.
-    positions: dict[str, int]
+    #: Journal position observed when the fill started — the entry is
+    #: consistent with exactly this journal prefix.
+    position: int
     #: Model names the read-set touches (the invalidation index terms).
     interest: tuple[str, ...]
 
@@ -203,9 +202,7 @@ class ReadCache:
     enclosing ``track_reads`` block is untouched — see
     :meth:`~repro.fbnet.store.ObjectStore._suspend_tracking`), capturing
     the fill's own :class:`ReadSet`.  Before every lookup the cache
-    advances over the journal delta since its last position — per shard
-    for a :class:`~repro.fbnet.sharding.ShardedObjectStore`, so a
-    mutation on shard ``s02`` walks only ``s02``'s journal — and evicts
+    advances over the journal delta since its last position and evicts
     exactly the entries whose read-sets the new records match
     (``rpc.cache.invalidations``).  Because replication applies records
     through the same journal, a cache over a replica store invalidates
@@ -222,17 +219,8 @@ class ReadCache:
         self._store = store
         self._api = ReadApi(store)
         self.name = name
-        #: ``(shard key, journal source)`` pairs; one ``("", store)`` for
-        #: an unsharded store.
-        shards = getattr(store, "shards", None)
-        self._journals: tuple[tuple[str, ObjectStore], ...] = (
-            tuple((shard.shard_key, shard) for shard in shards)
-            if shards
-            else (("", store),)
-        )
-        self._positions: dict[str, int] = {
-            key: source.journal_position for key, source in self._journals
-        }
+        #: The cursor: how much of the store's journal has been replayed.
+        self._position = store.journal_position
         self._entries: dict[str, _CacheEntry] = {}
         #: model name -> keys of entries whose read-sets touch it; the
         #: index that maps a journal record onto its candidate entries.
@@ -269,15 +257,9 @@ class ReadCache:
         last looked is matched against the candidate entries' read-sets;
         matching entries are evicted.  Returns the eviction count.
         """
-        evicted = 0
-        for shard_key, source in self._journals:
-            position = source.journal_position
-            start = self._positions[shard_key]
-            if position <= start:
-                continue
-            for record in source.journal_since(start):
-                evicted += self._invalidate(record)
-            self._positions[shard_key] = position
+        records = self._store.journal_since(self._position)
+        evicted = sum(self._invalidate(record) for record in records)
+        self._position += len(records)
         return evicted
 
     def _invalidate(self, record: Any) -> int:
@@ -337,21 +319,18 @@ class ReadCache:
         key: str,
         payload: Any,
         read_set: ReadSet,
-        positions: dict[str, int],
+        position: int,
     ) -> bool:
         """Install a filled entry unless it is stale on arrival.
 
-        Records committed after ``positions`` (the fill's snapshot) that
+        Records committed after ``position`` (the fill's snapshot) that
         match the fill's read-set mean the payload may predate the
         mutation: count a stale eviction and refuse the entry.
         """
-        for shard_key, source in self._journals:
-            for record in source.journal_since(positions[shard_key]):
-                if read_set.matches(record):
-                    obs.counter(
-                        "rpc.cache.stale_evictions", cache=self.name
-                    ).inc()
-                    return False
+        for record in self._store.journal_since(position):
+            if read_set.matches(record):
+                obs.counter("rpc.cache.stale_evictions", cache=self.name).inc()
+                return False
         interest = tuple(
             sorted(
                 set(read_set.models)
@@ -359,7 +338,7 @@ class ReadCache:
                 | set(read_set.fields)
             )
         )
-        self._entries[key] = _CacheEntry(payload, read_set, positions, interest)
+        self._entries[key] = _CacheEntry(payload, read_set, position, interest)
         for name in interest:
             self._interest.setdefault(name, set()).add(key)
         return True
@@ -395,9 +374,9 @@ class ReadCache:
         obs.counter("rpc.cache.misses", cache=self.name).inc()
         payload: Any = None
         for _ in range(2):
-            positions = dict(self._positions)
+            position = self._position
             payload, read_set = self._compute(method, model, fields, query_wire)
-            if self._admit(key, payload, read_set, positions):
+            if self._admit(key, payload, read_set, position):
                 return payload
             self.advance()
         # Two consecutive stale fills: mutations are landing faster than
@@ -425,10 +404,9 @@ class ReadCache:
             else:
                 obs.counter("rpc.cache.misses", cache=self.name).inc()
                 fills.setdefault(key, spec)
-        positions = dict(self._positions)
         for key, spec in fills.items():
             payload, read_set = self._compute("get", *spec)
-            self._admit(key, payload, read_set, positions)
+            self._admit(key, payload, read_set, self._position)
             payload_by_key[key] = payload
         return [payload_by_key[key] for key in keys]
 
@@ -443,9 +421,9 @@ class ReadCache:
         out["entries"] = float(len(self._entries))
         return out
 
-    def positions(self) -> dict[str, int]:
-        """The per-shard journal positions the cache has advanced to."""
-        return dict(self._positions)
+    def positions(self) -> int:
+        """The journal position the cache has advanced to."""
+        return self._position
 
 
 class CachingReadService(ReadService):

@@ -86,6 +86,11 @@ class ObjectStore:
     :mod:`repro.fbnet.replication` on top of the journal this store emits.
     """
 
+    #: How many shards rows are spread over; ``None`` on a plain store.
+    #: A store that sets it (:mod:`repro.fbnet.sharding`) also says where
+    #: each journal record's row lives, and the durability layer logs both.
+    shard_count: int | None = None
+
     def __init__(self, name: str = "fbnet"):
         self.name = name
         self._tables: dict[str, dict[int, Model]] = {}
@@ -106,9 +111,6 @@ class ObjectStore:
         self._journal: list[ChangeRecord] = []
         # Durability sidecar (see repro.fbnet.durability); None = volatile.
         self._durability = None
-        # True while recover_store() replays history into this store, so
-        # apply_record does not re-journal replayed records to disk.
-        self._recovering = False
         self._commit_listeners: list[Callable[[list[ChangeRecord]], None]] = []
         # Committed batches whose listener delivery was deferred by an
         # injected ``store.commit_listener`` fault; flushed (in order) on
@@ -122,10 +124,6 @@ class ObjectStore:
         self._current_txn_id: int | None = None
         self._txn_started_at: float | None = None
 
-        # Whose read-tracker stack this store records into (see
-        # track_reads); a shard points at its router.
-        self._tracked_as: ObjectStore = self
-
     # ------------------------------------------------------------------
     # Read tracking (change propagation, see repro.fbnet.changelog)
     # ------------------------------------------------------------------
@@ -136,7 +134,7 @@ class ObjectStore:
         nested computations compose.  The stack lives on the ambient task
         context — a pool task records into a frame of its own, which the
         coordinator merges into the enclosing trackers."""
-        return current().trackers.get(self._tracked_as, ())
+        return current().trackers.get(self, ())
 
     @contextmanager
     def track_reads(self, read_set: ReadSet | None = None) -> Iterator[ReadSet]:
@@ -148,14 +146,14 @@ class ObjectStore:
         """
         read_set = read_set if read_set is not None else ReadSet()
         trackers = current().trackers
-        stack = trackers.setdefault(self._tracked_as, [])
+        stack = trackers.setdefault(self, [])
         stack.append(read_set)
         try:
             yield read_set
         finally:
             stack.pop()
             if not stack:
-                del trackers[self._tracked_as]
+                del trackers[self]
 
     def _note_model_read(self, model: type[Model]) -> None:
         for tracker in self._read_trackers:
@@ -195,12 +193,12 @@ class ObjectStore:
     @contextmanager
     def _suspend_tracking(self) -> Iterator[None]:
         trackers = current().trackers
-        previous = trackers.pop(self._tracked_as, None)
+        previous = trackers.pop(self, None)
         try:
             yield
         finally:
             if previous is not None:
-                trackers[self._tracked_as] = previous
+                trackers[self] = previous
 
     # ------------------------------------------------------------------
     # Transactions
@@ -286,7 +284,7 @@ class ObjectStore:
 
     def _rollback(self) -> None:
         for entry in reversed(self._undo_log):
-            table = self._tables.setdefault(entry.model.__name__, {})
+            table = self._table(entry.model.__name__, entry.obj_id)
             if entry.op is ChangeOp.CREATE:
                 obj = table.pop(entry.obj_id, None)
                 if obj is not None:
@@ -397,23 +395,16 @@ class ObjectStore:
                     f"{len(referrers)} {source_model.__name__}.{fk_name} referrer(s)"
                 )
             for referrer in referrers:
-                # A referrer may live in a different partition of a sharded
-                # store; its mutation must run on the store that holds it.
-                owner = self._owning_store(referrer)
                 if fk.on_delete is OnDelete.CASCADE:
-                    owner._delete_inner(referrer, seen)
+                    self._delete_inner(referrer, seen)
                 else:  # SET_NULL
                     referrer.__dict__[fk_name] = None
-                    owner._update(referrer)
+                    self._update(referrer)
         self._remove_row(obj)
 
-    def _owning_store(self, obj: Model) -> ObjectStore:
-        """The store that physically holds ``obj`` (self, unless sharded)."""
-        return self
-
     def _remove_row(self, obj: Model) -> None:
-        table = self._tables.get(type(obj).__name__, {})
         assert obj.id is not None
+        table = self._table(type(obj).__name__, obj.id)
         if obj.id not in table:
             return  # already deleted within this cascade
         old_values = dict(obj.__dict__)
@@ -438,15 +429,14 @@ class ObjectStore:
         self._check_unique(obj, exclude_id=None)
         obj.id = self._alloc_id()
         obj._store = self
-        self._tables.setdefault(type(obj).__name__, {})[obj.id] = obj
+        self._table(type(obj).__name__, obj.id, obj.__dict__)[obj.id] = obj
         self._index(obj)
         self._undo_log.append(_UndoEntry(ChangeOp.CREATE, type(obj), obj.id, None))
         self._record(ChangeOp.CREATE, obj, obj.id, obj.clone_values(), ())
 
     def _update(self, obj: Model) -> None:
-        table = self._tables.get(type(obj).__name__, {})
         assert obj.id is not None
-        stored = table.get(obj.id)
+        stored = self._row(type(obj).__name__, obj.id)
         if stored is None:
             raise ObjectDoesNotExist(
                 f"{type(obj).__name__} id={obj.id} is not in the store"
@@ -636,14 +626,28 @@ class ObjectStore:
             (row for row in rows if row is not None), key=lambda o: o.id or 0
         )
 
-    def _row(self, model_name: str, obj_id: int) -> Model | None:
-        """Resolve one indexed id to its live row.
+    def _table(
+        self,
+        model_name: str,
+        obj_id: int,
+        new: dict[str, Any] | None = None,
+        home: int | None = None,
+    ) -> dict[int, Model]:
+        """The table that holds row ``(model_name, obj_id)``.
 
-        The indirection every index consumer goes through: a sharded
-        store's indexes are global while its tables are partitioned, so
-        the sharded subclasses override this to resolve across partitions.
+        The one question about where rows live, and the only one a
+        partitioned store (:mod:`repro.fbnet.sharding`) answers
+        differently; journal, undo log, transactions and the WAL never
+        ask.  ``new`` is passed when the id is new to the store (insert,
+        replicated CREATE) and carries the row's field values, from which
+        a partitioned store decides, once and for good, where the id
+        lives; ``home`` is that decision as a WAL recorded it.
         """
-        return self._tables.get(model_name, {}).get(obj_id)
+        return self._tables.setdefault(model_name, {})
+
+    def _row(self, model_name: str, obj_id: int) -> Model | None:
+        """Resolve one indexed id to its live row."""
+        return self._table(model_name, obj_id).get(obj_id)
 
     # ------------------------------------------------------------------
     # Reads
@@ -657,22 +661,28 @@ class ObjectStore:
         self._note_object_read(found)
         return found
 
+    def _hop(self, model: type[M], obj_id: int) -> M:
+        """``get`` for a row following its own FK (``Model.related``): a
+        read like any other, but never a routing decision to count."""
+        return ObjectStore.get(self, model, obj_id)
+
     def _resolve(self, model: type[M], obj_id: int) -> M | None:
-        obj = self._tables.get(model.__name__, {}).get(obj_id)
+        obj = self._table(model.__name__, obj_id).get(obj_id)
         if obj is not None:
             return obj  # type: ignore[return-value]
         for concrete in model_registry.all():
             if concrete is not model and issubclass(concrete, model):
-                obj = self._tables.get(concrete.__name__, {}).get(obj_id)
+                obj = self._table(concrete.__name__, obj_id).get(obj_id)
                 if obj is not None:
                     return obj  # type: ignore[return-value]
         return None
 
     def _iter_rows(self, model: type[M]) -> Iterator[M]:
         """Every row of ``model`` (and subclasses), unsorted and untracked."""
-        for concrete in model_registry.all():
-            if issubclass(concrete, model):
-                yield from self._tables.get(concrete.__name__, {}).values()  # type: ignore[misc]
+        for tables in self._partitions():
+            for concrete in model_registry.all():
+                if issubclass(concrete, model):
+                    yield from tables.get(concrete.__name__, {}).values()  # type: ignore[misc]
 
     def all(self, model: type[M]) -> list[M]:
         """All objects of ``model``, including subclasses, ordered by id."""
@@ -783,15 +793,19 @@ class ObjectStore:
         """Register ``fn`` to receive each committed transaction's records."""
         self._commit_listeners.append(fn)
 
-    def apply_record(self, record: ChangeRecord) -> None:
+    def apply_record(self, record: ChangeRecord, home: int | None = None) -> None:
         """Apply a journal record from another store (replication receive).
 
         Object ids are preserved so that replicas remain id-compatible with
-        the master.
+        the master.  ``home`` is recovery's: where the WAL says the row of
+        a CREATE lives (see :meth:`_table`).
         """
         model = model_registry.get(record.model)
-        table = self._tables.setdefault(record.model, {})
-        if record.op is ChangeOp.CREATE:
+        creating = record.op is ChangeOp.CREATE
+        table = self._table(
+            record.model, record.obj_id, record.values if creating else None, home
+        )
+        if creating:
             obj = model.__new__(model)
             obj.__dict__.update(record.values)
             obj.id = record.obj_id
@@ -828,7 +842,7 @@ class ObjectStore:
             self._unindex(obj)
             obj.id = None
             obj._store = None
-        if self._durability is not None and not self._recovering:
+        if self._durability is not None:
             self._durability.log_applied(record)
         self._journal.append(record)
 
@@ -883,7 +897,8 @@ class ObjectStore:
 
         Loads the newest valid snapshot, replays the WAL tail (truncating
         a torn tail frame), and returns a store whose tables, indexes, and
-        journal match the crashed store at its last durable commit.
+        journal match the crashed store at its last durable commit — a
+        sharded store when the root says a sharded one wrote it.
         """
         from repro.fbnet.durability import recover_store
 
@@ -899,21 +914,34 @@ class ObjectStore:
     # Introspection
     # ------------------------------------------------------------------
 
+    def _partitions(self) -> list[dict[str, dict[int, Model]]]:
+        """Every table set rows live in (one, unless partitioned)."""
+        return [self._tables]
+
     def table_sizes(self) -> dict[str, int]:
         """Row count per concrete model (only non-empty tables)."""
-        return {name: len(rows) for name, rows in self._tables.items() if rows}
+        sizes: dict[str, int] = {}
+        for tables in self._partitions():
+            for name, rows in tables.items():
+                if rows:
+                    sizes[name] = sizes.get(name, 0) + len(rows)
+        return sizes
 
     def total_objects(self) -> int:
-        return sum(len(rows) for rows in self._tables.values())
+        return sum(
+            len(rows) for tables in self._partitions() for rows in tables.values()
+        )
 
     def _digest_tables(self) -> dict[str, dict[int, Model]]:
-        """Every table, as one mapping — the fingerprinting surface.
-
-        A sharded store overrides this to merge its partitions, so
-        :func:`repro.fbnet.durability.store_digest` compares sharded and
-        single stores on equal footing.
-        """
-        return self._tables
+        """Every non-empty table, partitions merged, as one mapping — the
+        fingerprinting surface, so :func:`repro.fbnet.durability.store_digest`
+        compares sharded and single stores on equal footing."""
+        merged: dict[str, dict[int, Model]] = {}
+        for tables in self._partitions():
+            for model_name, rows in tables.items():
+                if rows:
+                    merged.setdefault(model_name, {}).update(rows)
+        return merged
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ObjectStore {self.name!r} objects={self.total_objects()}>"

@@ -11,6 +11,10 @@ Determinism: the workload is the seeded environment + cluster builder
 ``random.Random(CHAOS_SEED)``, and "bit-identical" is asserted over the
 canonical wire encoding (journal) and :func:`store_digest` (tables,
 indexes, id allocator).
+
+The store under test is a parameter: a plain ``ObjectStore`` and a
+4-shard ``ShardedObjectStore`` face the *same* plain-store oracle, since
+a commit is one WAL frame whichever of the two wrote it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ from repro.fbnet.models import (
     Device,
     DrainState,
     PhysicalInterface,
+    Region,
 )
+from repro.fbnet.sharding import ShardedObjectStore
 from repro.fbnet.store import ObjectStore
 
 from tests.durability.conftest import crash_point_params
@@ -41,6 +47,22 @@ CLUSTERS = 8  # DC Gen3 clusters of 28 devices each: 224 devices total
 # The builder commits whole clusters atomically (one design change = one
 # WAL frame of ~1.7k records), so cadence is counted in commits.
 SNAPSHOT_EVERY = 4
+
+#: The stores under test.  Both are named like the oracle's store, so the
+#: fault and counter labels are the same.
+STORES = {
+    "plain": lambda: ObjectStore(name="main"),
+    "sharded": lambda: ShardedObjectStore(shards=4, name="main"),
+}
+
+
+def store_crash_cases() -> list:
+    """Store kind × crash point; the plain cases keep their historical ids."""
+    return [
+        pytest.param(kind, point, id=point if kind == "plain" else f"{kind}-{point}")
+        for kind in STORES
+        for point in crash_point_params()
+    ]
 
 
 def build_fleet_design(store) -> None:
@@ -85,9 +107,9 @@ def replay_prefix_digest(oracle, count: int) -> str:
     return store_digest(fresh)
 
 
-@pytest.mark.parametrize("crash_point", crash_point_params())
+@pytest.mark.parametrize("store_kind, crash_point", store_crash_cases())
 def test_seeded_crash_recovers_bit_identical(
-    tmp_path, chaos_seed, crash_point, oracle
+    tmp_path, chaos_seed, store_kind, crash_point, oracle
 ):
     """Kill the build at a seeded instant; recovery matches the oracle."""
     rng = random.Random(chaos_seed)
@@ -102,7 +124,7 @@ def test_seeded_crash_recovers_bit_identical(
             times=1,
         )
 
-    store = ObjectStore(name="main")
+    store = STORES[store_kind]()
     store.attach_durability(tmp_path, snapshot_every=SNAPSHOT_EVERY)
     faults.install(plan)
     with pytest.raises(ProcessCrash):
@@ -110,6 +132,7 @@ def test_seeded_crash_recovers_bit_identical(
     faults.uninstall()
 
     recovered = ObjectStore.recover(tmp_path, attach=False)
+    assert type(recovered) is type(store)
 
     # The recovered journal is byte-for-byte a prefix of the crash-free
     # journal: nothing reordered, nothing corrupted, nothing invented.
@@ -132,6 +155,34 @@ def test_seeded_crash_recovers_bit_identical(
         # memory: recovery surfaces exactly one extra transaction.
         extra = recovered.journal[store.journal_position :]
         assert extra and len({r.txn_id for r in extra}) == 1
+
+
+@pytest.mark.parametrize("store_kind", list(STORES))
+@pytest.mark.parametrize("crash_point", ["wal.append_torn", "wal.append_crash"])
+def test_multi_shard_transaction_recovers_whole_or_not_at_all(
+    tmp_path, store_kind, crash_point
+):
+    """Two transactions of eight regions each (eight regions spread over
+    every shard), the process dying at the second WAL append: the first
+    transaction is whole, the second is whole or absent, never partial."""
+    store = STORES[store_kind]()
+    store.attach_durability(tmp_path)
+    plan = FaultPlan(seed=1)
+    plan.inject(crash_point, after=1, times=1)
+    faults.install(plan)
+    with store.transaction():
+        for index in range(8):
+            store.create(Region, name=f"first-{index:02d}")
+    with pytest.raises(ProcessCrash):
+        with store.transaction():
+            for index in range(8):
+                store.create(Region, name=f"second-{index:02d}")
+    faults.uninstall()
+
+    recovered = ObjectStore.recover(tmp_path, attach=False)
+    survivors = 8 if crash_point == "wal.append_torn" else 16
+    assert [r.obj_id for r in recovered.journal] == list(range(1, survivors + 1))
+    assert recovered.count(Region) == recovered.total_objects() == survivors
 
 
 def test_crash_free_run_recovers_to_full_oracle(tmp_path, oracle):

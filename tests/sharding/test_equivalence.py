@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro import Robotron, obs, parallel, seed_environment
+from repro.obs import flight
 from repro.common.errors import ObjectDoesNotExist
 from repro.design.fleet import FLEET_224, build_fleet
 from repro.fbnet.durability import store_digest
@@ -168,3 +169,26 @@ class TestCycleEquivalence:
         baseline = self.run_cycle(None)
         for count in (1, 4):
             assert self.run_cycle(count) == baseline
+
+
+class TestProvenanceEquivalence:
+    def run_change(self, store) -> tuple:
+        obs.reset()
+        with flight.change_context("eight regions, every shard"):
+            with store.transaction():
+                for index in range(8):
+                    store.create(Region, name=f"region-{index:02d}")
+        mutations = [
+            event.object_id
+            for event in flight.recorder().events
+            if event.kind == "model.mutation"
+        ]
+        return mutations, flight.deterministic_dump()
+
+    def test_multi_shard_transaction_emits_events_in_journal_order(self):
+        # One transaction is one commit whatever its rows' shards, so its
+        # flight events come out in journal order at every shard count.
+        baseline = self.run_change(ObjectStore())
+        assert baseline[0] == list(range(1, 9))
+        for count in (1, 4):
+            assert self.run_change(ShardedObjectStore(shards=count)) == baseline

@@ -1,15 +1,14 @@
-"""Per-shard durable roots: manifest, independent recovery, torn WALs.
+"""A sharded store's durable root: the plain store's, plus homes.
 
-Each partition journals to its own WAL under ``shard-NN/``; the
-``shards.json`` manifest makes the root self-describing.  A torn tail in
-one shard truncates only that shard's last commit — every other
-partition recovers to its own durable prefix, and ``Robotron.recover``
-and replication's ``recover_master`` both dispatch on the manifest.
+The router logs to one WAL root exactly as a plain store does; segment
+headers and snapshots say ``shards: N`` and every frame carries one home
+shard per record, so recovery rebuilds an N-shard store with every row
+back where it lived.  ``Robotron.recover`` and replication's
+``recover_master`` go through the same ``recover_store`` as a plain root.
+The frame-level reader checks live in ``tests/durability/test_sharded_log.py``.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -19,11 +18,7 @@ from repro.faults.plan import FaultPlan
 from repro.fbnet.durability import encode_record, store_digest
 from repro.fbnet.models import ClusterGeneration, Region
 from repro.fbnet.replication import ReplicatedFBNet
-from repro.fbnet.sharding import (
-    MANIFEST_NAME,
-    ORDER_LOG_NAME,
-    ShardedObjectStore,
-)
+from repro.fbnet.sharding import ShardedObjectStore
 from repro.simulation.clock import EventScheduler
 
 pytestmark = [pytest.mark.sharding, pytest.mark.durability]
@@ -37,30 +32,26 @@ def spread_regions(store, count=12):
 
 
 class TestDurableLayout:
-    def test_attach_writes_manifest_and_shard_roots(self, tmp_path, sharded):
-        sharded.attach_durability(tmp_path)
-        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        assert manifest["kind"] == "fbnet-shards"
-        assert manifest["shard_count"] == len(sharded.shards)
-        assert manifest["shards"] == [s.shard_key for s in sharded.shards]
-        for shard in sharded.shards:
-            assert (tmp_path / f"shard-{shard.shard_index:02d}").is_dir()
-
     def test_shard_count_mismatch_refuses_attach(self, tmp_path, sharded, shard_count):
+        # A root is adopted by recovering it, which builds a store with
+        # the shard count the root names; no other store may attach.
         sharded.attach_durability(tmp_path)
         other = ShardedObjectStore(shards=shard_count + 1)
-        with pytest.raises(DurabilityError, match="shard"):
+        with pytest.raises(DurabilityError, match="already holds"):
             other.attach_durability(tmp_path)
+        recovered = ShardedObjectStore.recover(tmp_path, attach=False)
+        assert recovered.shard_count == shard_count
 
     def test_plain_recover_refuses_sharded_root(self, tmp_path, sharded):
         sharded.attach_durability(tmp_path)
         spread_regions(sharded)
         with pytest.raises(DurabilityError):
-            ShardedObjectStore.recover(tmp_path / "shard-00" / "missing")
+            ShardedObjectStore.recover(tmp_path / "missing")
 
 
 class TestRoundTrip:
     def test_every_shard_recovers_independently(self, tmp_path, sharded):
+        """Every shard comes back with its rows (from the one log)."""
         sharded.attach_durability(tmp_path)
         env = seed_environment(sharded)
         regions = spread_regions(sharded)
@@ -90,69 +81,31 @@ class TestRoundTrip:
 
 
 class TestTornShard:
-    def torn_setup(self, tmp_path, sharded):
+    def torn_update(self, tmp_path, sharded):
+        """Tear the WAL append of one more commit; returns the state before it."""
         sharded.attach_durability(tmp_path)
-        regions = spread_regions(sharded)
-        # Pick any populated shard and tear *its* next WAL append.
-        victim = sharded.shards[
-            sharded._home[regions[-1].id]
-        ]
-        return regions[-1], victim
-
-    def test_torn_shard_loses_only_its_last_commit(self, tmp_path, sharded):
-        region, victim = self.torn_setup(tmp_path, sharded)
-        before = store_digest(sharded)
-        sizes = sharded.shard_sizes()
-
+        region = spread_regions(sharded)[-1]
+        before = store_digest(sharded), sharded.shard_sizes()
         plan = FaultPlan(seed=1)
-        plan.inject("wal.append_torn", times=1, store=victim.name)
+        plan.inject("wal.append_torn", times=1, store=sharded.name)
         faults.install(plan)
         with pytest.raises(ProcessCrash):
             sharded.update(region, name="region-torn")
         faults.uninstall()
+        return before
 
+    def test_torn_shard_loses_only_its_last_commit(self, tmp_path, sharded):
+        before, sizes = self.torn_update(tmp_path, sharded)
         recovered = ShardedObjectStore.recover(tmp_path, attach=False)
         assert store_digest(recovered) == before
         assert recovered.shard_sizes() == sizes
         assert (
-            obs.counter("store.wal.torn_truncated", store=victim.name).value
+            obs.counter("store.wal.torn_truncated", store=sharded.name).value
             == 1
-        )
-        # No other shard's WAL was disturbed.
-        for shard in recovered.shards:
-            if shard.name != victim.name:
-                assert (
-                    obs.counter(
-                        "store.wal.torn_truncated", store=shard.name
-                    ).value
-                    == 0
-                )
-
-    def test_torn_order_log_degrades_to_shard_order(self, tmp_path, sharded):
-        sharded.attach_durability(tmp_path)
-        spread_regions(sharded)
-        path = tmp_path / ORDER_LOG_NAME
-        lines = path.read_text().splitlines()
-        path.write_text(lines[0] + "\n" + '{"txn": 99, "shards": [')
-
-        # Data lives in the shard WALs; losing order metadata costs only
-        # within-transaction interleave, never state.
-        recovered = ShardedObjectStore.recover(tmp_path, attach=False)
-        assert recovered.shard_sizes() == sharded.shard_sizes()
-        assert recovered._home == sharded._home
-        assert sorted(encode_record(r) for r in recovered.journal) == sorted(
-            encode_record(r) for r in sharded.journal
         )
 
     def test_torn_shard_is_reusable_after_recovery(self, tmp_path, sharded):
-        region, victim = self.torn_setup(tmp_path, sharded)
-        plan = FaultPlan(seed=1)
-        plan.inject("wal.append_torn", times=1, store=victim.name)
-        faults.install(plan)
-        with pytest.raises(ProcessCrash):
-            sharded.update(region, name="region-torn")
-        faults.uninstall()
-
+        self.torn_update(tmp_path, sharded)
         recovered = ShardedObjectStore.recover(tmp_path)  # attaches + truncates
         recovered.create(Region, name="region-post")
         second = ShardedObjectStore.recover(tmp_path, attach=False)
@@ -184,7 +137,7 @@ class TestFacadeDispatch:
         assert not isinstance(revived.store, ShardedObjectStore)
         assert store_digest(revived.store) == store_digest(robotron.store)
 
-    def test_replication_recover_master_dispatches_on_manifest(
+    def test_recover_master_rebuilds_a_sharded_master(
         self, tmp_path, shard_count
     ):
         cluster = ReplicatedFBNet(
