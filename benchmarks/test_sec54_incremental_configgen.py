@@ -124,7 +124,7 @@ def test_sec54_incremental_vs_full(benchmark):
         ("full regeneration after 1 change", f"{full_seconds:.3f}s"),
         ("incremental (regenerate_dirty)", f"{incremental_seconds * 1000:.1f}ms"),
         ("devices regenerated", f"{len(report.regenerated)} ({owner.name})"),
-        ("journal records scanned", str(report.records_scanned)),
+        ("new journal records followed", str(report.records_scanned)),
         ("speedup", f"{speedup:.0f}x"),
         ("flight recorder overhead", f"{(flight_overhead_ratio - 1) * 100:+.1f}%"),
     ]

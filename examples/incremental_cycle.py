@@ -1,10 +1,11 @@
 """Incremental change propagation: one FBNet edit, one device touched.
 
 Provision a POP cluster, then walk the steady-state loop the paper's
-scale demands: mutate the design, let ``incremental_cycle`` map the
-journal records onto the configs they invalidate (via each config's
-read-set), regenerate and push only those, and point the drift sweep at
-the devices that just changed.
+scale demands: mutate the design, let ``incremental_cycle`` follow the
+journal records committed since the last cycle — each looked up once in
+an index over every config's read-set — regenerate and push only the
+configs they invalidate, and point the drift sweep at the devices that
+just changed.
 
 Run:  python examples/incremental_cycle.py
 """
@@ -23,7 +24,7 @@ def show(title: str, report) -> None:
     print(f"\n--- {title} ---")
     print(f"dirty: {dict(gen.dirty) or '{}'}")
     print(f"regenerated {len(gen.regenerated)}, skipped {len(gen.skipped)}, "
-          f"journal records scanned: {gen.records_scanned}")
+          f"new journal records followed: {gen.records_scanned}")
     if report.deploy is not None:
         print(f"deployed: {report.deploy.succeeded} "
               f"(content-hash skipped: {report.deploy.skipped})")

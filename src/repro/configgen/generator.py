@@ -10,12 +10,13 @@ design state it came from.
 Generation is *change-aware* (section 5.3/8): every config carries the
 :class:`~repro.fbnet.changelog.ReadSet` of its derivation plus the
 template versions it rendered with, and :meth:`ConfigGenerator.
-regenerate_dirty` walks the journal since each config's generation
-position to regenerate only the devices an FBNet mutation (or a template
-bump) actually affects.  The incremental output is byte-identical to a
-full regeneration because every read the derivation performs is captured
-at the store layer — a device whose read-set matches no journal record
-cannot render differently.
+regenerate_dirty` follows the journal once — one cursor, one
+:class:`~repro.fbnet.changelog.ReadSetIndex` over every golden config's
+read-set — to regenerate only the devices an FBNet mutation (or a
+template bump) actually affects.  The incremental output is
+byte-identical to a full regeneration because every read the derivation
+performs is captured at the store layer — a device whose read-set
+matches no journal record cannot render differently.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro import faults, obs, parallel
 from repro.obs import flight
 from repro.common.errors import ConfigGenerationError
 from repro.fbnet.base import Model
-from repro.fbnet.changelog import ReadSet
+from repro.fbnet.changelog import ReadSet, ReadSetIndex
 from repro.fbnet.models.device import Device
 from repro.fbnet.store import ChangeRecord, ObjectStore
 from repro.configgen.configerator import Configerator
@@ -82,7 +83,8 @@ class IncrementalGenReport:
 
     #: Journal position the pass caught golden configs up to.
     position: int = 0
-    #: Journal records examined across all devices.
+    #: Journal records followed by this pass: the delta since the
+    #: generator's cursor, each looked up once in the read-set index.
     records_scanned: int = 0
     #: Device name -> why it was regenerated (``"new"``, ``"untracked"``,
     #: ``"template"``, or ``"<model>#<id> <op>"`` for a journal match).
@@ -126,7 +128,14 @@ class ConfigGenerator:
         # superseded entry instead of accumulating one entry per version.
         self._compiled: dict[str, tuple[int, Template]] = {}
         #: Golden configs by device name — what monitoring compares against.
+        #: Written only by :meth:`adopt` and the retire step.
         self.golden: dict[str, DeviceConfig] = {}
+        # Change propagation: the read-sets of the golden configs, inverted;
+        # how far along the journal they have been followed; and, per
+        # device, the first record that invalidated its golden config.
+        self._read_sets = ReadSetIndex()
+        self._cursor = store.journal_position
+        self._marks: dict[str, ChangeRecord] = {}
         # Called with each batch of freshly generated configs (ConfMon uses
         # this to point drift sweeps at just-regenerated devices).
         self._subscribers: list[Callable[[list[DeviceConfig]], None]] = []
@@ -179,8 +188,26 @@ class ConfigGenerator:
 
     def _generate(self, device: Model) -> DeviceConfig:
         config = self._render(device)
-        self.golden[device.name] = config
+        self.adopt(config)
         return config
+
+    def adopt(self, config: DeviceConfig) -> None:
+        """Register ``config`` as its device's golden config.
+
+        The one way a golden config comes to be: its read-set replaces
+        the device's entry in the index and the device's mark is cleared
+        — whatever invalidated the previous golden is incorporated now.
+        """
+        name = config.device_name
+        self.golden[name] = config
+        self._marks.pop(name, None)
+        if config.read_set is None:
+            self._read_sets.discard(name)
+        else:
+            self._read_sets.put(name, config.read_set)
+        # A config older than the cursor (only a hand-built one can be)
+        # has records still to answer for: follow them again.
+        self._cursor = min(self._cursor, config.design_position)
 
     def _render(self, device: Model) -> DeviceConfig:
         """Fetch → derive → render one device; pure (no generator state).
@@ -274,7 +301,7 @@ class ConfigGenerator:
         for result in results:
             config = result.value
             configs[config.device_name] = config
-            self.golden[config.device_name] = config
+            self.adopt(config)
         return configs
 
     def generate_location(self, location: Model) -> dict[str, DeviceConfig]:
@@ -322,14 +349,14 @@ class ConfigGenerator:
     ) -> IncrementalGenReport:
         """Regenerate only the devices invalidated since their last generation.
 
-        For each device the journal slice since its golden config's
-        ``design_position`` is checked against the config's read-set; a
-        device is dirty when a record matches, when a template it rendered
-        with was bumped, when it has no golden config yet, or when its
-        golden config predates read tracking.  Clean devices keep their
-        golden config byte-for-byte — the incremental result is identical
-        to a full regeneration because the read-set is a superset of the
-        derivation's true dependencies.
+        The journal records committed since the last pass are followed
+        once (:meth:`_follow_journal`), marking the devices whose golden
+        config's read-set they match; a device is dirty when it carries a
+        mark, when a template it rendered with was bumped, when it has no
+        golden config yet, or when its golden config predates read
+        tracking.  Clean devices keep their golden config byte-for-byte —
+        the incremental result is identical to a full regeneration because
+        the read-set is a superset of the derivation's true dependencies.
         """
         if devices is None:
             devices = self._store.all(Device)
@@ -337,23 +364,22 @@ class ConfigGenerator:
         else:
             retire_missing = False
         report = IncrementalGenReport()
-        # One journal slice per distinct generation position: most devices
-        # share a position after a full generation pass, so the slices are
-        # fetched O(distinct positions), not O(devices).
-        slices: dict[int, list[ChangeRecord]] = {}
         dirty_devices: list[tuple[Model, str]] = []
         with obs.span("configgen.regenerate_dirty", devices=len(devices)):
+            report.records_scanned = self._follow_journal()
             for device in devices:
-                found = self._dirty_reason(device, slices, report)
+                found = self._dirty_reason(device)
                 if found is None:
                     report.skipped.append(device.name)
-                    obs.counter("configgen.skipped").inc()
                 else:
                     reason, origin = found
                     report.dirty[device.name] = reason
                     report.origins[device.name] = origin
                     dirty_devices.append((device, reason))
-                    obs.counter("configgen.dirty").inc()
+            if report.skipped:
+                obs.counter("configgen.skipped").inc(len(report.skipped))
+            if dirty_devices:
+                obs.counter("configgen.dirty").inc(len(dirty_devices))
             regenerated = self._generate_batch(
                 [device for device, _reason in dirty_devices]
             )
@@ -379,17 +405,35 @@ class ConfigGenerator:
                 present = {device.name for device in devices}
                 for name in sorted(set(self.golden) - present):
                     del self.golden[name]
+                    self._read_sets.discard(name)
+                    self._marks.pop(name, None)
                     report.retired.append(name)
         report.position = self._store.journal_position
         self._announce(list(report.regenerated.values()))
         return report
 
-    def _dirty_reason(
-        self,
-        device: Model,
-        slices: dict[int, list[ChangeRecord]],
-        report: IncrementalGenReport,
-    ) -> tuple[str, str] | None:
+    def _follow_journal(self) -> int:
+        """Mark the devices the records since the cursor invalidate.
+
+        Each device keeps its *first* matching record at or after its
+        golden config's ``design_position`` (a golden generated ahead of
+        the cursor already incorporates the records before it).  Marks
+        outlive the pass — a subset pass or a failed batch leaves them
+        for the next one — and go when the device is adopted or retired.
+        Returns the number of records followed.
+        """
+        records = self._store.journal_since(self._cursor)
+        for position, record in enumerate(records, self._cursor):
+            for name in self._read_sets.affected(record):
+                if (
+                    name not in self._marks
+                    and position >= self.golden[name].design_position
+                ):
+                    self._marks[name] = record
+        self._cursor += len(records)
+        return len(records)
+
+    def _dirty_reason(self, device: Model) -> tuple[str, str] | None:
         """Why ``device`` needs regeneration — ``(reason, origin change id)``
         — or ``None`` if still current."""
         golden = self.golden.get(device.name)
@@ -400,12 +444,7 @@ class ConfigGenerator:
         for path, version in golden.template_versions.items():
             if self.configerator.current_version(path) != version:
                 return "template", ""
-        records = slices.get(golden.design_position)
-        if records is None:
-            records = self._store.journal_since(golden.design_position)
-            slices[golden.design_position] = records
-        report.records_scanned += len(records)
-        match = golden.read_set.first_match(records)
+        match = self._marks.get(device.name)
         if match is not None:
             return f"{match.model}#{match.obj_id} {match.op.value}", match.change_id
         return None

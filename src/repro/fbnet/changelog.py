@@ -6,7 +6,9 @@ also capturing *who read what*.  A :class:`ReadSet` records the objects,
 indexed lookups, and model scans one computation performed (the store
 fills it in while a :meth:`~repro.fbnet.store.ObjectStore.track_reads`
 block is active), and can then decide whether a later journal record
-invalidates that computation.  The :class:`ChangeLog` is the query facade
+invalidates that computation.  A :class:`ReadSetIndex` holds many
+read-sets inverted, so one journal record maps straight onto the
+computations it invalidates.  The :class:`ChangeLog` is the query facade
 over the journal itself: per-model and per-object lookup since a
 position.
 
@@ -14,8 +16,10 @@ Together they power incremental config generation (paper section 5.3/8:
 regenerating tens of thousands of devices from scratch is both too slow
 and the root cause of the "stale configs" outage): each generated config
 carries the read-set of its derivation, and
-``ConfigGenerator.regenerate_dirty()`` maps journal records to the
-configs they invalidate instead of regenerating the world.
+``ConfigGenerator.regenerate_dirty()`` follows the journal once, through
+the index, to the configs each new record invalidates instead of
+regenerating the world.  The read cache (:mod:`repro.fbnet.rpc`) evicts
+its entries through the same index.
 
 Dependency kinds, from most to least precise:
 
@@ -46,7 +50,13 @@ if TYPE_CHECKING:
     from repro.fbnet.base import Model
     from repro.fbnet.store import ChangeRecord, ObjectStore
 
-__all__ = ["ChangeLog", "ReadSet", "equality_dependencies", "query_models"]
+__all__ = [
+    "ChangeLog",
+    "ReadSet",
+    "ReadSetIndex",
+    "equality_dependencies",
+    "query_models",
+]
 
 
 #: model name -> that model's family names (itself + every Model ancestor),
@@ -226,12 +236,78 @@ class ReadSet:
                         return True
         return False
 
-    def first_match(self, records: Iterable[ChangeRecord]) -> ChangeRecord | None:
-        """The first record in ``records`` that invalidates this read-set."""
-        for record in records:
-            if self.matches(record):
-                return record
-        return None
+
+class ReadSetIndex:
+    """Many read-sets, inverted: journal record -> the keys it invalidates.
+
+    ``affected(record)`` answers exactly ``{key for key, read_set in
+    puts if read_set.matches(record)}`` — :meth:`ReadSet.matches` stays
+    the reference predicate — but from postings instead of by asking
+    every read-set, so a journal follower (the config generator, the
+    read cache) pays O(record family x indexed fields of that family)
+    per record however many read-sets it holds.
+
+    Posting terms mirror the three dependency kinds: ``(model,)``,
+    ``(model, id)`` and ``(model, field, value)``; a fourth,
+    ``(model, field)``, lists every key with *any* dependency on that
+    field, for the "field itself changed" rule of an UPDATE.
+    """
+
+    def __init__(self) -> None:
+        #: posting term -> keys whose read-set holds that term.
+        self._postings: dict[tuple, set[Any]] = {}
+        #: key -> the terms it was put under (a read-set is mutable; the
+        #: discard must remove what the put added).
+        self._terms: dict[Any, tuple[tuple, ...]] = {}
+        #: model -> field names ever put, so a record is probed once per
+        #: indexed field, not once per value (bounded by the schema, so
+        #: discards leave it alone).
+        self._fields: dict[str, set[str]] = {}
+
+    def put(self, key: Any, read_set: ReadSet) -> None:
+        """Index ``read_set`` under ``key``, replacing any earlier put."""
+        self.discard(key)
+        terms: list[tuple] = [(name,) for name in read_set.models]
+        terms.extend(read_set.objects)
+        for model_name, per_field in read_set.fields.items():
+            for field_name, values in per_field.items():
+                terms.append((model_name, field_name))
+                terms.extend((model_name, field_name, value) for value in values)
+                self._fields.setdefault(model_name, set()).add(field_name)
+        for term in terms:
+            self._postings.setdefault(term, set()).add(key)
+        self._terms[key] = tuple(terms)
+
+    def discard(self, key: Any) -> None:
+        """Forget ``key`` (a no-op when it was never put)."""
+        for term in self._terms.pop(key, ()):
+            bucket = self._postings[term]
+            bucket.discard(key)
+            if not bucket:
+                del self._postings[term]
+
+    def clear(self) -> None:
+        self._postings.clear()
+        self._terms.clear()
+        self._fields.clear()
+
+    def affected(self, record: ChangeRecord) -> set[Any]:
+        """The keys whose read-set ``record`` matches."""
+        postings = self._postings
+        keys: set[Any] = set()
+        changed = record.changed_fields
+        for name in _family(record.model):
+            keys.update(postings.get((name,), ()))
+            keys.update(postings.get((name, record.obj_id), ()))
+            for field_name in self._fields.get(name, ()):
+                if field_name in changed:
+                    # The field itself changed: the *old* value may have
+                    # matched even though the new one does not.
+                    term: tuple = (name, field_name)
+                else:
+                    term = (name, field_name, _norm(record.values.get(field_name)))
+                keys.update(postings.get(term, ()))
+        return keys
 
 
 class ChangeLog:

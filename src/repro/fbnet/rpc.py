@@ -32,7 +32,7 @@ from typing import Any, Sequence
 from repro import faults, obs
 from repro.common.errors import ReplicaUnavailable, RpcError
 from repro.fbnet.api import ReadApi, WriteApi
-from repro.fbnet.changelog import ReadSet, _family
+from repro.fbnet.changelog import ReadSet, ReadSetIndex
 from repro.fbnet.query import Query
 from repro.fbnet.store import ObjectStore
 
@@ -187,8 +187,6 @@ class _CacheEntry:
     #: Journal position observed when the fill started — the entry is
     #: consistent with exactly this journal prefix.
     position: int
-    #: Model names the read-set touches (the invalidation index terms).
-    interest: tuple[str, ...]
 
 
 class ReadCache:
@@ -204,7 +202,9 @@ class ReadCache:
     the fill's own :class:`ReadSet`.  Before every lookup the cache
     advances over the journal delta since its last position and evicts
     exactly the entries whose read-sets the new records match
-    (``rpc.cache.invalidations``).  Because replication applies records
+    (``rpc.cache.invalidations``), looked up in the same
+    :class:`~repro.fbnet.changelog.ReadSetIndex` the config generator
+    follows the journal with.  Because replication applies records
     through the same journal, a cache over a replica store invalidates
     on apply with no extra plumbing.
 
@@ -222,9 +222,8 @@ class ReadCache:
         #: The cursor: how much of the store's journal has been replayed.
         self._position = store.journal_position
         self._entries: dict[str, _CacheEntry] = {}
-        #: model name -> keys of entries whose read-sets touch it; the
-        #: index that maps a journal record onto its candidate entries.
-        self._interest: dict[str, set[str]] = {}
+        #: The entries' read-sets, inverted: journal record -> entry keys.
+        self._read_sets = ReadSetIndex()
 
     @property
     def store(self) -> ObjectStore:
@@ -254,40 +253,24 @@ class ReadCache:
         """Process the journal delta since the last advance.
 
         Every record committed (or replication-applied) since the cache
-        last looked is matched against the candidate entries' read-sets;
-        matching entries are evicted.  Returns the eviction count.
+        last looked evicts the entries whose read-sets it matches.
+        Returns the eviction count.
         """
         records = self._store.journal_since(self._position)
-        evicted = sum(self._invalidate(record) for record in records)
-        self._position += len(records)
-        return evicted
-
-    def _invalidate(self, record: Any) -> int:
-        candidates: set[str] = set()
-        for name in _family(record.model):
-            candidates |= self._interest.get(name, set())
         evicted = 0
-        for key in sorted(candidates):
-            entry = self._entries.get(key)
-            if entry is not None and entry.read_set.matches(record):
-                self._discard(key, entry)
+        for record in records:
+            for key in sorted(self._read_sets.affected(record)):
+                del self._entries[key]
+                self._read_sets.discard(key)
                 obs.counter("rpc.cache.invalidations", cache=self.name).inc()
                 evicted += 1
+        self._position += len(records)
         return evicted
-
-    def _discard(self, key: str, entry: _CacheEntry) -> None:
-        del self._entries[key]
-        for name in entry.interest:
-            bucket = self._interest.get(name)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._interest[name]
 
     def clear(self) -> None:
         """Drop every entry (the one blanket flush, for tests/operators)."""
         self._entries.clear()
-        self._interest.clear()
+        self._read_sets.clear()
 
     # -- fills ---------------------------------------------------------
 
@@ -331,16 +314,8 @@ class ReadCache:
             if read_set.matches(record):
                 obs.counter("rpc.cache.stale_evictions", cache=self.name).inc()
                 return False
-        interest = tuple(
-            sorted(
-                set(read_set.models)
-                | {model for model, _ in read_set.objects}
-                | set(read_set.fields)
-            )
-        )
-        self._entries[key] = _CacheEntry(payload, read_set, position, interest)
-        for name in interest:
-            self._interest.setdefault(name, set()).add(key)
+        self._entries[key] = _CacheEntry(payload, read_set, position)
+        self._read_sets.put(key, read_set)
         return True
 
     # -- the read-through API ------------------------------------------

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import ConfigGenerationError
 from repro.configgen.generator import ConfigGenerator
 from repro.core.seeds import seed_environment
 from repro.design.cluster import build_cluster
+from repro.faults import FaultPlan
 from repro.fbnet.models import (
     AggregatedInterface,
     BgpV4Session,
@@ -24,6 +26,7 @@ from repro.fbnet.models import (
     Region,
 )
 from repro.fbnet.store import ObjectStore
+from repro.obs import flight
 
 pytestmark = pytest.mark.incremental
 
@@ -156,13 +159,15 @@ class TestRegenerateDirty:
         generator.generate_devices(store.all(Device))
         device = pop_cluster.devices["PR"][0]
         old = generator.golden[device.name]
-        generator.golden[device.name] = type(old)(
-            device_name=old.device_name,
-            vendor=old.vendor,
-            text=old.text,
-            data=old.data,
-            design_position=old.design_position,
-            read_set=None,
+        generator.adopt(
+            type(old)(
+                device_name=old.device_name,
+                vendor=old.vendor,
+                text=old.text,
+                data=old.data,
+                design_position=old.design_position,
+                read_set=None,
+            )
         )
         report = generator.regenerate_dirty()
         assert report.dirty[device.name] == "untracked"
@@ -197,6 +202,95 @@ class TestRegenerateDirty:
         count = len(batches)
         generator.regenerate_dirty()
         assert len(batches) == count
+
+
+class TestJournalFollowedOnce:
+    """One cursor over the journal; a mark per invalidated device."""
+
+    def test_records_scanned_sums_to_the_journal_delta(
+        self, store, env, pop_cluster, generator
+    ):
+        generator.generate_devices(store.all(Device))
+        start = store.journal_position
+        scanned = 0
+        states = (DrainState.DRAINING, DrainState.DRAINED, DrainState.UNDRAINED)
+        for round_no, device in enumerate(store.all(Device)[:4] * 2):
+            store.update(device, drain_state=states[round_no % 3])
+            store.create(Region, name=f"unrelated-{round_no}")
+            report = generator.regenerate_dirty()
+            assert device.name in report.regenerated
+            scanned += report.records_scanned
+        assert scanned == store.journal_position - start
+        assert generator.regenerate_dirty().records_scanned == 0
+
+    def test_subset_pass_leaves_other_marks_for_the_next_pass(
+        self, store, env, pop_cluster, generator
+    ):
+        generator.generate_devices(store.all(Device))
+        first, second = pop_cluster.devices["PR"][:2]
+        store.update(first, drain_state=DrainState.DRAINING)
+        store.update(second, drain_state=DrainState.DRAINING)
+        subset = generator.regenerate_dirty([first])
+        assert set(subset.regenerated) == {first.name}
+        # The cursor is past both records now; the second device's mark
+        # is what carries its reason to the full pass.
+        full = generator.regenerate_dirty()
+        assert full.records_scanned == 0
+        assert full.dirty == {second.name: f"PeeringRouter#{second.id} update"}
+        assert golden_texts(generator) == full_regeneration(store, generator)
+
+    def test_failed_batch_is_retried_with_the_same_reasons(
+        self, store, env, pop_cluster, generator
+    ):
+        generator.generate_devices(store.all(Device))
+        before = dict(generator.golden)
+        first, second = pop_cluster.devices["PR"][:2]
+        with flight.change_context("drain a pair") as change:
+            store.update(first, drain_state=DrainState.DRAINING)
+            store.update(second, drain_state=DrainState.DRAINING)
+        plan = FaultPlan(seed=7)
+        plan.inject("configgen.render", device=second.name, times=1)
+        with plan.installed(), pytest.raises(ConfigGenerationError):
+            generator.regenerate_dirty()
+        assert generator.golden == before
+        retry = generator.regenerate_dirty()
+        assert retry.records_scanned == 0
+        assert retry.dirty == {
+            first.name: f"PeeringRouter#{first.id} update",
+            second.name: f"PeeringRouter#{second.id} update",
+        }
+        assert retry.origins == dict.fromkeys(retry.dirty, change.change_id)
+        assert set(retry.regenerated) == set(retry.dirty)
+        assert golden_texts(generator) == full_regeneration(store, generator)
+
+    def test_golden_ahead_of_the_cursor_ignores_earlier_records(
+        self, store, env, pop_cluster, generator
+    ):
+        generator.generate_devices(store.all(Device))
+        first, second = pop_cluster.devices["PR"][:2]
+        store.update(first, drain_state=DrainState.DRAINING)
+        store.update(second, drain_state=DrainState.DRAINING)
+        # Regenerated directly, mid-journal: the cursor still sits before
+        # both records, but the new golden already incorporates its own.
+        fresh = generator.generate_devices([first])[first.name]
+        assert fresh.design_position == store.journal_position
+        report = generator.regenerate_dirty()
+        assert report.records_scanned == 2
+        assert set(report.dirty) == {second.name}
+        assert generator.golden[first.name] is fresh
+
+    def test_adopted_config_behind_the_cursor_answers_for_its_records(
+        self, store, env, pop_cluster, generator
+    ):
+        generator.generate_devices(store.all(Device))
+        device = pop_cluster.devices["PR"][0]
+        old = generator.golden[device.name]
+        store.update(device, drain_state=DrainState.DRAINING)
+        generator.regenerate_dirty()
+        generator.adopt(old)
+        report = generator.regenerate_dirty()
+        assert report.dirty == {device.name: f"PeeringRouter#{device.id} update"}
+        assert golden_texts(generator) == full_regeneration(store, generator)
 
 
 MUTATION_KINDS = 5

@@ -1,17 +1,25 @@
 """Tests for read tracking and the ChangeLog journal facade."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.fbnet.changelog import ChangeLog, ReadSet, equality_dependencies
+from repro.fbnet.changelog import (
+    ChangeLog,
+    ReadSet,
+    ReadSetIndex,
+    equality_dependencies,
+)
 from repro.fbnet.models import (
     Device,
+    DrainState,
     NetworkDomain,
     PeeringRouter,
     Pop,
     Region,
 )
 from repro.fbnet.query import And, Expr, Not, Op, Or
-from repro.fbnet.store import ChangeOp
+from repro.fbnet.store import ChangeOp, ChangeRecord
 
 pytestmark = pytest.mark.incremental
 
@@ -182,6 +190,103 @@ class TestReadSetMatching:
         assert "Pop" in left.models
         assert "x" in left.fields["Device"]["name"]
         assert len(left) == 3
+
+
+#: ``Device`` is the abstract base of the two router models, so a dependency
+#: recorded against it must match their records; ``Region`` stands alone.
+_DEP_MODELS = ("Device", "PeeringRouter", "NetworkSwitch", "Region")
+_RECORD_MODELS = ("PeeringRouter", "NetworkSwitch", "Region")
+_FIELDS = ("name", "pop", "drain_state", "tags")
+_values = st.one_of(
+    st.none(),
+    st.integers(0, 3),
+    st.sampled_from(["a", "b"]),
+    st.sampled_from(DrainState),
+    st.lists(st.integers(0, 1), max_size=2),
+)
+
+
+@st.composite
+def _read_sets(draw):
+    read_set = ReadSet()
+    for model in draw(st.lists(st.sampled_from(_DEP_MODELS), max_size=2)):
+        read_set.add_model(model)
+    for model, obj_id in draw(
+        st.lists(
+            st.tuples(st.sampled_from(_DEP_MODELS), st.integers(1, 4)), max_size=3
+        )
+    ):
+        read_set.add_object(model, obj_id)
+    for model, field_name, values in draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_DEP_MODELS),
+                st.sampled_from(_FIELDS),
+                st.lists(_values, max_size=2),  # empty: "field changed" rule only
+            ),
+            max_size=3,
+        )
+    ):
+        read_set.add_field(model, field_name, values)
+    return read_set
+
+
+@st.composite
+def _records(draw):
+    op = draw(st.sampled_from(ChangeOp))
+    values = draw(st.dictionaries(st.sampled_from(_FIELDS), _values))
+    changed = (
+        tuple(draw(st.lists(st.sampled_from(_FIELDS), unique=True)))
+        if op is ChangeOp.UPDATE
+        else ()
+    )
+    return ChangeRecord(
+        txn_id=1,
+        op=op,
+        model=draw(st.sampled_from(_RECORD_MODELS)),
+        obj_id=draw(st.integers(1, 4)),
+        values=values,
+        changed_fields=changed,
+    )
+
+
+class TestReadSetIndex:
+    """The index answers exactly what ``ReadSet.matches`` answers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(st.integers(0, 5), st.one_of(st.none(), _read_sets())),
+            max_size=12,
+        ),
+        records=st.lists(_records(), min_size=1, max_size=8),
+    )
+    def test_affected_equals_matches(self, steps, records):
+        index = ReadSetIndex()
+        sets: dict[int, ReadSet] = {}
+        for key, read_set in steps:  # a put (also over a live key) or a discard
+            if read_set is None:
+                index.discard(key)
+                sets.pop(key, None)
+            else:
+                index.put(key, read_set)
+                sets[key] = read_set
+            for record in records:
+                assert index.affected(record) == {
+                    k for k, rs in sets.items() if rs.matches(record)
+                }
+
+    def test_discard_leaves_no_postings_behind(self):
+        index = ReadSetIndex()
+        read_set = ReadSet()
+        read_set.add_model("Region")
+        read_set.add_object("Device", 1)
+        read_set.add_field("Device", "pop", [3])
+        index.put("k", read_set)
+        index.put("k", ReadSet())
+        index.discard("k")
+        index.discard("never put")
+        assert not index._postings and not index._terms
 
 
 class TestChangeLog:
