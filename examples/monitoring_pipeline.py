@@ -53,7 +53,10 @@ def main() -> None:
         for severity, (count, _pct) in robotron.classifier.severity_table().items()
         if count
     }
-    print(f"classified counts so far: {counts}\n")
+    print(f"classified counts so far: {counts}")
+    # searches/messages is what a message costs; it grows with always_walked,
+    # the rules the prefilter could derive no required literal for.
+    print(f"classifier cost so far  : {robotron.classifier.stats()}\n")
 
     print("== Config drift: manual change detected and curtailed ==")
     emergency = psw1.running_config + "interfaces {\n    et9/9 {\n    }\n}\n"
