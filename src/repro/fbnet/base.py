@@ -41,20 +41,30 @@ class ModelRegistry:
     The registry also lazily computes the *reverse relation* map: for each
     model, the API-only reverse connections contributed by foreign keys
     pointing at it (paper footnote 2).
+
+    Whatever is derived from the *set* of registered models — the reverse
+    map, abstract names, :meth:`family`, the query planner's choice of
+    index (:func:`repro.fbnet.query.plan`) — is remembered in :attr:`memo`
+    and dropped when a model registers.  What a model's own declaration
+    fixes lives on its :class:`ModelOptions` and never changes.
     """
 
     def __init__(self) -> None:
         self._models: dict[str, type[Model]] = {}
-        self._reverse_cache: dict[str, dict[str, tuple[type[Model], str]]] | None = None
-        self._abstract_cache: dict[str, type[Model]] = {}
+        #: Facts derived from the registered set.  Keys: a model class
+        #: (its :meth:`family`), ``("abstract", name)``, ``"reverse"`` and
+        #: ``("reverse", model)``, and the planner's ``(model, frozenset of
+        #: field names)``.  :meth:`register` rebinds it to a fresh dict, so
+        #: fill it through a local reference (``memo = registry.memo``): a
+        #: value computed from the old set then lands in the old dict.
+        self.memo: dict[Any, Any] = {}
 
     def register(self, model: type[Model]) -> None:
         name = model.__name__
         if name in self._models:
             raise ValueError(f"duplicate FBNet model name: {name}")
         self._models[name] = model
-        self._reverse_cache = None
-        self._abstract_cache.clear()
+        self.memo = {}
 
     def get(self, name: str) -> type[Model]:
         try:
@@ -72,7 +82,8 @@ class ModelRegistry:
         RPC wire) can query model families too.  Write paths keep using
         :meth:`get` — abstract names stay unwritable.
         """
-        found = self._models.get(name) or self._abstract_cache.get(name)
+        memo = self.memo
+        found = self._models.get(name) or memo.get(("abstract", name))
         if found is not None:
             return found
         if name != "Model":  # the root base is not a queryable family
@@ -80,12 +91,23 @@ class ModelRegistry:
                 for klass in model.__mro__[1:]:
                     meta = getattr(klass, "_meta", None)
                     if meta is not None and meta.abstract and klass.__name__ == name:
-                        self._abstract_cache[name] = klass
+                        memo["abstract", name] = klass
                         return klass
         raise KeyError(f"unknown FBNet model: {name}")
 
     def all(self) -> list[type[Model]]:
         return list(self._models.values())
+
+    def family(self, model: type[Model]) -> tuple[type[Model], ...]:
+        """The concrete models a read of ``model`` covers: itself when
+        registered, and every registered subclass, in registration order."""
+        memo = self.memo
+        found = memo.get(model)
+        if found is None:
+            found = memo[model] = tuple(
+                m for m in self._models.values() if issubclass(m, model)
+            )
+        return found
 
     def by_group(self, group: ModelGroup) -> list[type[Model]]:
         return [m for m in self._models.values() if m._meta.group is group]
@@ -102,19 +124,24 @@ class ModelRegistry:
         """Map of ``related_name`` -> (source model, fk field name) for ``model``.
 
         Includes relations pointing at any ancestor of ``model``, because a
-        FK to a base class accepts subclass instances.
+        FK to a base class accepts subclass instances.  The mapping is
+        shared between callers: read it, do not change it.
         """
-        if self._reverse_cache is None:
-            self._build_reverse_cache()
-        assert self._reverse_cache is not None
-        result: dict[str, tuple[type[Model], str]] = {}
-        for klass in model.__mro__:
-            if isinstance(klass, ModelMeta) and klass.__name__ in self._reverse_cache:
-                for name, entry in self._reverse_cache[klass.__name__].items():
-                    result.setdefault(name, entry)
+        memo = self.memo
+        result = memo.get(("reverse", model))
+        if result is None:
+            by_target = memo.get("reverse")
+            if by_target is None:
+                by_target = memo["reverse"] = self._reverse_by_target()
+            result = {}
+            for klass in model.__mro__:
+                if isinstance(klass, ModelMeta):
+                    for name, entry in by_target.get(klass.__name__, {}).items():
+                        result.setdefault(name, entry)
+            memo["reverse", model] = result  # stored whole: tasks read it
         return result
 
-    def _build_reverse_cache(self) -> None:
+    def _reverse_by_target(self) -> dict[str, dict[str, tuple[type[Model], str]]]:
         cache: dict[str, dict[str, tuple[type[Model], str]]] = {}
         for model in self._models.values():
             for field in model._meta.fields.values():
@@ -137,7 +164,7 @@ class ModelRegistry:
                             f"{other_model.__name__}.{other_field}"
                         )
                 cache[target][related] = (model, field.name)
-        self._reverse_cache = cache
+        return cache
 
     # -- Figure 13 introspection ----------------------------------------------
 
@@ -162,7 +189,12 @@ model_registry = ModelRegistry()
 
 
 class ModelOptions:
-    """Per-model metadata collected from the inner ``Meta`` class."""
+    """Per-model metadata collected from the inner ``Meta`` class.
+
+    Everything here is fixed by the model's own declaration and resolved
+    once, at class creation; the store's read, write and replay paths
+    consume it as is.
+    """
 
     def __init__(
         self,
@@ -171,13 +203,21 @@ class ModelOptions:
         group: ModelGroup | None,
         abstract: bool,
         unique_together: tuple[tuple[str, ...], ...],
+        family_root: type[Model],
     ):
         self.model_name = model_name
         self.fields = fields
         self.group = group
         self.abstract = abstract
         self.unique_together = unique_together
-        # Partitioned views, computed once (hot path in query evaluation).
+        #: The topmost abstract ancestor (the model itself when it has
+        #: none): the scope of its unique constraints, so that e.g. two
+        #: device subclasses cannot share a device name.
+        self.family_root = family_root
+        self.field_names: tuple[str, ...] = tuple(fields)
+        self.unique_fields: tuple[str, ...] = tuple(
+            n for n, f in fields.items() if f.unique
+        )
         self.fk_fields: dict[str, ForeignKey] = {
             n: f for n, f in fields.items() if isinstance(f, ForeignKey)
         }
@@ -229,7 +269,13 @@ class ModelMeta(type):
             tuple(group_fields) for group_fields in getattr(meta_cls, "unique_together", ())
         )
 
-        cls._meta = ModelOptions(name, fields, group, abstract, unique_together)
+        root = cls
+        for base in cls.__mro__[1:]:
+            base_meta = getattr(base, "_meta", None)
+            if base_meta is not None and base_meta.abstract and base is not Model:
+                root = base
+
+        cls._meta = ModelOptions(name, fields, group, abstract, unique_together, root)
 
         if name != "Model" and not abstract:
             if group is None:
@@ -264,19 +310,22 @@ class Model(metaclass=ModelMeta):
         #: Back-reference to the owning store (set on save).
         self._store: Any = None
 
-        meta = type(self)._meta
-        unknown = set(kwargs) - set(meta.fields)
-        if unknown:
+        fields = type(self)._meta.fields
+        if not kwargs.keys() <= fields.keys():
             raise ValidationError(
-                f"{type(self).__name__}: unknown field(s) {sorted(unknown)}"
+                f"{type(self).__name__}: unknown field(s) "
+                f"{sorted(kwargs.keys() - fields.keys())}"
             )
-        for name, field in meta.fields.items():
+        values = self.__dict__
+        for name, field in fields.items():
+            # What assigning the attribute does (``Field.__set__``), minus
+            # the two dispatches per field.
             if name in kwargs:
-                setattr(self, name, kwargs[name])
+                values[name] = field.clean(kwargs[name])
             elif field.has_default:
-                setattr(self, name, field.get_default())
+                values[name] = field.clean(field.get_default())
             elif field.null:
-                self.__dict__[name] = None
+                values[name] = None
             else:
                 raise ValidationError(
                     f"{type(self).__name__}: missing required field {name!r}"
@@ -333,7 +382,7 @@ class Model(metaclass=ModelMeta):
 
     def clone_values(self) -> dict[str, Any]:
         """Raw field values suitable for reconstructing the object."""
-        return {name: self.__dict__.get(name) for name in type(self)._meta.fields}
+        return {name: self.__dict__.get(name) for name in type(self)._meta.field_names}
 
     def __repr__(self) -> str:
         label = self.__dict__.get("name")

@@ -170,6 +170,22 @@ def decode_value(value: Any) -> Any:
     return value
 
 
+#: What :func:`encode_value` and :func:`decode_value` return unchanged.
+#: Most field values are one of these, so the per-row loops below test
+#: for them in line and call out only for the rest.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_OPS = {op.value: op for op in ChangeOp}
+
+
+def _encode_row(values: dict[str, Any]) -> dict[str, Any]:
+    """:func:`encode_value` of a row's field values (names never start
+    with ``$``, so the mapping itself needs no tag)."""
+    return {
+        k: v if v.__class__ in _SCALARS else encode_value(v)
+        for k, v in values.items()
+    }
+
+
 def record_payload(record: ChangeRecord) -> dict[str, Any]:
     """The JSON-representable form of one journal record."""
     return {
@@ -177,7 +193,7 @@ def record_payload(record: ChangeRecord) -> dict[str, Any]:
         "op": record.op.value,
         "model": record.model,
         "obj_id": record.obj_id,
-        "values": {k: encode_value(v) for k, v in record.values.items()},
+        "values": _encode_row(record.values),
         "changed_fields": list(record.changed_fields),
         "change_id": record.change_id,
     }
@@ -187,10 +203,13 @@ def record_from_payload(payload: dict[str, Any]) -> ChangeRecord:
     try:
         return ChangeRecord(
             txn_id=payload["txn_id"],
-            op=ChangeOp(payload["op"]),
+            op=_OPS[payload["op"]],
             model=payload["model"],
             obj_id=payload["obj_id"],
-            values={k: decode_value(v) for k, v in payload["values"].items()},
+            values={
+                k: v if v.__class__ in _SCALARS else decode_value(v)
+                for k, v in payload["values"].items()
+            },
             changed_fields=tuple(payload["changed_fields"]),
             change_id=payload.get("change_id", ""),
         )
@@ -657,18 +676,20 @@ def recover_store(
                 f"the rest of {root} for shards={shards!r}"
             )
         position = header["base"] if header is not None else 0
+        applied = store.journal_position
         for body in bodies:
             commit = _load_json_body(body, "commit")
             if commit is None:
                 raise DurabilityError(f"{segment.name}: malformed commit frame")
             for payload, home in _read_batch(commit, shards, segment.name):
-                if position > store.journal_position:
+                if position > applied:
                     raise DurabilityError(
                         f"{segment.name}: WAL coverage gap at position {position} "
-                        f"(store is at {store.journal_position})"
+                        f"(store is at {applied})"
                     )
-                if position == store.journal_position:
+                if position == applied:
                     store.apply_record(record_from_payload(payload), home)
+                    applied += 1
                 position += 1
         if torn and last:
             with segment.open("r+b") as handle:
@@ -726,7 +747,7 @@ def store_digest(store: ObjectStore) -> str:
     """
     tables = {
         model: {
-            str(obj_id): encode_value(obj.clone_values())
+            str(obj_id): _encode_row(obj.clone_values())
             for obj_id, obj in sorted(rows.items())
         }
         for model, rows in sorted(store._digest_tables().items())

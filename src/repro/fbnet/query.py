@@ -388,6 +388,10 @@ def fold_equalities(
     return None
 
 
+#: The kinds of index :func:`plan` probes (what an access path names).
+_FK, _UNIQUE, _TOGETHER = "fk", "unique", "together"
+
+
 def plan(
     store: ObjectStore, model: type[Model], query: Query
 ) -> dict[str, set[int]] | None:
@@ -400,22 +404,43 @@ def plan(
     three indexes ``store`` already maintains for constraint checking:
     reverse-FK, unique, and ``unique_together``.
 
-    A concrete subclass without the queried field contributes no
-    candidates; a subclass that has it but holds no index for it forces
-    the scan.
+    *Which* index answers a set of queried fields is a fact of the schema
+    (:func:`_access_paths`, remembered per ``(model, fields)``); a call
+    only probes.  The indexes skip null values, so a null rvalue is never
+    answered from them, nor is a non-integer one from the reverse-FK index.
     """
-    concretes = [c for c in model_registry.all() if issubclass(c, model)]
 
     def probe(exprs: list[Expr]) -> list[dict[str, set[int]]] | None:
         wanted = {expr.field: expr.rvalues for expr in exprs}
+        memo, shape = model_registry.memo, (model, frozenset(wanted))
+        try:
+            paths = memo[shape]
+        except KeyError:
+            paths = memo[shape] = _access_paths(model, wanted.keys())
+        if paths is None:
+            return None
+        for values in wanted.values():
+            if None in values:
+                return None
+        key = store._hashable
         found: dict[str, set[int]] = {}
-        for concrete in concretes:
-            if wanted.keys() <= concrete._meta.fields.keys():
-                ids = _index_ids(store, concrete, wanted)
-                if ids is None:
+        for name, kind, index_key in paths:
+            if kind is _FK:
+                (values,) = wanted.values()
+                if not all(isinstance(value, int) for value in values):
                     return None
-                found[concrete.__name__] = ids
-        return [found] if found else None
+                buckets = store._reverse_index.get(index_key, {})
+                found[name] = {i for value in values for i in buckets.get(value, ())}
+            elif kind is _UNIQUE:
+                (values,) = wanted.values()
+                held = store._unique_index.get(index_key, {})
+                found[name] = {held[k] for k in map(key, values) if k in held}
+            else:
+                held = store._unique_together_index.get(index_key, {})
+                group = index_key[1]
+                combos = product(*([key(v) for v in wanted[field]] for field in group))
+                found[name] = {held[combo] for combo in combos if combo in held}
+        return [found]
 
     answers = fold_equalities(query, lambda expr: probe([expr]), probe)
     if answers is None:
@@ -427,31 +452,32 @@ def plan(
     return candidates
 
 
-def _index_ids(
-    store: ObjectStore, concrete: type[Model], wanted: dict[str, tuple[Any, ...]]
-) -> set[int] | None:
-    """Ids of ``concrete`` rows equal to ``wanted`` on every field, or ``None``.
+def _access_paths(
+    model: type[Model], fields: Any
+) -> tuple[tuple[str, str, tuple], ...] | None:
+    """Which index answers equality on ``fields``, per concrete model.
 
-    ``None`` means no index covers the field combination.  The indexes
-    skip null values, so a null rvalue is never answered from them.
+    One ``(concrete model name, kind, key)`` per member of ``model``'s
+    family that has every queried field, ``key`` being the store's own key
+    for the index that answers: the member's reverse-FK index on a lone FK
+    field, its family's unique index on a lone unique field, else a
+    ``unique_together`` group the fields cover.  A member without the
+    fields contributes nothing; ``None`` — scan — when no member has them,
+    or one has them and holds no index for them.
     """
-    if any(value is None for values in wanted.values() for value in values):
-        return None
-    meta = concrete._meta
-    key = store._hashable
-    if len(wanted) == 1:
-        ((name, values),) = wanted.items()
-        if name in meta.fk_fields:
-            if not all(isinstance(value, int) for value in values):
+    paths = []
+    for concrete in model_registry.family(model):
+        meta, name = concrete._meta, concrete.__name__
+        if not fields <= meta.fields.keys():
+            continue
+        (lone,) = fields if len(fields) == 1 else (None,)
+        if lone in meta.fk_fields:
+            paths.append((name, _FK, (name, lone)))
+        elif lone in meta.unique_fields:
+            paths.append((name, _UNIQUE, (meta.family_root.__name__, lone)))
+        else:
+            group = next((g for g in meta.unique_together if fields >= set(g)), None)
+            if group is None:
                 return None
-            buckets = store._reverse_index.get((concrete.__name__, name), {})
-            return {i for value in values for i in buckets.get(value, ())}
-        if meta.fields[name].unique:
-            held = store._unique_index.get((store._family_root(concrete), name), {})
-            return {held[k] for k in map(key, values) if k in held}
-    for group in meta.unique_together:
-        if wanted.keys() >= set(group):
-            held = store._unique_together_index.get((concrete.__name__, group), {})
-            combos = product(*([key(v) for v in wanted[name]] for name in group))
-            return {held[combo] for combo in combos if combo in held}
-    return None
+            paths.append((name, _TOGETHER, (name, group)))
+    return tuple(paths) or None

@@ -162,9 +162,12 @@ class Shard:
         self.shard_key = f"s{index:02d}"
         self.name = f"{router_name}/{self.shard_key}"
         self.tables: dict[str, dict[int, Model]] = {}
+        #: Live rows across ``tables``, kept by the router as it indexes
+        #: and unindexes them, so the per-commit gauges need no table walk.
+        self.live = 0
 
     def total_objects(self) -> int:
-        return sum(len(rows) for rows in self.tables.values())
+        return self.live
 
 
 class ShardedDurability:
@@ -232,7 +235,11 @@ class ShardedObjectStore(ObjectStore):
                     self._token_cache,
                 )
             index = self._placed[obj_id] = home
-        return self.shards[index].tables.setdefault(model_name, {})
+        tables = self.shards[index].tables
+        table = tables.get(model_name)
+        if table is None:
+            table = tables[model_name] = {}
+        return table
 
     #: The placement walk's FK resolver (it records no read).
     _home_resolve = ObjectStore._resolve
@@ -241,17 +248,20 @@ class ShardedObjectStore(ObjectStore):
         """The shard each record's row lives (or lived) on, for the WAL."""
         return [self._placed[record.obj_id] for record in records]
 
-    def _index(self, obj: Model) -> None:
-        super()._index(obj)
-        assert obj.id is not None
-        self._home[obj.id] = self._placed[obj.id]
-        self._token_cache.pop(obj.id, None)
+    def _index(self, obj: Model, values: dict[str, Any]) -> None:
+        super()._index(obj, values)
+        obj_id = obj.id
+        if obj_id not in self._home:
+            home = self._home[obj_id] = self._placed[obj_id]
+            self.shards[home].live += 1
+        self._token_cache.pop(obj_id, None)
 
     def _unindex(self, obj: Model) -> None:
         super()._unindex(obj)
-        if obj.id is not None:
-            self._home.pop(obj.id, None)
-            self._token_cache.pop(obj.id, None)
+        home = self._home.pop(obj.id, None)
+        if home is not None:
+            self.shards[home].live -= 1
+        self._token_cache.pop(obj.id, None)
 
     def shard_of(self, obj: Model) -> str:
         """The shard key (``"s00"``…) holding ``obj``."""

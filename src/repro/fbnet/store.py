@@ -18,8 +18,9 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from time import perf_counter
-from typing import Any, TypeVar
+from typing import Any, NamedTuple, TypeVar
 
 from repro import faults, obs
 from repro.obs import flight
@@ -78,6 +79,21 @@ class _UndoEntry:
     obj: Model | None = None
 
 
+class _Slots(NamedTuple):
+    """The index entries one model's rows land in (``ObjectStore._slots``)."""
+
+    #: (fk field, target id -> ids of the rows pointing at it)
+    fks: tuple[tuple[str, dict[int, set[int]]], ...]
+    #: (unique field, value -> id of the row holding it, family-wide)
+    uniques: tuple[tuple[str, dict[Any, int]], ...]
+    #: (``unique_together`` group, value tuple -> id of the row holding it)
+    togethers: tuple[tuple[tuple[str, ...], dict[tuple, int]], ...]
+
+
+#: Sort key of live rows (a row in a table always has its id).
+_row_id = attrgetter("id")
+
+
 class ObjectStore:
     """An in-process FBNet object store.
 
@@ -104,6 +120,9 @@ class ObjectStore:
         # by _index/_unindex so constraint checks stay O(1).
         self._unique_index: dict[tuple[str, str], dict[Any, int]] = {}
         self._unique_together_index: dict[tuple[str, tuple[str, ...]], dict[tuple, int]] = {}
+        # model -> the entries of the three indexes above a row of that
+        # model lands in, resolved on the model's first write (_slots).
+        self._model_slots: dict[type[Model], _Slots] = {}
         self._next_id = 1
         # Plain int (not itertools.count) so snapshots can persist it and
         # recovery can restore it.
@@ -174,13 +193,11 @@ class ObjectStore:
         """Record a query read: field deps when analyzable, else models.
 
         The unanalyzable fallback covers every model the query's paths
-        traverse, which is why ``query.matches`` itself runs under
-        :meth:`_suspend_tracking` — the FK hops it resolves through the
-        store are membership tests, not semantic reads, and recording
+        traverse, which is why ``query.matches`` itself runs with tracking
+        suspended (see :meth:`_select`) — the FK hops it resolves through
+        the store are membership tests, not semantic reads, and recording
         them would drag every examined row into the read-set.
         """
-        if not self._read_trackers:
-            return
         deps = equality_dependencies(query)
         if deps is None:
             for name in query_models(model, query):
@@ -296,7 +313,7 @@ class ObjectStore:
                 self._unindex(obj)
                 assert entry.old_values is not None
                 obj.__dict__.update(entry.old_values)
-                self._index(obj)
+                self._index(obj, entry.old_values)
             else:  # DELETE
                 assert entry.old_values is not None
                 # Revive the very instance the delete detached; building a
@@ -307,23 +324,12 @@ class ObjectStore:
                 obj.id = entry.obj_id
                 obj._store = self
                 table[entry.obj_id] = obj
-                self._index(obj)
+                self._index(obj, entry.old_values)
         self._undo_log = []
         self._pending_records = []
         self._current_txn_id = None
         self._txn_started_at = None
         obs.counter("store.txn", store=self.name, status="rollback").inc()
-
-    def _in_txn(self) -> bool:
-        return self._txn_depth > 0
-
-    @contextmanager
-    def _implicit_txn(self) -> Iterator[None]:
-        if self._in_txn():
-            yield
-        else:
-            with self.transaction():
-                yield
 
     # ------------------------------------------------------------------
     # Writes
@@ -333,21 +339,27 @@ class ObjectStore:
         """Insert a new object or persist updates to an existing one."""
         if obj._store is not None and obj._store is not self:
             raise IntegrityError("object belongs to a different store")
-        with self._implicit_txn():
-            if obj.id is None:
-                self._insert(obj)
-            else:
-                try:
-                    self._update(obj)
-                except Exception:
-                    # The caller mutated the live stored instance before
-                    # save(); a failed update must not leave that dirty
-                    # state visible — restore the last committed values.
-                    known = self._last_known_values(obj)
-                    if known is not None:
-                        obj.__dict__.update(known)
-                    raise
+        if self._txn_depth:
+            self._write(obj)
+        else:
+            with self.transaction():
+                self._write(obj)
         return obj
+
+    def _write(self, obj: Model) -> None:
+        if obj.id is None:
+            self._insert(obj)
+            return
+        try:
+            self._update(obj)
+        except Exception:
+            # The caller mutated the live stored instance before
+            # save(); a failed update must not leave that dirty
+            # state visible — restore the last committed values.
+            known = self._known_values.get((type(obj).__name__, obj.id))
+            if known is not None:
+                obj.__dict__.update(known)
+            raise
 
     def create(self, model: type[M], **field_values: Any) -> M:
         """Construct and insert an object in one step."""
@@ -355,13 +367,21 @@ class ObjectStore:
         return self.save(obj)
 
     def update(self, obj: M, **field_values: Any) -> M:
-        """Assign ``field_values`` onto ``obj`` and persist them."""
+        """Assign ``field_values`` onto ``obj`` and persist them.
+
+        Every name is checked and every value cleaned before any is
+        assigned: ``obj`` may be the live stored row, which a rejected
+        call must leave as it was.
+        """
+        fields = type(obj)._meta.fields
+        cleaned = {}
         for name, value in field_values.items():
-            if name not in type(obj)._meta.fields:
+            if name not in fields:
                 raise IntegrityError(
                     f"{type(obj).__name__} has no field {name!r}"
                 )
-            setattr(obj, name, value)
+            cleaned[name] = fields[name].clean(value)
+        obj.__dict__.update(cleaned)
         return self.save(obj)
 
     def delete(self, obj: Model) -> None:
@@ -373,8 +393,11 @@ class ObjectStore:
         """
         if obj.id is None or obj._store is not self:
             raise ObjectDoesNotExist(f"{obj!r} is not stored here")
-        with self._implicit_txn():
+        if self._txn_depth:
             self._delete_inner(obj, seen=set())
+        else:
+            with self.transaction():
+                self._delete_inner(obj, seen=set())
 
     def _delete_inner(self, obj: Model, seen: set[tuple[str, int]]) -> None:
         key = (type(obj).__name__, obj.id)
@@ -404,18 +427,17 @@ class ObjectStore:
 
     def _remove_row(self, obj: Model) -> None:
         assert obj.id is not None
-        table = self._table(type(obj).__name__, obj.id)
-        if obj.id not in table:
+        obj_id, name = obj.id, type(obj).__name__
+        table = self._table(name, obj_id)
+        if obj_id not in table:
             return  # already deleted within this cascade
-        old_values = dict(obj.__dict__)
-        old_values.pop("_store", None)
-        old_id = obj.id
+        values = obj.clone_values()
         self._unindex(obj)
-        del table[old_id]
+        del table[obj_id]
         self._undo_log.append(
-            _UndoEntry(ChangeOp.DELETE, type(obj), old_id, old_values, obj=obj)
+            _UndoEntry(ChangeOp.DELETE, type(obj), obj_id, values, obj=obj)
         )
-        self._record(ChangeOp.DELETE, obj, old_id, obj.clone_values(), ())
+        self._record(ChangeOp.DELETE, name, obj_id, values, ())
         obj.id = None
         obj._store = None
 
@@ -424,107 +446,86 @@ class ObjectStore:
         self._next_id += 1
         return allocated
 
+    # One values dict per row write: it is checked, indexed, kept as the
+    # row's shadow (``_known_values``), journaled and, once superseded,
+    # handed to the undo log — so nothing may change it after it is built.
+
     def _insert(self, obj: Model) -> None:
-        self._check_fks(obj)
-        self._check_unique(obj, exclude_id=None)
-        obj.id = self._alloc_id()
+        model = type(obj)
+        values = obj.clone_values()
+        self._check_fks(model, values)
+        self._check_unique(model, values, exclude_id=None)
+        obj.id = obj_id = self._alloc_id()
         obj._store = self
-        self._table(type(obj).__name__, obj.id, obj.__dict__)[obj.id] = obj
-        self._index(obj)
-        self._undo_log.append(_UndoEntry(ChangeOp.CREATE, type(obj), obj.id, None))
-        self._record(ChangeOp.CREATE, obj, obj.id, obj.clone_values(), ())
+        self._table(model.__name__, obj_id, values)[obj_id] = obj
+        self._index(obj, values)
+        self._undo_log.append(_UndoEntry(ChangeOp.CREATE, model, obj_id, None))
+        self._record(ChangeOp.CREATE, model.__name__, obj_id, values, ())
 
     def _update(self, obj: Model) -> None:
         assert obj.id is not None
-        stored = self._row(type(obj).__name__, obj.id)
+        model, obj_id = type(obj), obj.id
+        stored = self._row(model.__name__, obj_id)
         if stored is None:
             raise ObjectDoesNotExist(
-                f"{type(obj).__name__} id={obj.id} is not in the store"
+                f"{model.__name__} id={obj_id} is not in the store"
             )
         if stored is not obj:
             raise IntegrityError(
-                f"stale object: {type(obj).__name__} id={obj.id} differs from "
+                f"stale object: {model.__name__} id={obj_id} differs from "
                 "the stored instance"
             )
-        self._check_fks(obj)
-        self._check_unique(obj, exclude_id=obj.id)
-        # Reconstruct the pre-change values from the last journal state is
-        # not possible (we mutate in place), so journal undo snapshots the
-        # *current* dict before the caller's changes were applied -- callers
-        # mutate fields first, so we diff against the index instead.
-        old_values = self._last_known_values(obj)
+        values = obj.clone_values()
+        self._check_fks(model, values)
+        self._check_unique(model, values, exclude_id=obj_id)
+        # Callers mutate the live row and then save it, so what changed is
+        # the difference from the shadow the last write left.
+        old_values = self._known_values[model.__name__, obj_id]
         changed = tuple(
-            name
-            for name in type(obj)._meta.fields
-            if old_values is not None and old_values.get(name) != obj.__dict__.get(name)
+            name for name in model._meta.field_names
+            if old_values[name] != values[name]
         )
-        self._unindex_values(obj, old_values)
-        self._index(obj)
-        undo_values = dict(old_values) if old_values is not None else dict(obj.__dict__)
-        undo_values.pop("_store", None)
-        self._undo_log.append(
-            _UndoEntry(ChangeOp.UPDATE, type(obj), obj.id, undo_values)
-        )
-        self._record(ChangeOp.UPDATE, obj, obj.id, obj.clone_values(), changed)
-        self._known_values[(type(obj).__name__, obj.id)] = {
-            name: obj.__dict__.get(name) for name in type(obj)._meta.fields
-        }
-
-    # -- value shadow (for computing changed fields + index maintenance) ----
-
-    def _last_known_values(self, obj: Model) -> dict[str, Any] | None:
-        assert obj.id is not None
-        return self._known_values.get((type(obj).__name__, obj.id))
+        self._unindex_values(model, obj_id, old_values)
+        self._index(obj, values)
+        self._undo_log.append(_UndoEntry(ChangeOp.UPDATE, model, obj_id, old_values))
+        self._record(ChangeOp.UPDATE, model.__name__, obj_id, values, changed)
 
     # ------------------------------------------------------------------
     # Constraint checks
     # ------------------------------------------------------------------
 
-    def _check_fks(self, obj: Model) -> None:
-        for name, fk in type(obj)._meta.fk_fields.items():
-            raw = obj.__dict__.get(name)
-            if raw is None:
-                continue
-            if self._resolve(fk.to, raw) is None:
+    def _check_fks(self, model: type[Model], values: dict[str, Any]) -> None:
+        for name, fk in model._meta.fk_fields.items():
+            raw = values[name]
+            if raw is not None and self._resolve(fk.to, raw) is None:
                 raise IntegrityError(
-                    f"{type(obj).__name__}.{name}: no {fk.to.__name__} with id {raw}"
+                    f"{model.__name__}.{name}: no {fk.to.__name__} with id {raw}"
                 )
 
-    def _check_unique(self, obj: Model, exclude_id: int | None) -> None:
-        meta = type(obj)._meta
-        root = self._family_root(type(obj))
-        for name, fld in meta.fields.items():
-            if not fld.unique:
-                continue
-            value = obj.__dict__.get(name)
+    def _check_unique(
+        self, model: type[Model], values: dict[str, Any], exclude_id: int | None
+    ) -> None:
+        _fks, uniques, togethers = self._slots(model)
+        key = self._hashable
+        for name, held in uniques:
+            value = values[name]
             if value is None:
                 continue
-            holder = self._unique_index.get((root, name), {}).get(self._hashable(value))
+            holder = held.get(key(value))
             if holder is not None and holder != exclude_id:
+                root = model._meta.family_root
                 raise IntegrityError(
-                    f"{type(obj).__name__}.{name}={value!r} violates unique "
-                    f"constraint (held by {self._describe_holder(root, holder)})"
+                    f"{model.__name__}.{name}={value!r} violates unique "
+                    f"constraint (held by {self._resolve(root, holder)!r})"
                 )
-        for group in meta.unique_together:
-            values = tuple(self._hashable(obj.__dict__.get(n)) for n in group)
-            if any(v is None for v in values):
-                continue
-            holder = self._unique_together_index.get(
-                (type(obj).__name__, group), {}
-            ).get(values)
+        for group, held in togethers:
+            combo = tuple([key(values[n]) for n in group])
+            holder = None if None in combo else held.get(combo)
             if holder is not None and holder != exclude_id:
                 raise IntegrityError(
-                    f"{type(obj).__name__}{group} = {values!r} violates "
+                    f"{model.__name__}{group} = {combo!r} violates "
                     "unique_together"
                 )
-
-    def _describe_holder(self, root: str, obj_id: int) -> str:
-        for concrete in model_registry.all():
-            if self._family_root(concrete) == root:
-                obj = self._row(concrete.__name__, obj_id)
-                if obj is not None:
-                    return repr(obj)
-        return f"id={obj_id}"
 
     @staticmethod
     def _hashable(value: Any) -> Any:
@@ -534,97 +535,95 @@ class ObjectStore:
             return repr(value)
         return value
 
-    @staticmethod
-    def _family_root(model: type[Model]) -> str:
-        """The topmost abstract ancestor's name (unique-constraint scope).
+    # ------------------------------------------------------------------
+    # Indexes
+    # ------------------------------------------------------------------
 
-        Unique fields are enforced across the inheritance family so that
-        e.g. two device subclasses cannot share a device name.
+    def _slots(self, model: type[Model]) -> _Slots:
+        """Where a row of ``model`` lands in the three indexes.
+
+        Resolved on the model's first write to this store and for good:
+        which fields are indexed, and under which family root, is fixed
+        by the model's declaration, and the index entries are only ever
+        filled and emptied, never replaced.  Two tasks resolving at once
+        get the same entries (``setdefault``) in equal tuples.
         """
-        root = model
-        for klass in model.__mro__[1:]:
-            meta = getattr(klass, "_meta", None)
-            if meta is not None and getattr(meta, "abstract", False) and klass is not Model:
-                root = klass
-        return root.__name__
+        slots = self._model_slots.get(model)
+        if slots is None:
+            meta, name = model._meta, model.__name__
+            root = meta.family_root.__name__
+            slots = self._model_slots[model] = _Slots(
+                tuple(
+                    (fk, self._reverse_index.setdefault((name, fk), {}))
+                    for fk in meta.fk_fields
+                ),
+                tuple(
+                    (fld, self._unique_index.setdefault((root, fld), {}))
+                    for fld in meta.unique_fields
+                ),
+                tuple(
+                    (group, self._unique_together_index.setdefault((name, group), {}))
+                    for group in meta.unique_together
+                ),
+            )
+        return slots
 
-    # ------------------------------------------------------------------
-    # Reverse index
-    # ------------------------------------------------------------------
-
-    def _index(self, obj: Model) -> None:
-        assert obj.id is not None
-        meta = type(obj)._meta
-        for name, fk in meta.fk_fields.items():
-            raw = obj.__dict__.get(name)
-            if raw is None:
-                continue
-            key = (type(obj).__name__, name)
-            self._reverse_index.setdefault(key, {}).setdefault(raw, set()).add(obj.id)
-        root = self._family_root(type(obj))
-        for name, fld in meta.fields.items():
-            if not fld.unique:
-                continue
-            value = obj.__dict__.get(name)
+    def _index(self, obj: Model, values: dict[str, Any]) -> None:
+        """Enter ``obj`` — whose field values are ``values`` — in every
+        index, and keep ``values`` as its shadow."""
+        obj_id = obj.id
+        assert obj_id is not None
+        fks, uniques, togethers = self._slots(type(obj))
+        for name, buckets in fks:
+            raw = values[name]
+            if raw is not None:
+                bucket = buckets.get(raw)
+                if bucket is None:
+                    bucket = buckets[raw] = set()
+                bucket.add(obj_id)
+        key = self._hashable
+        for name, held in uniques:
+            value = values[name]
             if value is not None:
-                self._unique_index.setdefault((root, name), {})[
-                    self._hashable(value)
-                ] = obj.id
-        for group in meta.unique_together:
-            values = tuple(self._hashable(obj.__dict__.get(n)) for n in group)
-            if not any(v is None for v in values):
-                self._unique_together_index.setdefault(
-                    (type(obj).__name__, group), {}
-                )[values] = obj.id
-        self._known_values[(type(obj).__name__, obj.id)] = {
-            name: obj.__dict__.get(name) for name in meta.fields
-        }
+                held[key(value)] = obj_id
+        for group, held in togethers:
+            combo = tuple([key(values[n]) for n in group])
+            if None not in combo:
+                held[combo] = obj_id
+        self._known_values[type(obj).__name__, obj_id] = values
 
     def _unindex(self, obj: Model) -> None:
-        self._unindex_values(obj, self._last_known_values(obj))
-        if obj.id is not None:
-            self._known_values.pop((type(obj).__name__, obj.id), None)
+        values = self._known_values.pop((type(obj).__name__, obj.id), None)
+        if values is not None:
+            self._unindex_values(type(obj), obj.id, values)
 
-    def _unindex_values(self, obj: Model, values: dict[str, Any] | None) -> None:
-        if values is None or obj.id is None:
-            return
-        meta = type(obj)._meta
-        for name in meta.fk_fields:
-            raw = values.get(name)
-            if raw is None:
-                continue
-            bucket = self._reverse_index.get((type(obj).__name__, name), {}).get(raw)
+    def _unindex_values(
+        self, model: type[Model], obj_id: int, values: dict[str, Any]
+    ) -> None:
+        fks, uniques, togethers = self._slots(model)
+        for name, buckets in fks:
+            bucket = buckets.get(values[name])
             if bucket is not None:
-                bucket.discard(obj.id)
-        root = self._family_root(type(obj))
-        for name, fld in meta.fields.items():
-            if not fld.unique:
-                continue
-            value = values.get(name)
-            if value is None:
-                continue
-            bucket = self._unique_index.get((root, name))
-            if bucket is not None and bucket.get(self._hashable(value)) == obj.id:
-                del bucket[self._hashable(value)]
-        for group in meta.unique_together:
-            tuple_key = tuple(self._hashable(values.get(n)) for n in group)
-            bucket = self._unique_together_index.get((type(obj).__name__, group))
-            if bucket is not None and bucket.get(tuple_key) == obj.id:
-                del bucket[tuple_key]
+                bucket.discard(obj_id)
+        key = self._hashable
+        for name, held in uniques:
+            value = key(values[name])
+            if value is not None and held.get(value) == obj_id:
+                del held[value]
+        for group, held in togethers:
+            combo = tuple([key(values[n]) for n in group])
+            if held.get(combo) == obj_id:
+                del held[combo]
 
     def referrers(
         self, obj: Model, source_model: type[Model], fk_name: str
     ) -> list[Model]:
         """Objects of ``source_model`` whose ``fk_name`` points at ``obj``."""
         assert obj.id is not None
-        self._note_field_read(source_model.__name__, fk_name, (obj.id,))
-        ids = self._reverse_index.get((source_model.__name__, fk_name), {}).get(
-            obj.id, set()
-        )
-        rows = (self._row(source_model.__name__, i) for i in ids)
-        return sorted(
-            (row for row in rows if row is not None), key=lambda o: o.id or 0
-        )
+        name = source_model.__name__
+        self._note_field_read(name, fk_name, (obj.id,))
+        ids = self._reverse_index.get((name, fk_name), {}).get(obj.id, ())
+        return [row for i in sorted(ids) if (row := self._row(name, i)) is not None]
 
     def _table(
         self,
@@ -667,31 +666,30 @@ class ObjectStore:
         return ObjectStore.get(self, model, obj_id)
 
     def _resolve(self, model: type[M], obj_id: int) -> M | None:
-        obj = self._table(model.__name__, obj_id).get(obj_id)
-        if obj is not None:
-            return obj  # type: ignore[return-value]
-        for concrete in model_registry.all():
-            if concrete is not model and issubclass(concrete, model):
-                obj = self._table(concrete.__name__, obj_id).get(obj_id)
-                if obj is not None:
-                    return obj  # type: ignore[return-value]
+        # Ids are store-wide, so at most one table of the family holds it.
+        for concrete in model_registry.family(model):
+            obj = self._table(concrete.__name__, obj_id).get(obj_id)
+            if obj is not None:
+                return obj  # type: ignore[return-value]
         return None
 
     def _iter_rows(self, model: type[M]) -> Iterator[M]:
         """Every row of ``model`` (and subclasses), unsorted and untracked."""
+        family = model_registry.family(model)
         for tables in self._partitions():
-            for concrete in model_registry.all():
-                if issubclass(concrete, model):
-                    yield from tables.get(concrete.__name__, {}).values()  # type: ignore[misc]
+            for concrete in family:
+                rows = tables.get(concrete.__name__)
+                if rows:
+                    yield from rows.values()  # type: ignore[misc]
 
     def all(self, model: type[M]) -> list[M]:
         """All objects of ``model``, including subclasses, ordered by id."""
         self._note_model_read(model)
-        return sorted(self._iter_rows(model), key=lambda o: o.id or 0)
+        return sorted(self._iter_rows(model), key=_row_id)
 
     def filter(self, model: type[M], query: Query | None = None) -> list[M]:
         """Objects of ``model`` matching ``query`` (all if ``None``)."""
-        return sorted(self._select(model, query), key=lambda o: o.id or 0)
+        return sorted(self._select(model, query), key=_row_id)
 
     def count(self, model: type[M], query: Query | None = None) -> int:
         """Number of matching objects."""
@@ -703,7 +701,7 @@ class ObjectStore:
 
     def first(self, model: type[M], query: Query | None = None) -> M | None:
         """The matching object with the smallest id, if any."""
-        return min(self._select(model, query), key=lambda o: o.id or 0, default=None)
+        return min(self._select(model, query), key=_row_id, default=None)
 
     def _select(self, model: type[M], query: Query | None) -> list[M]:
         """The rows matching ``query``, unsorted: the one read path.
@@ -714,42 +712,53 @@ class ObjectStore:
         a superset; the same ``query.matches`` filter runs over them as
         over a scan, so the plan taken never changes the answer.
 
-        The filter runs under :meth:`_suspend_tracking`: the FK hops
-        ``matches`` resolves are membership tests, not semantic reads.
+        The filter runs with this store's trackers taken out of the task
+        context: the FK hops ``matches`` resolves are membership tests,
+        not semantic reads.
         """
         ensure_query(query)
-        obs.counter("store.query", store=self.name, model=model.__name__).inc()
-        with obs.timed("store.query.latency", store=self.name):
+        name = model.__name__
+        obs.counter("store.query", store=self.name, model=name).inc()
+        started = perf_counter()
+        trackers = current().trackers
+        tracking = trackers.get(self)
+        try:
             if query is None:
-                self._note_model_read(model)
+                if tracking:
+                    self._note_model_read(model)
                 return list(self._iter_rows(model))
             candidates = plan(self, model, query)
-            # What is recorded depends on the query and the schema, never
-            # on the data or on which rows the plan touched.
-            if candidates is not None and isinstance(query, Expr):
-                # An indexed lookup depends on exactly the tables it probed.
-                for name in candidates:
-                    self._note_field_read(name, query.field, query.rvalues)
-            else:
-                self._note_query_read(model, query)
+            if tracking:
+                # What is recorded depends on the query and the schema,
+                # never on the data or on which rows the plan touched.
+                if candidates is not None and isinstance(query, Expr):
+                    # An indexed lookup depends on exactly the tables it probed.
+                    for probed in candidates:
+                        self._note_field_read(probed, query.field, query.rvalues)
+                else:
+                    self._note_query_read(model, query)
+                del trackers[self]  # suspended while the filter runs
             if candidates is None:
-                obs.counter(
-                    "store.planner.scan", store=self.name, model=model.__name__
-                ).inc()
+                obs.counter("store.planner.scan", store=self.name, model=name).inc()
                 rows = self._iter_rows(model)
             else:
                 rows = self._candidate_rows(candidates)
-            with self._suspend_tracking():
-                return [row for row in rows if query.matches(row)]
+            return [row for row in rows if query.matches(row)]
+        finally:
+            if tracking:
+                trackers[self] = tracking
+            obs.histogram("store.query.latency", store=self.name).observe(
+                perf_counter() - started
+            )
 
     def _candidate_rows(self, candidates: dict[str, set[int]]) -> list[Model]:
         """The live rows behind a plan's candidate ids."""
-        rows = (
-            self._row(name, obj_id)
+        return [
+            row
             for name, ids in candidates.items()
             for obj_id in ids
-        )
-        return [row for row in rows if row is not None]
+            if (row := self._row(name, obj_id)) is not None
+        ]
 
     # ------------------------------------------------------------------
     # Journal / replication hooks
@@ -758,7 +767,7 @@ class ObjectStore:
     def _record(
         self,
         op: ChangeOp,
-        obj: Model,
+        model_name: str,
         obj_id: int,
         values: dict[str, Any],
         changed: tuple[str, ...],
@@ -769,7 +778,7 @@ class ObjectStore:
             ChangeRecord(
                 txn_id=self._current_txn_id,
                 op=op,
-                model=type(obj).__name__,
+                model=model_name,
                 obj_id=obj_id,
                 values=values,
                 changed_fields=changed,
@@ -801,17 +810,19 @@ class ObjectStore:
         a CREATE lives (see :meth:`_table`).
         """
         model = model_registry.get(record.model)
-        creating = record.op is ChangeOp.CREATE
-        table = self._table(
-            record.model, record.obj_id, record.values if creating else None, home
-        )
+        values, creating = record.values, record.op is ChangeOp.CREATE
+        # The record's values are the row's shadow here as they are where
+        # the record was written — unless the record is hand-built and
+        # partial, when the shadow is completed from the row.
+        whole = values.keys() == model._meta.fields.keys()
+        table = self._table(record.model, record.obj_id, values if creating else None, home)
         if creating:
             obj = model.__new__(model)
-            obj.__dict__.update(record.values)
+            obj.__dict__.update(values)
             obj.id = record.obj_id
             obj._store = self
             table[record.obj_id] = obj
-            self._index(obj)
+            self._index(obj, values if whole else obj.clone_values())
             # Keep local id allocation ahead of replicated ids so a promoted
             # replica never reuses a master-assigned id.
             self._next_id = max(self._next_id, record.obj_id + 1)
@@ -825,8 +836,8 @@ class ObjectStore:
                     f"replication update for missing {record.model} id={record.obj_id}"
                 )
             self._unindex(obj)
-            obj.__dict__.update(record.values)
-            self._index(obj)
+            obj.__dict__.update(values)
+            self._index(obj, values if whole else obj.clone_values())
         else:  # DELETE
             obj = table.pop(record.obj_id, None)
             if obj is None:

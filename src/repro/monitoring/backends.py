@@ -102,44 +102,38 @@ class DerivedModelBackend(Backend):
             with flight.suppressed():
                 handler(record["device"], record["payload"], timestamp)
 
-    # -- per-data-type converters ---------------------------------------------
+    def _find(self, model: type, **key: Any) -> Any:
+        """The ``model`` row holding these field values, if any."""
+        tests = [Expr(name, Op.EQUAL, value) for name, value in key.items()]
+        return self._store.first(model, tests[0] if len(tests) == 1 else And(*tests))
 
-    def _store_system(self, device: str, payload: dict, timestamp: float) -> None:
-        existing = self._store.first(
-            DerivedDevice, Expr("name", Op.EQUAL, device)
-        )
-        values = {
-            "name": device,
-            "uptime_seconds": payload["uptime"],
-            "cpu_utilization": payload["cpu"],
-            "memory_utilization": payload["memory"],
-            "collected_at": timestamp,
-        }
+    def _upsert(self, model: type, key: dict, timestamp: float, **values: Any) -> None:
+        """Create or update the row ``key`` (field name to value) identifies:
+        ``key`` is the lookup *and* is written, so the two cannot drift apart."""
+        existing = self._find(model, **key)
+        values = {**key, **values, "collected_at": timestamp}
         if existing is None:
-            self._store.create(DerivedDevice, **values)
+            self._store.create(model, **values)
         else:
             self._store.update(existing, **values)
 
+    # -- per-data-type converters ---------------------------------------------
+
+    def _store_system(self, device: str, payload: dict, timestamp: float) -> None:
+        self._upsert(
+            DerivedDevice, {"name": device}, timestamp,
+            uptime_seconds=payload["uptime"],
+            cpu_utilization=payload["cpu"],
+            memory_utilization=payload["memory"],
+        )
+
     def _store_interfaces(self, device: str, payload: list, timestamp: float) -> None:
         for row in payload:
-            existing = self._store.first(
-                DerivedInterface,
-                And(
-                    Expr("device_name", Op.EQUAL, device),
-                    Expr("name", Op.EQUAL, row["name"]),
-                ),
+            self._upsert(
+                DerivedInterface, {"device_name": device, "name": row["name"]}, timestamp,
+                oper_status=OperStatus(row["oper_status"]),
+                admin_status=AdminStatus(row.get("admin_status", "enabled")),
             )
-            values = {
-                "device_name": device,
-                "name": row["name"],
-                "oper_status": OperStatus(row["oper_status"]),
-                "admin_status": AdminStatus(row.get("admin_status", "enabled")),
-                "collected_at": timestamp,
-            }
-            if existing is None:
-                self._store.create(DerivedInterface, **values)
-            else:
-                self._store.update(existing, **values)
 
     def _store_lldp(self, device: str, payload: list, timestamp: float) -> None:
         """Create DerivedCircuits when both ends report each other.
@@ -152,75 +146,28 @@ class DerivedModelBackend(Backend):
         for row in payload:
             a_dev, a_if = device, row["local_interface"]
             z_dev, z_if = row["neighbor_device"], row["neighbor_interface"]
-            # Check whether the mirror record was already collected.
-            mirror = self._store.first(
-                DerivedCircuit,
-                And(
-                    Expr("a_device_name", Op.EQUAL, z_dev),
-                    Expr("a_interface_name", Op.EQUAL, z_if),
-                ),
+            mirror = self._find(DerivedCircuit, a_device_name=z_dev, a_interface_name=z_if)
+            if mirror and (mirror.z_device_name, mirror.z_interface_name) == (a_dev, a_if):
+                self._store.update(mirror, collected_at=timestamp)
+                continue
+            self._upsert(
+                DerivedCircuit, {"a_device_name": a_dev, "a_interface_name": a_if}, timestamp,
+                z_device_name=z_dev, z_interface_name=z_if,
             )
-            if mirror is not None:
-                if (
-                    mirror.z_device_name == a_dev
-                    and mirror.z_interface_name == a_if
-                ):
-                    self._store.update(mirror, collected_at=timestamp)
-                    continue
-            existing = self._store.first(
-                DerivedCircuit,
-                And(
-                    Expr("a_device_name", Op.EQUAL, a_dev),
-                    Expr("a_interface_name", Op.EQUAL, a_if),
-                ),
-            )
-            values = {
-                "a_device_name": a_dev,
-                "a_interface_name": a_if,
-                "z_device_name": z_dev,
-                "z_interface_name": z_if,
-                "collected_at": timestamp,
-            }
-            if existing is None:
-                self._store.create(DerivedCircuit, **values)
-            else:
-                self._store.update(existing, **values)
 
     def _store_bgp(self, device: str, payload: list, timestamp: float) -> None:
         for row in payload:
-            existing = self._store.first(
-                DerivedBgpSession,
-                And(
-                    Expr("device_name", Op.EQUAL, device),
-                    Expr("peer_ip", Op.EQUAL, row["peer_ip"]),
-                ),
+            self._upsert(
+                DerivedBgpSession, {"device_name": device, "peer_ip": row["peer_ip"]}, timestamp,
+                state=row["state"],
             )
-            values = {
-                "device_name": device,
-                "peer_ip": row["peer_ip"],
-                "state": row["state"],
-                "collected_at": timestamp,
-            }
-            if existing is None:
-                self._store.create(DerivedBgpSession, **values)
-            else:
-                self._store.update(existing, **values)
 
     def _store_running_config(self, device: str, payload: str, timestamp: float) -> None:
-        digest = hashlib.sha256(payload.encode()).hexdigest()
-        existing = self._store.first(
-            DerivedRunningConfig, Expr("device_name", Op.EQUAL, device)
+        self._upsert(
+            DerivedRunningConfig, {"device_name": device}, timestamp,
+            config_hash=hashlib.sha256(payload.encode()).hexdigest(),
+            config_text=payload,
         )
-        values = {
-            "device_name": device,
-            "config_hash": digest,
-            "config_text": payload,
-            "collected_at": timestamp,
-        }
-        if existing is None:
-            self._store.create(DerivedRunningConfig, **values)
-        else:
-            self._store.update(existing, **values)
 
 
 class ConfigBackupBackend(Backend):

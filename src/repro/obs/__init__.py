@@ -120,23 +120,13 @@ def reset() -> None:
 
 
 # -- metrics -----------------------------------------------------------------
+# The registry is made once and never replaced, so the verbs are its bound
+# methods: a labelled call site pays for one call, not two.
 
-
-def counter(name: str, **labels: Any):
-    return _registry.counter(name, **labels)
-
-
-def gauge(name: str, **labels: Any):
-    return _registry.gauge(name, **labels)
-
-
-def histogram(name: str, buckets: tuple[float, ...] | None = None, **labels: Any):
-    return _registry.histogram(name, buckets, **labels)
-
-
-def timed(name: str, **labels: Any):
-    """Context manager observing the block's wall time into a histogram."""
-    return _registry.timed(name, **labels)
+counter = _registry.counter
+gauge = _registry.gauge
+histogram = _registry.histogram
+timed = _registry.timed
 
 
 # -- tracing -----------------------------------------------------------------

@@ -18,6 +18,7 @@ import re
 import threading
 from bisect import bisect_left
 from collections import deque
+from time import perf_counter
 from typing import Any
 
 from repro.common.util import percentile
@@ -222,14 +223,10 @@ class _Timer:
         self._start = 0.0
 
     def __enter__(self) -> _Timer:
-        from time import perf_counter
-
         self._start = perf_counter()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        from time import perf_counter
-
         self._hist.observe(perf_counter() - self._start)
 
 
@@ -239,6 +236,13 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._series: dict[tuple[str, tuple[tuple[str, str], ...]], _SeriesBase] = {}
+        #: ``(kind, name, *labels.items())`` as a call site spelled it ->
+        #: its series: in front of the canonical key above, so a repeat
+        #: call neither sorts nor ``str()``s its labels.  Only spellings
+        #: whose label values are all plain ``str`` are kept: values that
+        #: hash equal yet print differently (``1``, ``1.0``, ``True``)
+        #: would share an entry, and a plain string prints as itself.
+        self._spelled: dict[tuple, _SeriesBase] = {}
 
     # -- series factories ----------------------------------------------------
 
@@ -275,6 +279,15 @@ class MetricsRegistry:
         labels: dict[str, Any],
         buckets: tuple[float, ...] | None = None,
     ) -> Any:
+        spelled = None
+        for value in labels.values():
+            if value.__class__ is not str:
+                break
+        else:
+            spelled = (kind, name, *labels.items())
+            series = self._spelled.get(spelled)
+            if series is not None:
+                return series
         key = (name, _label_key(labels))
         series = self._series.get(key)
         if series is None:
@@ -298,6 +311,8 @@ class MetricsRegistry:
             raise ValueError(
                 f"metric {name!r} is a {series.kind}, not a {kind.__name__.lower()}"
             )
+        if spelled is not None:
+            self._spelled[spelled] = series
         return series
 
     # -- introspection -------------------------------------------------------
@@ -317,6 +332,7 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         self._series.clear()
+        self._spelled.clear()
 
     def snapshot(self) -> dict[str, list[dict[str, Any]]]:
         """A JSON-serializable dump of every series."""

@@ -2,14 +2,17 @@
 
 import pytest
 
-from repro.common.errors import TransactionError
+from repro.common.errors import IntegrityError, TransactionError, ValidationError
+from repro.fbnet.durability import store_digest
 from repro.fbnet.models import (
     NetworkSwitch,
     PhysicalInterface,
     Pop,
+    RackProfile,
     Region,
 )
 from repro.fbnet.query import And, Expr, Op
+from repro.fbnet.sharding import ShardedObjectStore
 from repro.fbnet.store import ChangeOp, ChangeRecord, ObjectStore
 
 
@@ -137,3 +140,54 @@ class TestIndexedFilterFastPath:
             NetworkSwitch, name="psw1",
             hardware_profile=env.profiles["Switch_Vendor2"],
         )
+
+
+class TestRejectedUpdateLeavesTheRowAlone:
+    """``update(obj, **values)`` used to assign field by field, so a bad
+    name or value *after* a good one left the live stored row mutated with
+    no journal record, no undo entry and stale indexes."""
+
+    @pytest.fixture(params=["plain", "sharded"])
+    def any_store(self, request):
+        return ObjectStore() if request.param == "plain" else ShardedObjectStore(shards=4)
+
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            ({"downlinks_per_rack": 8, "no_such_field": 1}, IntegrityError),
+            ({"name": "zzz", "downlinks_per_rack": "x"}, ValidationError),
+            ({"name": "zzz", "downlinks_per_rack": 0}, ValidationError),  # below min
+            ({"name": "r1"}, IntegrityError),  # clean values, rejected by save()
+        ],
+    )
+    def test_row_journal_indexes_and_digest_unchanged(self, any_store, values, error):
+        store = any_store
+        store.create(RackProfile, name="r1", downlinks_per_rack=2)
+        rack = store.create(RackProfile, name="r2", downlinks_per_rack=4)
+        before = (rack.clone_values(), store.journal_position, store_digest(store))
+
+        with pytest.raises(error):
+            store.update(rack, **values)
+
+        assert (rack.clone_values(), store.journal_position, store_digest(store)) == before
+        by_name = lambda name: store.first(RackProfile, Expr("name", Op.EQUAL, name))
+        assert by_name("r2") is rack and by_name("zzz") is None
+        assert store.filter(RackProfile, Expr("downlinks_per_rack", Op.EQUAL, 8)) == []
+        # Nothing is left half-done: the next good update journals exactly
+        # what it changed, and a store replaying the journal agrees.
+        store.update(rack, downlinks_per_rack=8)
+        assert store.journal[-1].changed_fields == ("downlinks_per_rack",)
+        replica = ObjectStore()
+        for record in store.journal:
+            replica.apply_record(record)
+        assert store_digest(replica) == store_digest(store)
+
+    def test_rejected_update_inside_a_transaction_rolls_back_nothing_extra(self, any_store):
+        store = any_store
+        rack = store.create(RackProfile, name="r2", downlinks_per_rack=4)
+        with store.transaction():
+            store.update(rack, downlinks_per_rack=6)
+            with pytest.raises(IntegrityError):
+                store.update(rack, downlinks_per_rack=8, no_such_field=1)
+        assert rack.downlinks_per_rack == 6
+        assert store.journal[-1].values["downlinks_per_rack"] == 6
