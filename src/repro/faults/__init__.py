@@ -26,7 +26,7 @@ Injection points wired in this reproduction:
 
 ========================  =====================================================
 ``rpc.call``              :meth:`ServiceReplica.handle` fails the request
-``replication.apply``     a shipped batch is delayed (lag spike) before apply
+``replication.apply``     an arrival is delayed (lag spike) before it applies
 ``store.commit_listener`` commit-listener delivery is deferred to a later commit
 ``replication.promote``   a promotion candidate is rejected
 ``deploy.push``           a per-device config push raises ``CommitError``

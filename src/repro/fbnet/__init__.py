@@ -25,7 +25,7 @@ The package provides, mirroring the paper:
 """
 
 from repro.fbnet.base import Model, ModelGroup, model_registry
-from repro.fbnet.changelog import ChangeLog, ReadSet
+from repro.fbnet.changelog import ReadSet
 from repro.fbnet.query import And, Expr, Not, Op, Or, Query
 from repro.fbnet.rpc import CachingReadService, ReadCache
 from repro.fbnet.sharding import ShardAssignment, ShardedObjectStore
@@ -39,7 +39,6 @@ from repro.fbnet import models as _models  # noqa: E402,F401  (registration side
 __all__ = [
     "And",
     "CachingReadService",
-    "ChangeLog",
     "Expr",
     "Model",
     "ModelGroup",

@@ -1,4 +1,4 @@
-"""Change propagation over the FBNet journal: read-sets and the ChangeLog.
+"""Change propagation over the FBNet journal: read-sets and their index.
 
 The store's journal (:class:`~repro.fbnet.store.ChangeRecord`) has always
 recorded *what changed*; this module turns it into a propagation layer by
@@ -8,9 +8,8 @@ fills it in while a :meth:`~repro.fbnet.store.ObjectStore.track_reads`
 block is active), and can then decide whether a later journal record
 invalidates that computation.  A :class:`ReadSetIndex` holds many
 read-sets inverted, so one journal record maps straight onto the
-computations it invalidates.  The :class:`ChangeLog` is the query facade
-over the journal itself: per-model and per-object lookup since a
-position.
+computations it invalidates.  The journal itself is followed one way: a
+cursor and ``store.journal_since(cursor)``.
 
 Together they power incremental config generation (paper section 5.3/8:
 regenerating tens of thousands of devices from scratch is both too slow
@@ -48,10 +47,9 @@ from repro.fbnet.query import And, Expr, Or, Query, fold_equalities
 
 if TYPE_CHECKING:
     from repro.fbnet.base import Model
-    from repro.fbnet.store import ChangeRecord, ObjectStore
+    from repro.fbnet.store import ChangeRecord
 
 __all__ = [
-    "ChangeLog",
     "ReadSet",
     "ReadSetIndex",
     "equality_dependencies",
@@ -308,63 +306,3 @@ class ReadSetIndex:
                     term = (name, field_name, _norm(record.values.get(field_name)))
                 keys.update(postings.get(term, ()))
         return keys
-
-
-class ChangeLog:
-    """Query facade over one store's committed change journal.
-
-    The store exposes the raw journal as a list; this facade adds the
-    per-model / per-object lookups the propagation layer needs, all
-    anchored at a *position* (``store.journal_position`` at some earlier
-    moment) so callers only ever see the delta they have not processed.
-    """
-
-    def __init__(self, store: ObjectStore):
-        self._store = store
-
-    @property
-    def position(self) -> int:
-        """The current journal position (records committed so far)."""
-        return self._store.journal_position
-
-    def since(self, position: int) -> list[ChangeRecord]:
-        """All records committed at or after ``position``, in order."""
-        return self._store.journal_since(position)
-
-    def for_model(
-        self, model: type[Model] | str, since: int = 0
-    ) -> list[ChangeRecord]:
-        """Records touching ``model`` (or any subclass) since ``position``."""
-        name = model if isinstance(model, str) else model.__name__
-        return [
-            record
-            for record in self.since(since)
-            if name in _family(record.model)
-        ]
-
-    def for_object(
-        self, model: type[Model] | str, obj_id: int, since: int = 0
-    ) -> list[ChangeRecord]:
-        """Records touching one object since ``position``."""
-        name = model if isinstance(model, str) else model.__name__
-        return [
-            record
-            for record in self.since(since)
-            if record.obj_id == obj_id and name in _family(record.model)
-        ]
-
-    def for_change(self, change_id: str, since: int = 0) -> list[ChangeRecord]:
-        """Records stamped with one flight-recorder change id.
-
-        The journal-side half of provenance: given a change id from the
-        flight log, this returns exactly the rows that change wrote.
-        """
-        return [
-            record
-            for record in self.since(since)
-            if record.change_id == change_id
-        ]
-
-    def models_changed(self, since: int = 0) -> set[str]:
-        """The concrete model names with at least one record since ``position``."""
-        return {record.model for record in self.since(since)}

@@ -5,8 +5,8 @@ asynchronously with a typical lag under one second.  Reads are served by
 region-local service replicas; writes are forwarded to the master region.
 This module reproduces those semantics on the simulated clock:
 
-* every committed master transaction ships to each replica region and is
-  applied after that region's replication lag;
+* every committed master transaction is announced to each replica region,
+  which catches up on the master's journal after its replication lag;
 * a replica database is disabled when it fails health checks or when its
   replication lag exceeds the configured maximum — its region's service
   replicas then *redirect reads to the master database* until it recovers;
@@ -14,6 +14,16 @@ This module reproduces those semantics on the simulated clock:
   the new master serves all reads and writes destined for the old master;
 * when a service replica process crashes, requests redirect to surviving
   replicas in the same region, then to the nearest live region.
+
+Two derivations carry the state; nothing is maintained beside them:
+
+* **What a region has applied** is its own store's ``journal_position``.
+  What travels from the master is a journal *position*, never records: an
+  arrival applies ``master.journal[cursor:upto]`` from the region's own
+  cursor, as a MySQL slave pulls its master's log.  Applies are therefore
+  in order, exactly-once and gap-free in whatever order arrivals fire, and
+  a healthy replica's journal is always a prefix of the master's.
+* **What a region serves** is one rule, stated once in :meth:`_rebind`.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 from typing import Any
+from weakref import WeakSet
 
 from repro import faults, obs
 from repro.common.errors import ReplicaUnavailable, ReplicationError
@@ -50,13 +61,10 @@ class RegionState:
     name: str
     store: ObjectStore
     db_healthy: bool = True
-    #: Replication lag applied to records shipped to this region.
+    #: Replication lag before this region follows a master commit.
     lag: float = 0.5
-    #: Commit timestamps of shipped-but-unapplied batches (lag measurement).
+    #: Commit timestamps of announced-but-unapplied commits (lag measurement).
     in_flight: list[float] = dc_field(default_factory=list)
-    #: ``(base journal position, records)`` batches that arrived while the
-    #: database was disabled.
-    backlog: list[tuple[int, list[ChangeRecord]]] = dc_field(default_factory=list)
     read_replicas: list[ServiceReplica] = dc_field(default_factory=list)
     write_replicas: list[ServiceReplica] = dc_field(default_factory=list)
     #: The region's shared read-through cache (``cache_reads`` deployments).
@@ -132,70 +140,69 @@ class ReplicatedFBNet:
             master.write_replicas.append(
                 ServiceReplica(f"{master_region}-write-{i}", master_region, "write", master.store)
             )
-        self._install_shipping(master.store)
+        #: Stores carrying the shipper — one listener each, however often
+        #: a store is promoted.
+        self._followed: WeakSet[ObjectStore] = WeakSet()
+        self._follow(master.store)
         #: Promotion history for tests/benches: (time, old master, new master).
         self.promotions: list[tuple[float, str, str]] = []
 
     # ------------------------------------------------------------------
-    # Shipping
+    # R1 — what a region has applied: the master's journal, from its cursor
     # ------------------------------------------------------------------
 
     @property
     def master(self) -> RegionState:
         return self.regions[self.master_region]
 
-    def _install_shipping(self, master_store: ObjectStore) -> None:
-        # Each shipped batch carries the master journal position of its
-        # first record, so receivers can skip already-applied records (a
-        # batch redelivered after a resync) and detect gaps.  Listener
-        # delivery is in order — including fault-deferred backlog flushes —
-        # so a monotonic counter from the install-time position is exact.
-        shipped_position = master_store.journal_position
+    def _follow(self, store: ObjectStore) -> None:
+        """Announce ``store``'s commits for as long as it is the master's."""
+        if store in self._followed:
+            return
+        self._followed.add(store)
 
         def ship(records: list[ChangeRecord]) -> None:
-            nonlocal shipped_position
-            if not records:
+            if store is not self.master.store or not records:
                 return
-            base = shipped_position
-            shipped_position += len(records)
-            committed_at = self.scheduler.clock.now
+            # A position, not a payload.  A notification the store deferred
+            # (``store.commit_listener`` fault) is covered by this ``upto``.
+            upto, committed_at = store.journal_position, self.scheduler.clock.now
             for region in self.regions.values():
-                if region.store is master_store:
+                if region is self.master:
                     continue
                 region.in_flight.append(committed_at)
-                batch = list(records)
                 self.scheduler.call_at(
                     committed_at + region.lag,
-                    lambda r=region, b=batch, t=committed_at, p=base: self._arrive(
-                        r, b, t, base=p
-                    ),
+                    lambda r=region: self._arrive(r, store, upto, committed_at),
                     name=f"replicate->{region.name}",
                 )
 
-        master_store.add_commit_listener(ship)
+        store.add_commit_listener(ship)
 
     def _arrive(
         self,
         region: RegionState,
-        records: list[ChangeRecord],
+        source: ObjectStore,
+        upto: int,
         committed_at: float,
         attempt: int = 0,
-        base: int = 0,
     ) -> None:
-        if region.name == self.master_region:
-            if committed_at in region.in_flight:
-                region.in_flight.remove(committed_at)
-            return  # region was promoted while the batch was in flight
+        if source is not self.master.store:
+            # Announced by a store that has since lost the mastership (this
+            # region may be the one promoted): whatever it covered either
+            # reached the new master or died with the old one.
+            obs.counter("replication.stale_arrival", region=region.name).inc()
+            return
         if faults.should_inject("replication.apply", region=region.name):
-            # A lag spike: the batch fails to apply and is redelivered after
-            # a backoff.  The commit timestamp stays in ``in_flight`` so
+            # A lag spike: the same arrival again after a backoff (a later
+            # arrival may apply these records first, as a slave's next pull
+            # would).  The commit timestamp stays in ``in_flight`` so
             # measured_lag() grows and check_health() can disable the DB —
             # the paper's high-replication-lag scenario.
             obs.counter("replication.retry", region=region.name).inc()
-            delay = max(self.retry_policy.backoff(attempt), region.lag)
             self.scheduler.call_after(
-                delay,
-                lambda: self._arrive(region, records, committed_at, attempt + 1, base),
+                max(self.retry_policy.backoff(attempt), region.lag),
+                lambda: self._arrive(region, source, upto, committed_at, attempt + 1),
                 name=f"replicate-retry->{region.name}",
             )
             return
@@ -205,56 +212,77 @@ class ReplicatedFBNet:
         obs.gauge("store.replication.lag", region=region.name).set(
             self.scheduler.clock.now - committed_at, at=self.scheduler.clock.now
         )
-        if not region.db_healthy:
-            region.backlog.append((base, records))
-            return
-        self._deliver(region, records, base)
+        if region.db_healthy:  # a disabled database catches up when it recovers
+            self._catch_up(region, upto)
 
-    def _deliver(
-        self,
-        region: RegionState,
-        records: list[ChangeRecord],
-        base: int,
-        redeliveries: int = 0,
-    ) -> None:
-        """Apply an in-order batch, deferring out-of-order arrivals.
-
-        ``base`` ahead of the replica's applied position means an earlier
-        batch is still in flight (retry backoff can reorder deliveries) —
-        redeliver after a lag's wait; if the gap never closes, fall back
-        to a resync, which covers this batch too.
-        """
-        if region.name == self.master_region:
-            return  # promoted while a redelivery was pending
-        applied = region.applied_position()
-        if base > applied:
-            if redeliveries >= 8:
-                obs.counter("replication.gap_resync", region=region.name).inc()
-                self._resync(region)
-                return
-            self.scheduler.call_after(
-                max(region.lag, 0.1),
-                lambda: self._deliver(region, records, base, redeliveries + 1),
-                name=f"replicate-reorder->{region.name}",
-            )
-            return
-        self._apply_batch(region, records, base)
-
-    @staticmethod
-    def _apply_batch(
-        region: RegionState, records: list[ChangeRecord], base: int
-    ) -> None:
-        for offset, record in enumerate(records):
-            if base + offset < region.applied_position():
-                continue  # already applied (redelivery after a resync)
+    def _catch_up(self, region: RegionState, upto: int) -> None:
+        """Apply the master's journal from ``region``'s own cursor to ``upto``."""
+        for record in self.master.store.journal_since(region.applied_position(), upto):
             region.store.apply_record(record)
+
+    def _resync(self, region: RegionState) -> None:
+        """Bring a region's store in line with the master's journal.
+
+        When the replica's journal is a prefix of the master's — the
+        normal case: replication only ever lags, it does not diverge —
+        the resync is *incremental*: the region's store catches up on the
+        tail.  Any divergence (a record that differs, or a replica ahead
+        of the master, as after a lossy failover) is a *full* rebuild: a
+        fresh store catches up from zero (:meth:`_rebind` then replaces
+        the cache, whose journal cursor meant the old store).
+        """
+        master = self.master.store
+        position = region.applied_position()
+        if (
+            position <= master.journal_position
+            and region.store.journal == master.journal_since(0, position)
+        ):
+            mode = "incremental"
+        else:
+            mode = "full"
+            region.store.detach_durability()
+            region.store = self._store_factory(f"fbnet-{region.name}")
+        self._catch_up(region, master.journal_position)
+        obs.counter(
+            "store.replication.resync", region=region.name, mode=mode
+        ).inc()
+        region.in_flight.clear()
+
+    def _resync_replicas(self) -> None:
+        """Line every healthy replica region up behind a changed master."""
+        for region in self.regions.values():
+            if region is not self.master and region.db_healthy:
+                self._resync(region)
+        self._rebind()
+
+    # ------------------------------------------------------------------
+    # R2 — what a region serves
+    # ------------------------------------------------------------------
+
+    def _rebind(self) -> None:
+        """Derive every service replica's database; run after any topology change.
+
+        A region serves its own store and cache — unless it is a
+        non-master region whose database is disabled, which serves the
+        master's (paper section 4.3.3).  A cache never outlives its store.
+        """
+        for region in self.regions.values():
+            if region.cache is not None and region.cache.store is not region.store:
+                region.cache = ReadCache(region.store, name=region.cache.name)
+        master = self.master
+        for region in self.regions.values():
+            serving = region if region.db_healthy or region is master else master
+            for replica in region.read_replicas:
+                replica.retarget(serving.store, serving.cache)
+            for replica in region.write_replicas:
+                replica.retarget(region.store)
 
     # ------------------------------------------------------------------
     # Health and failover
     # ------------------------------------------------------------------
 
     def measured_lag(self, region_name: str) -> float:
-        """Replication lag of ``region_name``: age of its oldest in-flight batch."""
+        """Replication lag of ``region_name``: age of its oldest in-flight commit."""
         region = self.regions[region_name]
         if not region.in_flight:
             return 0.0
@@ -283,74 +311,28 @@ class ReplicatedFBNet:
         """Take a region's database out of service.
 
         Its read service replicas temporarily redirect reads to the master
-        database (paper section 4.3.3).
+        database (paper section 4.3.3); a disabled master waits for
+        :meth:`promote_nearest`.
         """
-        region = self.regions[region_name]
-        region.db_healthy = False
-        if region_name == self.master_region:
-            return  # master failure is handled by promote()
-        for replica in region.read_replicas:
-            # While redirected, cached deployments share the master
-            # region's cache — it is bound to the master store.
-            replica.retarget(self.master.store, self.master.cache)
+        self.regions[region_name].db_healthy = False
+        self._rebind()
 
     def recover_database(self, region_name: str) -> None:
-        """Bring a region's database back: resync, drain backlog, reattach."""
-        region = self.regions[region_name]
-        if region.db_healthy:
-            return
+        """Bring a disabled database back: resync, then serve locally again."""
+        if not self.regions[region_name].db_healthy:
+            self.rejoin_old_master(region_name)
+
+    def rejoin_old_master(self, region_name: str) -> None:
+        """A recovered database rejoins as a replica of the current master."""
         if region_name == self.master_region:
             raise ReplicationError(
-                "recovering a failed master requires promote() first; "
-                "it rejoins as a replica"
+                f"{region_name} is the current master; a failed master is "
+                "replaced by promote_nearest() and rejoins as a replica"
             )
+        region = self.regions[region_name]
         self._resync(region)
         region.db_healthy = True
-        for replica in region.read_replicas:
-            replica.retarget(region.store, region.cache)
-
-    def _resync(self, region: RegionState) -> None:
-        """Bring a region's store in line with the master's journal.
-
-        When the replica's journal is a prefix of the master's — the
-        normal case: replication only ever lags, it does not diverge —
-        the resync is *incremental*: just the tail past the replica's
-        ``applied_position()`` is applied.  Any divergence (a record that
-        differs, or a replica ahead of the master, as after a lossy
-        failover) falls back to a full rebuild from scratch.
-        """
-        master_journal = self.master.store.journal
-        position = region.applied_position()
-        if (
-            position <= len(master_journal)
-            and region.store.journal == master_journal[:position]
-        ):
-            mode = "incremental"
-            for record in master_journal[position:]:
-                region.store.apply_record(record)
-        else:
-            mode = "full"
-            old_store = region.store
-            fresh = self._store_factory(f"fbnet-{region.name}")
-            for record in master_journal:
-                fresh.apply_record(record)
-            region.store.detach_durability()
-            region.store = fresh
-            if region.cache is not None:
-                # A full rebuild replaces the store, so the cache's
-                # journal cursors mean nothing — start one empty over the
-                # fresh store.  (Incremental resync keeps the cache: the
-                # applied tail lands in the journal and ``advance()``
-                # invalidates precisely.)
-                region.cache = ReadCache(fresh, name=region.cache.name)
-            for replica in region.read_replicas:
-                if replica._store is old_store:
-                    replica.retarget(fresh, region.cache)
-        obs.counter(
-            "store.replication.resync", region=region.name, mode=mode
-        ).inc()
-        region.backlog.clear()
-        region.in_flight.clear()
+        self._rebind()
 
     def fail_master(self) -> None:
         """Simulate the master database going down (writes now fail)."""
@@ -363,14 +345,14 @@ class ReplicatedFBNet:
         replication loses the tail on master failure); everything already
         applied there is preserved.  Returns the new master region.
         """
-        old_master = self.master_region
+        old = self.master
         candidates = sorted(
             (
                 region
                 for region in self.regions.values()
-                if region.name != old_master and region.db_healthy
+                if region is not old and region.db_healthy
             ),
-            key=lambda region: self._distance(old_master, region.name),
+            key=lambda region: self._distance(old.name, region.name),
         )
         new_master: RegionState | None = None
         for candidate in candidates:
@@ -385,21 +367,14 @@ class ReplicatedFBNet:
             break
         if new_master is None:
             raise ReplicationError("no healthy replica available for promotion")
-        # Apply anything that already arrived but was backlogged, oldest
-        # (lowest base position) first, skipping already-applied records.
-        for batch_base, batch in sorted(new_master.backlog, key=lambda item: item[0]):
-            if batch_base > new_master.applied_position():
-                break  # a gap: the missing batch died with the old master
-            self._apply_batch(new_master, batch, batch_base)
-        new_master.backlog.clear()
         self.master_region = new_master.name
-        self.promotions.append(
-            (self.scheduler.clock.now, old_master, new_master.name)
-        )
+        new_master.in_flight.clear()  # the old master's arrivals are stale now
+        self.promotions.append((self.scheduler.clock.now, old.name, new_master.name))
         # Move the write tier to the new master region.
-        old = self.regions[old_master]
         for replica in old.write_replicas:
             replica.crash()
+        for replica in new_master.write_replicas:
+            replica.recover()  # a region that was master before
         if not new_master.write_replicas:
             for i in range(max(1, len(old.write_replicas))):
                 new_master.write_replicas.append(
@@ -410,25 +385,9 @@ class ReplicatedFBNet:
                         new_master.store,
                     )
                 )
-        self._install_shipping(new_master.store)
-        # Healthy replicas resync from the new master to a consistent base.
-        for region in self.regions.values():
-            if region.name == self.master_region or not region.db_healthy:
-                continue
-            self._resync(region)
-            for replica in region.read_replicas:
-                replica.retarget(region.store, region.cache)
+        self._follow(new_master.store)
+        self._resync_replicas()
         return new_master.name
-
-    def rejoin_old_master(self, region_name: str) -> None:
-        """A recovered ex-master rejoins as a replica of the current master."""
-        region = self.regions[region_name]
-        if region_name == self.master_region:
-            raise ReplicationError(f"{region_name} is the current master")
-        self._resync(region)
-        region.db_healthy = True
-        for replica in region.read_replicas:
-            replica.retarget(region.store, region.cache)
 
     def _distance(self, a: str, b: str) -> int:
         return abs(self.region_order.index(a) - self.region_order.index(b))
@@ -450,39 +409,25 @@ class ReplicatedFBNet:
     ) -> ObjectStore:
         """Replace a crashed master's store with one recovered from disk.
 
-        The recovered store takes over the master region: shipping is
-        reinstalled, the region's service replicas retarget it, and every
-        healthy replica resyncs against the recovered journal.  Because
-        shipping happens *after* the WAL append, a replica's journal is
-        always a prefix of what recovery restores — the resyncs run in
-        incremental mode.
+        The recovered store takes over the master region: it is followed,
+        the crashed store's arrivals go stale, and every healthy replica
+        resyncs against the recovered journal.  A commit is announced only
+        after its WAL append, so a replica's journal is a prefix of what
+        recovery restores — the resyncs run in incremental mode.
         """
         master = self.master
         master.store.detach_durability()
-        recovered = ObjectStore.recover(
+        master.store = ObjectStore.recover(
             root,
             name=f"fbnet-{self.master_region}",
             snapshot_every=snapshot_every,
             fsync=fsync,
         )
-        master.store = recovered
         master.db_healthy = True
         master.in_flight.clear()
-        master.backlog.clear()
-        if master.cache is not None:
-            master.cache = ReadCache(recovered, name=master.cache.name)
-        self._install_shipping(recovered)
-        for replica in master.read_replicas:
-            replica.retarget(recovered, master.cache)
-        for replica in master.write_replicas:
-            replica.retarget(recovered)
-        for region in self.regions.values():
-            if region.name == self.master_region or not region.db_healthy:
-                continue
-            self._resync(region)
-            for replica in region.read_replicas:
-                replica.retarget(region.store, region.cache)
-        return recovered
+        self._follow(master.store)
+        self._resync_replicas()
+        return master.store
 
     # ------------------------------------------------------------------
     # Client access
@@ -653,7 +598,7 @@ class FBNetClient:
                     return RpcResponse.from_wire(replica.handle(wire)).result()
                 except ReplicaUnavailable as exc:
                     last_error = exc
-                    if "is down" in str(exc):
+                    if not replica.healthy:  # crashed, not a transient fault
                         obs.counter(
                             "rpc.redirect", service=request.service, region=self.region
                         ).inc()

@@ -791,8 +791,10 @@ class ObjectStore:
         """The committed change journal (read-only view)."""
         return list(self._journal)
 
-    def journal_since(self, position: int) -> list[ChangeRecord]:
-        return self._journal[position:]
+    def journal_since(
+        self, position: int, upto: int | None = None
+    ) -> list[ChangeRecord]:
+        return self._journal[position:upto]
 
     @property
     def journal_position(self) -> int:

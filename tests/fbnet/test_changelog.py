@@ -1,17 +1,15 @@
-"""Tests for read tracking and the ChangeLog journal facade."""
+"""Tests for read tracking, read-sets and the read-set index."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fbnet.changelog import (
-    ChangeLog,
     ReadSet,
     ReadSetIndex,
     equality_dependencies,
 )
 from repro.fbnet.models import (
-    Device,
     DrainState,
     NetworkDomain,
     PeeringRouter,
@@ -287,43 +285,3 @@ class TestReadSetIndex:
         index.discard("k")
         index.discard("never put")
         assert not index._postings and not index._terms
-
-
-class TestChangeLog:
-    def test_position_tracks_store(self, store):
-        log = ChangeLog(store)
-        before = log.position
-        store.create(Region, name="r1")
-        assert log.position == before + 1
-        assert log.position == store.journal_position
-
-    def test_since_returns_delta(self, store):
-        log = ChangeLog(store)
-        store.create(Region, name="r1")
-        position = log.position
-        r2 = store.create(Region, name="r2")
-        records = log.since(position)
-        assert [r.obj_id for r in records] == [r2.id]
-
-    def test_for_model_includes_subclasses(self, store, env, pr):
-        log = ChangeLog(store)
-        store.create(Region, name="rx")
-        records = log.for_model(Device)
-        assert {r.model for r in records} == {"PeeringRouter"}
-        assert log.for_model("PeeringRouter")  # by name too
-
-    def test_for_object(self, store, env, pr):
-        log = ChangeLog(store)
-        position = log.position
-        store.update(pr, name="pr1-renamed")
-        store.create(Region, name="rx")
-        records = log.for_object(Device, pr.id, since=position)
-        assert len(records) == 1
-        assert records[0].op is ChangeOp.UPDATE
-
-    def test_models_changed(self, store, env, pr):
-        log = ChangeLog(store)
-        position = log.position
-        store.update(pr, name="pr1-renamed")
-        store.create(Region, name="rx")
-        assert log.models_changed(since=position) == {"PeeringRouter", "Region"}

@@ -2,10 +2,16 @@
 
 import pytest
 
-from repro.common.errors import ReplicationError
+from repro import obs
+from repro.common.errors import ReplicaUnavailable, ReplicationError
+from repro.faults import FaultPlan
+from repro.fbnet.durability import store_digest
 from repro.fbnet.query import Expr, Op
 from repro.fbnet.replication import ReplicatedFBNet
+from repro.fbnet.rpc import RpcRequest
 from repro.simulation.clock import EventScheduler
+
+from tests.faults.test_replication_machine import assert_serving_rule
 
 REGIONS = ["na-east", "na-west", "eu-central"]
 
@@ -183,3 +189,116 @@ class TestMasterFailover:
         cluster.promote_nearest()
         cluster.scheduler.run_for(1.0)
         assert cluster.regions["na-west"].store.total_objects() == 0
+
+
+def region_names(count, start=0):
+    return [("Region", {"name": f"r{i}"}) for i in range(start, start + count)]
+
+
+def counter_by_region(name):
+    return {
+        series.labels["region"]: series.value
+        for series in obs.registry().series()
+        if series.name == name
+    }
+
+
+class TestReplicationFollowsTheJournal:
+    """Regressions: each of these histories went wrong silently before
+    replication followed the master's journal from the replica's cursor."""
+
+    @pytest.fixture
+    def net(self):
+        return ReplicatedFBNet(["a", "b", "c"], "a", replication_lag=0.5)
+
+    def test_dead_masters_arrivals_are_dropped_not_applied(self, net):
+        client = net.client("a")
+        for spec in region_names(5):
+            client.create_objects([spec])
+        net.scheduler.run_for(1.0)
+        for spec in region_names(3, start=5):  # still in flight when...
+            client.create_objects([spec])
+        net.fail_master()  # ...the master dies
+        assert net.promote_nearest() == "b"
+        net.scheduler.run_for(1.0)  # the dead master's arrivals land
+        for spec in region_names(2, start=8):
+            net.client("b").create_objects([spec])
+        net.scheduler.run_for(2.0)
+        master = net.master.store
+        assert master.journal_position == 7  # r5..r7 died with the old master
+        for region in net.regions.values():
+            if region.db_healthy:
+                assert store_digest(region.store) == store_digest(master), region.name
+        assert counter_by_region("replication.stale_arrival") == {"b": 3, "c": 3}
+
+    def test_a_store_promoted_twice_ships_once(self, net):
+        for old in ("a", "b"):
+            net.fail_master()
+            net.promote_nearest()
+            net.rejoin_old_master(old)
+        assert net.master_region == "a"
+        obs.reset()
+        client = net.client("c")
+        client.create_objects(region_names(1))
+        client.create_objects(region_names(1, start=1))
+        assert [len(net.regions[name].in_flight) for name in "bc"] == [2, 2]
+        net.scheduler.run_for(1.0)
+        assert counter_by_region("store.replication.batches") == {"b": 2, "c": 2}
+        assert net.regions["c"].store.journal == net.master.store.journal
+
+    @pytest.mark.parametrize("cache_reads", [False, True])
+    def test_every_region_serves_what_the_rule_says_through_a_failover(
+        self, cache_reads
+    ):
+        net = ReplicatedFBNet(
+            ["a", "b", "c"], "a", replication_lag=0.5, cache_reads=cache_reads
+        )
+        net.client("a").create_objects(region_names(1))
+        net.scheduler.run_for(1.0)
+        net.disable_database("c")
+        assert_serving_rule(net)
+        net.fail_master()
+        net.promote_nearest()
+        assert_serving_rule(net)
+        net.client("b").create_objects(region_names(1, start=1))
+        # ``c`` was disabled before the promotion and ``a`` is the failed
+        # ex-master: both redirect to the *new* master, not the dead store.
+        assert net.client("c").count("Region") == 2
+        assert net.client("a").count("Region") == 2
+        net.rejoin_old_master("a")
+        net.recover_database("c")
+        assert_serving_rule(net)
+        assert net.client("c").count("Region") == 2
+        for region in net.regions.values():
+            assert all((r.cache is not None) == cache_reads for r in region.read_replicas)
+
+
+class TestRedirectClassification:
+    """``rpc.redirect`` counts crashed replicas, not transient faults —
+    decided by the replica's state, never by the error's wording."""
+
+    def redirects(self):
+        return sum(counter_by_region("rpc.redirect").values())
+
+    def test_injected_rpc_fault_is_not_a_redirect(self, cluster):
+        plan = FaultPlan(seed=1)
+        plan.inject("rpc.call", service="read", times=1)
+        with plan.installed():
+            assert cluster.client("na-west").count("Region") == 0
+        assert plan.injected_count("rpc.call") == 1
+        assert self.redirects() == 0
+
+    def test_crashed_replica_is_a_redirect_whatever_the_message_says(
+        self, cluster, monkeypatch
+    ):
+        crashed, live = cluster.regions["na-west"].read_replicas
+        crashed.crash()
+
+        def refuse(wire):
+            raise ReplicaUnavailable("connection refused")
+
+        monkeypatch.setattr(crashed, "handle", refuse)
+        # A replica that dies after the router listed its candidates.
+        request = RpcRequest(service="read", method="count", args={"model": "Region"})
+        assert cluster.client("na-west")._call(request, [crashed, live]) == 0
+        assert self.redirects() == 1
