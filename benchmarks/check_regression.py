@@ -85,7 +85,7 @@ CEILING_FIELDS = {
     # The flight recorder rides the incremental hot path; it may cost
     # at most 5% on a mutate + regenerate_dirty round.
     "sec54_incremental_configgen": {"flight_overhead_ratio": 1.05},
-    # Write-ahead journaling (frames + periodic full snapshots) rides
+    # Write-ahead journaling (one frame a commit) rides
     # every commit; measured ~1.25x on the 224-device build, gated with
     # headroom for runner noise.
     "BENCH_durability": {"wal_overhead_ratio": 1.6},

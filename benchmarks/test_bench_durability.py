@@ -8,7 +8,7 @@ Two numbers bound what crash-consistency costs:
   like the flight recorder's 5% bar): journaling must stay a small
   multiplier on the write path, not a 2x tax.
 * ``recovery_seconds`` — wall time of ``ObjectStore.recover`` replaying
-  the full build (snapshot + WAL tail) back into a live store.  Gated
+  the full build's log back into a live store.  Gated
   calibration-scaled against the committed baseline.
 
 Recovery correctness (bit-identical journal + tables) is asserted here
@@ -31,7 +31,6 @@ from repro.fbnet.models import ClusterGeneration
 
 CLUSTERS = 8  # DC Gen3 clusters of 28 devices each: 224 devices total
 ROUNDS = 3
-SNAPSHOT_EVERY = 6
 
 
 def build_design(store) -> None:
@@ -46,7 +45,7 @@ def build_design(store) -> None:
 def timed_build(root: Path | None) -> tuple[float, ObjectStore]:
     store = ObjectStore(name="main")
     if root is not None:
-        store.attach_durability(root, snapshot_every=SNAPSHOT_EVERY)
+        store.attach_durability(root)
     started = time.perf_counter()
     build_design(store)
     return time.perf_counter() - started, store
@@ -64,8 +63,8 @@ def test_bench_durability(benchmark, tmp_path):
     wal_bytes = sum(path.stat().st_size for path in wal_root.glob("*"))
 
     # -- recovery time: replay the WAL into a live store -------------------
-    # Recover from a copy so the timed run sees the original file layout
-    # (recovery truncates torn tails and reopens the last segment).
+    # Recover from a copy so the timed run sees the file as the build left
+    # it (recovery truncates a torn tail).
     oracle = ObjectStore(name="main")
     build_design(oracle)
 
@@ -95,13 +94,12 @@ def test_bench_durability(benchmark, tmp_path):
         ("bare build (best of 3)", f"{bare_seconds:.3f}s"),
         ("journaled build (best of 3)", f"{wal_seconds:.3f}s"),
         ("WAL overhead", f"{(wal_overhead_ratio - 1) * 100:+.1f}%"),
-        ("WAL + snapshot bytes", f"{wal_bytes:,}"),
-        ("recovery (snapshot + tail replay)", f"{recovery_seconds:.3f}s"),
+        ("WAL bytes", f"{wal_bytes:,}"),
+        ("recovery (log replay)", f"{recovery_seconds:.3f}s"),
     ]
     text = [
         "Durability: WAL overhead and crash recovery",
-        f"(workload: {CLUSTERS} DC Gen3 clusters, snapshot every "
-        f"{SNAPSHOT_EVERY} commits)",
+        f"(workload: {CLUSTERS} DC Gen3 clusters)",
         "",
         format_table(("measure", "value"), rows),
         "",

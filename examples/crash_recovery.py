@@ -1,10 +1,9 @@
 """Crash recovery: kill the process mid-build, replay the WAL, resume.
 
 FBNet's object store keeps a write-ahead log: every committed
-transaction is appended to disk as a checksummed frame *before* it is
-applied in memory, and a snapshot of the full journal is written every
-few commits.  This example builds a 224-device design with the WAL
-attached, simulates process death at a seeded instant in the middle of
+transaction is appended to one file as a checksummed frame *before* it
+is applied in memory.  This example builds a 224-device design with the
+WAL attached, simulates process death at a seeded instant in the middle of
 the build (a torn half-written frame, exactly what a power cut leaves
 behind), then recovers a bit-identical store from disk and finishes the
 build on top of it.
@@ -24,11 +23,10 @@ from repro import ObjectStore, faults, obs, seed_environment
 from repro.common.errors import ProcessCrash
 from repro.design.cluster import build_cluster
 from repro.faults.plan import FaultPlan
-from repro.fbnet.durability import encode_record, store_digest, wal_segments
+from repro.fbnet.durability import encode_record, store_digest
 from repro.fbnet.models import ClusterGeneration, Datacenter, Device
 
 CLUSTERS = 8  # DC Gen3 clusters of 28 devices each: 224 devices total
-SNAPSHOT_EVERY = 4
 
 
 def build_design(store, upto=CLUSTERS):
@@ -46,7 +44,7 @@ def main() -> None:
     try:
         # -- the crash ---------------------------------------------------
         store = ObjectStore(name="main")
-        store.attach_durability(root, snapshot_every=SNAPSHOT_EVERY)
+        store.attach_durability(root)
         plan = FaultPlan(seed=seed)
         plan.inject("wal.append_torn", after=9, times=1)  # die on commit #10
         faults.install(plan)
@@ -61,11 +59,12 @@ def main() -> None:
               f"committed, last WAL frame torn in half")
 
         # -- the recovery ------------------------------------------------
-        segments = [p.name for p in wal_segments(root)]
+        (log,) = root.iterdir()  # a durability root holds one file
+        before = log.stat().st_size
         recovered = ObjectStore.recover(root)
         torn = int(obs.counter("store.wal.torn_truncated", store="main").value)
-        print(f"recovered from {root.name}: segments {segments}, "
-              f"{torn} torn frame truncated")
+        print(f"recovered from {root.name}/{log.name}: {torn} torn frame "
+              f"truncated ({before:,} -> {log.stat().st_size:,} bytes)")
         print(f"recovered journal position: {recovered.journal_position} "
               f"(devices so far: {len(recovered.all(Device))})")
 

@@ -48,8 +48,8 @@ class ReplicationError(FBNetError):
 
 
 class DurabilityError(FBNetError):
-    """The write-ahead log or a snapshot is unusable (corruption, coverage
-    gap, attaching to a root that already holds another store's history)."""
+    """The write-ahead log is unusable (a damaged frame mid-log, an old
+    layout, attaching to a root that already holds another store's log)."""
 
 
 class RpcError(FBNetError):
@@ -114,10 +114,9 @@ class ProcessCrash(BaseException):
     """Simulated process death at a durability crash point.
 
     Raised by the WAL fault points (``wal.append_torn``,
-    ``wal.append_crash``, ``wal.rotate_crash``).  Deliberately rooted at
-    :class:`BaseException` — like ``SystemExit`` — so no subsystem's
-    error handling (retry policies, remediation compensation, rollback
-    paths) can "handle" the process dying.  Harnesses catch it at the
-    top level and rebuild the store with
-    :func:`repro.fbnet.durability.recover_store`.
+    ``wal.append_crash``).  Deliberately rooted at :class:`BaseException`
+    — like ``SystemExit`` — so no subsystem's error handling (retry
+    policies, remediation compensation, rollback paths) can "handle" the
+    process dying.  Harnesses catch it at the top level and rebuild the
+    store with :func:`repro.fbnet.durability.recover_store`.
     """

@@ -68,6 +68,16 @@ class IncrementalCycleReport:
     def ok(self) -> bool:
         return (self.deploy is None or self.deploy.ok) and not self.discrepancies
 
+
+def _refuse_snapshots(snapshot_every: None) -> None:
+    if snapshot_every is not None:
+        # What Python itself will say once the keyword is deleted.
+        raise TypeError(
+            f"snapshot_every={snapshot_every!r}: the WAL has no snapshots; "
+            "the keyword accepts only None"
+        )
+
+
 #: The default periodic monitoring schedule (engine, data type, period s).
 DEFAULT_JOB_SPECS = (
     JobSpec("snmp-interfaces", "snmp", "interfaces", 60.0, ("tsdb", "derived")),
@@ -125,12 +135,17 @@ class Robotron:
     # ------------------------------------------------------------------
 
     def attach_durability(
-        self, root, *, snapshot_every: int | None = None, fsync: bool = False
+        self, root, *, snapshot_every: None = None, fsync: bool = False
     ):
-        """Journal this deployment's FBNet commits to a WAL under ``root``."""
-        return self.store.attach_durability(
-            root, snapshot_every=snapshot_every, fsync=fsync
-        )
+        """Journal this deployment's FBNet commits to a WAL under ``root``.
+
+        ``snapshot_every`` selects nothing (snapshots were deleted in PR 19):
+        it accepts only ``None``, and stays only because
+        ``benchmarks/ledger/workloads.py`` spells it, until the next
+        ``benchmark`` PR (ROADMAP 2a) stops.
+        """
+        _refuse_snapshots(snapshot_every)
+        return self.store.attach_durability(root, fsync=fsync)
 
     @classmethod
     def recover(
@@ -140,7 +155,7 @@ class Robotron:
         *,
         configerator: Configerator | None = None,
         retry_policy: RetryPolicy | None = None,
-        snapshot_every: int | None = None,
+        snapshot_every: None = None,
         fsync: bool = False,
     ) -> Robotron:
         """Rebuild a Robotron whose process died, from its durability root.
@@ -149,11 +164,12 @@ class Robotron:
         volatile state — the emulated fleet, monitoring, remediation — is
         re-derived from it the same way a fresh deployment would:
         ``boot_fleet()``, ``attach_monitoring()``, ``attach_remediation()``.
+        ``snapshot_every`` is the None-only keyword of
+        :meth:`attach_durability`.
         """
+        _refuse_snapshots(snapshot_every)
         # Plain or sharded, as the root itself says.
-        store = ObjectStore.recover(
-            root, snapshot_every=snapshot_every, fsync=fsync
-        )
+        store = ObjectStore.recover(root, fsync=fsync)
         return cls(
             store,
             scheduler,

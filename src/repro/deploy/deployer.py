@@ -366,17 +366,17 @@ class Deployer:
                         )
                     report.changed_lines[name] = count_changed_lines(before, text)
             except DeploymentError as exc:
-                failed_name = str(exc).split(":", 1)[0]
-                report.failed[failed_name] = str(exc)
-                for name, old_text in reversed(list(previous.items())):
-                    device = self._fleet.get(name)
+                # ``name`` is the device the loop held when it failed.
+                report.failed[name] = str(exc)
+                for restored, old_text in reversed(list(previous.items())):
+                    device = self._fleet.get(restored)
                     try:
                         device.commit(old_text)
-                        report.rolled_back.append(name)
+                        report.rolled_back.append(restored)
                     except DeploymentError:
                         # A device that cannot be restored is a page, not a log line.
                         self._notify(
-                            f"atomic rollback FAILED on {name}; manual intervention needed"
+                            f"atomic rollback FAILED on {restored}; manual intervention needed"
                         )
                 report.changed_lines.clear()
                 self._notify(f"atomic deployment aborted: {exc}")

@@ -31,6 +31,8 @@ Injection points wired in this reproduction:
 ``replication.promote``   a promotion candidate is rejected
 ``deploy.push``           a per-device config push raises ``CommitError``
 ``monitoring.collect``    an engine poll raises ``MonitoringError``
+``wal.append_torn``       half a WAL frame reaches disk, then ``ProcessCrash``
+``wal.append_crash``      the WAL frame is durable, then ``ProcessCrash``
 ========================  =====================================================
 
 Chaos runs are observable through ``repro.obs``: ``faults.injected``

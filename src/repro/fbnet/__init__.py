@@ -20,7 +20,7 @@ The package provides, mirroring the paper:
 * :mod:`repro.fbnet.rpc` — the Thrift-like service layer (section 4.3.2).
 * :mod:`repro.fbnet.replication` — master/replica replication, failover,
   and service-replica redirection (section 4.3.3).
-* :mod:`repro.fbnet.durability` — write-ahead log, snapshots, and
+* :mod:`repro.fbnet.durability` — the write-ahead log and
   crash-consistent recovery (the durable MySQL master of section 4.3.1).
 """
 

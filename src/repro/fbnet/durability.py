@@ -1,70 +1,62 @@
-"""Durable FBNet: write-ahead log, snapshots, and crash-consistent recovery.
+"""Durable FBNet: one write-ahead log and crash-consistent recovery.
 
 The paper's FBNet sits on a durable MySQL master (section 4.3.1) — a
 Robotron process can die and come back with the Desired state intact.
 This module gives the in-process :class:`~repro.fbnet.store.ObjectStore`
-the same property:
+the same property with one file under a durability root::
 
-* every committed transaction is appended to a **write-ahead log** before
-  it becomes visible in memory — one length-prefixed, CRC-checksummed
-  frame per commit, carrying the transaction's
-  :class:`~repro.fbnet.store.ChangeRecord` batch in a deterministic wire
-  encoding;
-* periodic **snapshots** serialize the full store state (the journal is
-  the state: replaying it rebuilds tables, indexes, and shadow values
-  bit-identically — exactly what replication's resync already proves)
-  together with the journal position they cover, after which the WAL
-  rotates to a fresh segment and covered segments are pruned;
-* **recovery** (:func:`recover_store`, surfaced as
-  ``ObjectStore.recover`` / ``Robotron.recover``) loads the latest valid
-  snapshot, replays the WAL tail on top, and truncates a torn tail frame
-  — the store that comes back has object tables, unique/reverse indexes,
-  and change journal identical to the pre-crash store at its last
-  durable commit.
+    wal-000000000000.log   # magic, a header frame, one frame per commit
+
+* **Writer** (:class:`DurabilityEngine`) — every committed transaction is
+  appended as one length-prefixed, CRC-checksummed frame *before* it
+  becomes visible in memory.  The journal is the state (replaying it
+  rebuilds tables, indexes and shadow values bit-identically), so the log
+  is the only copy kept: a store attached late logs the journal it
+  already has first, one frame per transaction, and leaves the same bytes
+  as one attached from birth.
+* **Reader** (:func:`recover_store`, surfaced as ``ObjectStore.recover`` /
+  ``Robotron.recover``) — replays every frame through ``apply_record``.
+  An invalid frame that nothing can follow is a torn tail and is
+  truncated (that commit never became durable); an invalid frame with
+  more log behind it is corruption and raises :class:`DurabilityError`
+  without touching the file (:func:`scan_frames` states the rule).
 
 Crash points are wired through :mod:`repro.faults` so seeded chaos runs
-can kill the "process" at every interesting instant:
+can kill the "process" at both interesting instants:
 
 * ``wal.append_torn`` — power dies mid-frame: a prefix of the frame
   reaches disk (recovery must detect and truncate it; the commit is lost);
 * ``wal.append_crash`` — the frame is durable but the process dies before
-  the in-memory apply (recovery must replay it; the commit survives);
-* ``wal.rotate_crash`` — the snapshot is written but the process dies
-  before the WAL rotates (recovery must not double-apply the overlap).
+  the in-memory apply (recovery must replay it; the commit survives).
 
-All three raise :class:`~repro.common.errors.ProcessCrash`, which test
+Both raise :class:`~repro.common.errors.ProcessCrash`, which test
 harnesses treat as process death: discard the store, recover from disk.
 
-File layout under one durability root directory::
+A sharded store (:mod:`repro.fbnet.sharding`) writes the same file with
+two additions: the header carries ``"shards": N`` and every commit frame
+carries ``"homes"``, one shard index per record, beside ``"records"`` —
+so recovery builds an N-shard store and puts each row back where it
+lived without re-deriving placement.  A plain store writes neither key.
+The reader checks both: ``homes`` must be absent under a plain header
+and, under a sharded one, as long as ``records`` with every index in
+``[0, N)`` — anything else is a :class:`DurabilityError`.
 
-    wal-000000000000.log   # segment; header frame records its base position
-    wal-000000000421.log   # segment opened by a rotation at position 421
-    snap-000000000421.snap # snapshot covering journal positions [0, 421)
-
-A sharded store (:mod:`repro.fbnet.sharding`) uses the same files, with
-two additions: segment headers and snapshots carry ``"shards": N``, and
-every commit frame and snapshot carries ``"homes"``, one shard index per
-record, beside ``"records"`` — so recovery builds an N-shard store and
-puts each row back where it lived without re-deriving placement.  A plain
-store writes neither key.  The reader checks both: ``shards`` must agree
-across the snapshot and every segment, and ``homes`` must be absent for a
-plain root and, for a sharded one, as long as ``records`` with every
-index in ``[0, N)`` — anything else is a :class:`DurabilityError`.
-
-Frame format (everywhere): ``u32 body length | u32 crc32(body) | body``,
-with canonical-JSON bodies (sorted keys, no whitespace) so identical
-state encodes to identical bytes.
+Frame format: ``u32 body length | u32 crc32(body) | body``, with
+canonical-JSON bodies (sorted keys, no whitespace) so identical state
+encodes to identical bytes.
 """
 
 from __future__ import annotations
 
 import importlib
 import json
+import os
 import zlib
 from collections.abc import Iterable
 from enum import Enum
 from hashlib import sha256
-from itertools import repeat
+from itertools import groupby, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, BinaryIO
 
@@ -77,6 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports us laz
     from repro.fbnet.store import ObjectStore
 
 __all__ = [
+    "WAL_NAME",
     "DurabilityEngine",
     "decode_record",
     "encode_record",
@@ -88,14 +81,12 @@ __all__ = [
     "store_digest",
 ]
 
-#: 8-byte magic prefixes identifying the two file kinds (version baked in).
+#: 8-byte magic prefix of the log file (version baked in).
 WAL_MAGIC = b"FBWAL\x00\x00\x01"
-SNAP_MAGIC = b"FBSNP\x00\x00\x01"
+#: The one file a durability root holds.
+WAL_NAME = "wal-000000000000.log"
 
 _FRAME_HEADER = 8  # u32 length + u32 crc32
-#: Sanity cap: a frame body longer than this is treated as corruption
-#: rather than an allocation request.
-_MAX_FRAME = 256 * 1024 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -246,49 +237,39 @@ def scan_frames(data: bytes, offset: int = 0) -> tuple[list[bytes], int, bool]:
 
     Returns ``(bodies, valid_end, torn)``: every complete, checksummed
     frame body in order; the offset just past the last valid frame; and
-    whether trailing bytes exist that do not form a valid frame (a torn
-    tail — truncated header, short body, or checksum mismatch).
+    whether a torn tail follows it.
+
+    The torn-tail rule: an invalid frame is a torn tail only if nothing
+    can follow it — its header is incomplete, or its declared extent
+    reaches or passes the end of ``data``.  An invalid frame with more log
+    behind it is corruption and raises :class:`DurabilityError`; treating
+    it as a tail would truncate intact commits away.
     """
     bodies: list[bytes] = []
     position = offset
     total = len(data)
     while position < total:
-        if total - position < _FRAME_HEADER:
-            return bodies, position, True
-        length = int.from_bytes(data[position : position + 4], "big")
-        if length > _MAX_FRAME:
-            return bodies, position, True
-        crc = int.from_bytes(data[position + 4 : position + 8], "big")
         body_start = position + _FRAME_HEADER
-        body = data[body_start : body_start + length]
-        if len(body) != length or (zlib.crc32(body) & 0xFFFFFFFF) != crc:
+        if body_start > total:
+            return bodies, position, True
+        end = body_start + int.from_bytes(data[position : position + 4], "big")
+        crc = int.from_bytes(data[position + 4 : body_start], "big")
+        body = data[body_start:end]
+        if end > total or (zlib.crc32(body) & 0xFFFFFFFF) != crc:
+            if end < total:
+                raise DurabilityError(
+                    f"damaged frame at byte {position} with {total - end} "
+                    "more bytes of log behind it"
+                )
             return bodies, position, True
         bodies.append(body)
-        position = body_start + length
+        position = end
     return bodies, position, False
 
 
 # ---------------------------------------------------------------------------
-# Directory layout helpers
+# Layout helpers
 # ---------------------------------------------------------------------------
-
-
-def _segment_path(root: Path, base: int) -> Path:
-    return root / f"wal-{base:012d}.log"
-
-
-def _snapshot_path(root: Path, position: int) -> Path:
-    return root / f"snap-{position:012d}.snap"
-
-
-def wal_segments(root: Path) -> list[Path]:
-    """WAL segment files under ``root``, ordered by base position."""
-    return sorted(root.glob("wal-*.log"))
-
-
-def snapshot_files(root: Path) -> list[Path]:
-    """Snapshot files under ``root``, ordered newest (highest position) first."""
-    return sorted(root.glob("snap-*.snap"), reverse=True)
 
 
 def _load_json_body(body: bytes, kind: str) -> dict[str, Any] | None:
@@ -301,20 +282,6 @@ def _load_json_body(body: bytes, kind: str) -> dict[str, Any] | None:
     return payload
 
 
-def load_snapshot(path: Path) -> dict[str, Any] | None:
-    """Parse and validate one snapshot file; ``None`` when invalid."""
-    try:
-        data = path.read_bytes()
-    except OSError:
-        return None
-    if not data.startswith(SNAP_MAGIC):
-        return None
-    bodies, _end, torn = scan_frames(data, len(SNAP_MAGIC))
-    if torn or len(bodies) != 1:
-        return None
-    return _load_json_body(bodies[0], "snapshot")
-
-
 def _refuse_old_layout(root: Path) -> None:
     if (root / "shards.json").exists():
         raise DurabilityError(
@@ -322,16 +289,23 @@ def _refuse_old_layout(root: Path) -> None:
             "(one WAL root per shard plus an order log), which has no reader; "
             "a sharded store now logs to one root like a plain one"
         )
-
-
-def _layout(store: ObjectStore) -> dict[str, Any]:
-    """The header/snapshot entry saying how many shards rows are spread over."""
-    return {} if store.shard_count is None else {"shards": store.shard_count}
+    stray = sorted(
+        path.name
+        for pattern in ("snap-*", "wal-*.log")
+        for path in root.glob(pattern)
+        if path.name != WAL_NAME
+    )
+    if stray:
+        raise DurabilityError(
+            f"{root} holds {', '.join(stray)}: that is the pre-PR-19 layout "
+            "(snapshots and rotated segments), which has no reader; "
+            f"a store now logs to the one file {WAL_NAME}"
+        )
 
 
 def _batch(store: ObjectStore, records: list[ChangeRecord]) -> dict[str, Any]:
-    """The ``records`` entry of a commit frame or snapshot — and, for a
-    sharded store, the ``homes`` entry beside it."""
+    """The ``records`` entry of a commit frame — and, for a sharded store,
+    the ``homes`` entry beside it."""
     payload: dict[str, Any] = {"records": [record_payload(r) for r in records]}
     if store.shard_count is not None:
         payload["homes"] = store._homes(records)
@@ -342,7 +316,7 @@ def _read_batch(
     payload: dict[str, Any], shards: int | None, where: str
 ) -> Iterable[tuple[dict[str, Any], int | None]]:
     """Invert :func:`_batch`: ``(record payload, home)`` pairs, checked
-    against the root's ``shards``."""
+    against the header's ``shards``."""
     records, homes = payload.get("records"), payload.get("homes")
     if not isinstance(records, list):
         raise DurabilityError(f"{where}: no record list")
@@ -362,17 +336,17 @@ def _read_batch(
 
 
 # ---------------------------------------------------------------------------
-# The engine: WAL appends + snapshots on a live store
+# The writer: WAL appends on a live store
 # ---------------------------------------------------------------------------
 
 
 class DurabilityEngine:
     """The durability sidecar of one :class:`ObjectStore`.
 
-    Created through :meth:`ObjectStore.attach_durability` (fresh stores)
-    or by :func:`recover_store` (reattach after recovery).  The store
-    calls :meth:`log_commit` from ``_commit()`` *before* extending its
-    in-memory journal — the WAL append is the durability point — and
+    Created through :meth:`ObjectStore.attach_durability` (a root with no
+    log yet) or by :func:`recover_store` (reattach after recovery).  The
+    store calls :meth:`log_commit` from ``_commit()`` *before* extending
+    its in-memory journal — the WAL append is the durability point — and
     :meth:`log_applied` from ``apply_record()`` on the replication
     receive path.
     """
@@ -382,7 +356,6 @@ class DurabilityEngine:
         store: ObjectStore,
         root: str | Path,
         *,
-        snapshot_every: int | None = None,
         fsync: bool = False,
         _recovered: bool = False,
     ):
@@ -390,76 +363,51 @@ class DurabilityEngine:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         _refuse_old_layout(self.root)
-        if snapshot_every is not None and snapshot_every < 1:
-            raise DurabilityError("snapshot_every must be >= 1 (or None)")
-        #: Auto-snapshot after this many commits (None = manual only).
-        self.snapshot_every = snapshot_every
         #: fsync after every append.  Off by default: the simulated crash
         #: model is process death, for which flushing to the OS suffices;
         #: a real deployment would turn this on (and eat the latency).
         self.fsync = fsync
-        self._commits_since_snapshot = 0
-        self._file: BinaryIO | None = None
-        #: Journal position covered by the WAL + snapshots so far.
-        self._position = store.journal_position
-
-        existing_segments = wal_segments(self.root)
-        existing_snaps = snapshot_files(self.root)
-        if not _recovered and (existing_segments or existing_snaps):
+        path = self.root / WAL_NAME
+        if _recovered:
+            # Recovery replayed (and possibly truncated) the log; keep
+            # appending to it.
+            self._file: BinaryIO | None = path.open("ab")
+            return
+        if path.exists():
             raise DurabilityError(
-                f"durability root {self.root} already holds WAL/snapshot files; "
+                f"durability root {self.root} already holds a WAL; "
                 "recover the store from it (ObjectStore.recover) instead of "
                 "attaching a new one"
             )
-        if _recovered and existing_segments:
-            # Recovery replayed (and possibly truncated) the last segment;
-            # keep appending to it so positions stay contiguous.
-            self._file = existing_segments[-1].open("ab")
-        elif self._position:
-            # Attaching to a store with history: snapshot it so recovery
-            # has the prefix the WAL will not contain.
-            self.snapshot()
-        else:
-            self._open_segment(0)
-
-    # -- segment plumbing ----------------------------------------------------
-
-    def _open_segment(self, base: int) -> None:
-        if self._file is not None:
-            self._file.close()
-        path = _segment_path(self.root, base)
         self._file = path.open("wb")
-        header = _canonical(
-            {
-                "kind": "wal-header",
-                "base": base,
-                "store": self.store.name,
-                "version": 1,
-                **_layout(self.store),
-            }
-        )
-        self._file.write(WAL_MAGIC + frame(header))
+        header = {"kind": "wal-header", "base": 0, "store": store.name, "version": 1}
+        if store.shard_count is not None:
+            header["shards"] = store.shard_count
+        self._file.write(WAL_MAGIC + frame(_canonical(header)))
         self._flush()
+        # A store that already has history logs it first, one frame per
+        # transaction — the bytes an engine attached from birth would hold.
+        for _txn_id, records in groupby(store._journal, key=attrgetter("txn_id")):
+            self._append(list(records))
 
     def _flush(self) -> None:
         assert self._file is not None
         self._file.flush()
         if self.fsync:
-            import os
-
             os.fsync(self._file.fileno())
 
-    @property
-    def position(self) -> int:
-        """Number of journal records made durable so far."""
-        return self._position
-
     def close(self) -> None:
-        """Flush and close the active segment (the engine is done)."""
+        """Flush and close the log (the engine is done)."""
         if self._file is not None:
             self._flush()
             self._file.close()
             self._file = None
+
+    def snapshot(self) -> None:
+        """Bodiless stub: snapshots were deleted in PR 19 and nothing calls
+        this.  The name stays only because ``benchmarks/ledger/layers.py``
+        resolves it in this class body, until the next ``benchmark`` PR
+        (ROADMAP 2a) unpins it."""
 
     # -- the write path ------------------------------------------------------
 
@@ -470,134 +418,38 @@ class DurabilityEngine:
         runs: a crash after the append loses only volatile state that
         recovery rebuilds from this very frame.
         """
-        self._log(records)
+        self._append(records)
 
     def log_applied(self, record: ChangeRecord) -> None:
         """Make one replication-applied record durable (``apply_record``)."""
-        self._log([record])
+        self._append([record])
 
-    def _log(self, records: list[ChangeRecord]) -> None:
-        if self.snapshot_every and self._commits_since_snapshot >= self.snapshot_every:
-            self.snapshot()
-        body = _canonical({"kind": "commit", **_batch(self.store, records)})
-        self._append_frame(frame(body), len(records))
-        self._commits_since_snapshot += 1
-
-    def _append_frame(self, data: bytes, record_count: int) -> None:
+    def _append(self, records: list[ChangeRecord]) -> None:
         assert self._file is not None
-        if faults.should_inject("wal.append_torn", store=self.store.name):
+        name = self.store.name
+        data = frame(_canonical({"kind": "commit", **_batch(self.store, records)}))
+        if faults.should_inject("wal.append_torn", store=name):
             # Power loss mid-write: a prefix of the frame (header plus
             # half the body) reaches disk.  Recovery must truncate it.
             cut = _FRAME_HEADER + max(0, (len(data) - _FRAME_HEADER) // 2)
             self._file.write(data[:cut])
             self._flush()
-            obs.counter("store.wal.torn_writes", store=self.store.name).inc()
+            obs.counter("store.wal.torn_writes", store=name).inc()
             raise ProcessCrash("simulated power loss mid-WAL-frame")
         self._file.write(data)
         self._flush()
-        self._position += record_count
-        obs.counter("store.wal.appends", store=self.store.name).inc()
-        obs.counter("store.wal.records", store=self.store.name).inc(record_count)
-        obs.counter("store.wal.bytes", store=self.store.name).inc(len(data))
-        if faults.should_inject("wal.append_crash", store=self.store.name):
+        obs.counter("store.wal.appends", store=name).inc()
+        obs.counter("store.wal.records", store=name).inc(len(records))
+        obs.counter("store.wal.bytes", store=name).inc(len(data))
+        if faults.should_inject("wal.append_crash", store=name):
             # The frame is durable; the process dies before the in-memory
             # apply.  Recovery must surface this commit.
             raise ProcessCrash("simulated process death after WAL append")
 
-    # -- snapshots -----------------------------------------------------------
-
-    def snapshot(self) -> Path:
-        """Write a snapshot of the store, then rotate the WAL past it.
-
-        The snapshot is written to a temp file and atomically renamed, so
-        a crash mid-write leaves the previous snapshot authoritative.  The
-        ``wal.rotate_crash`` point fires between the rename and the
-        rotation — the window where snapshot and WAL overlap and recovery
-        must not apply the covered records twice.
-        """
-        store = self.store
-        position = store.journal_position
-        payload = {
-            "kind": "snapshot",
-            "store": store.name,
-            "position": position,
-            "next_id": store._next_id,
-            "next_txn_id": store._next_txn_id,
-            **_layout(store),
-            **_batch(store, store._journal),
-        }
-        data = SNAP_MAGIC + frame(_canonical(payload))
-        final = _snapshot_path(self.root, position)
-        tmp = final.with_suffix(".tmp")
-        tmp.write_bytes(data)
-        tmp.replace(final)
-        obs.counter("store.snapshot.writes", store=store.name).inc()
-        obs.counter("store.snapshot.bytes", store=store.name).inc(len(data))
-        flight.record(
-            "store.snapshot",
-            phase="store",
-            detail=f"position {position}, {len(data)} bytes",
-        )
-        if faults.should_inject("wal.rotate_crash", store=store.name):
-            raise ProcessCrash(
-                "simulated process death between snapshot write and WAL rotation"
-            )
-        self._rotate(position)
-        self._commits_since_snapshot = 0
-        return final
-
-    def _rotate(self, base: int) -> None:
-        self._open_segment(base)
-        self._prune()
-
-    def _prune(self) -> None:
-        """Drop files made redundant by snapshot coverage.
-
-        The newest *two* snapshots are kept — if the latest ever fails
-        validation, recovery falls back to the previous one — so segments
-        are prunable only below the *older* kept snapshot's position.
-        """
-        snaps = snapshot_files(self.root)
-        keep = snaps[:2]
-        for stale in snaps[2:]:
-            stale.unlink(missing_ok=True)
-        if len(keep) < 2:
-            # No fallback snapshot yet: every segment must stay so recovery
-            # can still rebuild from position 0 if the only snapshot is bad.
-            return
-        keep_floor = min(int(path.stem.split("-")[1]) for path in keep)
-        segments = wal_segments(self.root)
-        for segment, successor in zip(segments, segments[1:]):
-            successor_base = int(successor.stem.split("-")[1])
-            if successor_base <= keep_floor:
-                segment.unlink(missing_ok=True)
-
 
 # ---------------------------------------------------------------------------
-# Recovery
+# The reader: recovery
 # ---------------------------------------------------------------------------
-
-
-def _scan_segment(
-    path: Path,
-) -> tuple[dict[str, Any] | None, list[bytes], int, bool]:
-    """Read one segment: (header, commit bodies, valid byte length, torn?).
-
-    The header is ``None`` when not even its frame survived: the whole
-    file is a torn tail.
-    """
-    data = path.read_bytes()
-    if not data.startswith(WAL_MAGIC):
-        raise DurabilityError(f"{path.name}: bad WAL magic")
-    bodies, end, torn = scan_frames(data, len(WAL_MAGIC))
-    if not bodies:
-        if torn:
-            return None, [], len(WAL_MAGIC), True
-        raise DurabilityError(f"{path.name}: missing WAL header frame")
-    header = _load_json_body(bodies[0], "wal-header")
-    if header is None or not isinstance(header.get("base"), int):
-        raise DurabilityError(f"{path.name}: malformed WAL header frame")
-    return header, bodies[1:], end, torn
 
 
 def recover_store(
@@ -605,43 +457,38 @@ def recover_store(
     *,
     name: str | None = None,
     attach: bool = True,
-    snapshot_every: int | None = None,
     fsync: bool = False,
 ) -> ObjectStore:
-    """Rebuild a store — plain or sharded, as the root says — from its
-    durability root.
+    """Rebuild a store — plain or sharded, as the header says — from the
+    log in its durability root.
 
-    Loads the newest snapshot that validates (magic + checksum), replays
-    it, then replays every WAL record past the snapshot position.  A torn
-    frame at the tail of the *last* segment is truncated (that commit
-    never became durable); an invalid frame anywhere else is corruption
-    and raises :class:`DurabilityError`, as does a coverage gap between
-    the snapshot and the surviving segments, or a ``shards``/``homes``
-    entry that does not fit the rest of the root.
+    Replays every commit frame through ``apply_record``.  A torn tail is
+    truncated (that commit never became durable); a damaged frame with
+    more log behind it raises :class:`DurabilityError` and leaves the file
+    as it was (:func:`scan_frames`), as does a ``shards``/``homes`` entry
+    that does not fit the header.
 
     With ``attach`` (the default) the recovered store continues journaling
-    into the same root, appending to the surviving segment.
+    into the same file.
     """
     from repro.fbnet.sharding import ShardedObjectStore
     from repro.fbnet.store import ObjectStore
 
     root = Path(root)
-    if not root.is_dir():
-        raise DurabilityError(f"durability root {root} does not exist")
     _refuse_old_layout(root)
+    path = root / WAL_NAME
+    if not path.is_file():
+        raise DurabilityError(f"durability root {root} holds no {WAL_NAME}")
+    data = path.read_bytes()
+    if not data.startswith(WAL_MAGIC):
+        raise DurabilityError(f"{path.name}: bad WAL magic")
+    bodies, valid_end, torn = scan_frames(data, len(WAL_MAGIC))
+    header = _load_json_body(bodies[0], "wal-header") if bodies else None
+    if header is None:
+        raise DurabilityError(f"{path.name}: missing or malformed WAL header frame")
 
-    snapshot: dict[str, Any] | None = None
-    for candidate in snapshot_files(root):
-        snapshot = load_snapshot(candidate)
-        if snapshot is not None:
-            break
-        obs.counter("store.recovery.invalid_snapshots").inc()
-
-    segments = wal_segments(root)
-    scans = [_scan_segment(segment) for segment in segments]
-    layout = snapshot or (scans[0][0] if scans else None) or {}
-    shards = layout.get("shards")
-    store_name = name or layout.get("store") or "fbnet"
+    shards = header.get("shards")
+    store_name = name or header.get("store") or "fbnet"
     store: ObjectStore
     if shards is None:
         store = ObjectStore(name=store_name)
@@ -650,61 +497,25 @@ def recover_store(
     else:
         raise DurabilityError(f"{root}: shards must be a positive integer, not {shards!r}")
 
-    torn_truncated = 0
-    snap_next_id = 1
-    snap_next_txn = 1
-    if snapshot is not None:
-        for payload, home in _read_batch(snapshot, shards, "snapshot"):
+    for body in bodies[1:]:
+        commit = _load_json_body(body, "commit")
+        if commit is None:
+            raise DurabilityError(f"{path.name}: malformed commit frame")
+        for payload, home in _read_batch(commit, shards, path.name):
             store.apply_record(record_from_payload(payload), home)
-        if store.journal_position != snapshot["position"]:
-            raise DurabilityError(
-                f"snapshot claims position {snapshot['position']} but carries "
-                f"{store.journal_position} records"
-            )
-        snap_next_id = snapshot.get("next_id", 1)
-        snap_next_txn = snapshot.get("next_txn_id", 1)
+    if torn:
+        with path.open("r+b") as handle:
+            handle.truncate(valid_end)
+        obs.counter("store.wal.torn_truncated", store=store.name).inc()
+        flight.record(
+            "store.wal.truncated",
+            phase="store",
+            detail=f"{path.name} truncated to {valid_end} bytes",
+        )
 
-    for segment, (header, bodies, valid_end, torn) in zip(segments, scans):
-        last = segment is segments[-1]
-        if torn and not last:
-            raise DurabilityError(
-                f"{segment.name}: invalid frame mid-history (not the WAL tail)"
-            )
-        if header is not None and header.get("shards") != shards:
-            raise DurabilityError(
-                f"{segment.name}: written for shards={header.get('shards')!r}, "
-                f"the rest of {root} for shards={shards!r}"
-            )
-        position = header["base"] if header is not None else 0
-        applied = store.journal_position
-        for body in bodies:
-            commit = _load_json_body(body, "commit")
-            if commit is None:
-                raise DurabilityError(f"{segment.name}: malformed commit frame")
-            for payload, home in _read_batch(commit, shards, segment.name):
-                if position > applied:
-                    raise DurabilityError(
-                        f"{segment.name}: WAL coverage gap at position {position} "
-                        f"(store is at {applied})"
-                    )
-                if position == applied:
-                    store.apply_record(record_from_payload(payload), home)
-                    applied += 1
-                position += 1
-        if torn and last:
-            with segment.open("r+b") as handle:
-                handle.truncate(valid_end)
-            torn_truncated += 1
-            obs.counter("store.wal.torn_truncated", store=store.name).inc()
-            flight.record(
-                "store.wal.truncated",
-                phase="store",
-                detail=f"{segment.name} truncated to {valid_end} bytes",
-            )
-
+    # Transaction ids restart above anything recovered.
     tail_txn = store._journal[-1].txn_id if store._journal else 0
-    store._next_txn_id = max(snap_next_txn, tail_txn + 1, store._next_txn_id)
-    store._next_id = max(store._next_id, snap_next_id)
+    store._next_txn_id = max(store._next_txn_id, tail_txn + 1)
 
     obs.counter("store.recovery.runs", store=store.name).inc()
     obs.counter("store.recovery.records", store=store.name).inc(
@@ -716,16 +527,12 @@ def recover_store(
         verdict="ok",
         detail=(
             f"{store.journal_position} records, "
-            f"{torn_truncated} torn frame(s) truncated"
+            f"{int(torn)} torn frame(s) truncated"
         ),
     )
     if attach:
         store._durability = DurabilityEngine(
-            store,
-            root,
-            snapshot_every=snapshot_every,
-            fsync=fsync,
-            _recovered=True,
+            store, root, fsync=fsync, _recovered=True
         )
     return store
 

@@ -396,17 +396,11 @@ class ReplicatedFBNet:
     # Durability (crash-consistent master recovery)
     # ------------------------------------------------------------------
 
-    def attach_master_durability(
-        self, root: Any, *, snapshot_every: int | None = None, fsync: bool = False
-    ):
+    def attach_master_durability(self, root: Any, *, fsync: bool = False):
         """Journal the master store's commits to a WAL under ``root``."""
-        return self.master.store.attach_durability(
-            root, snapshot_every=snapshot_every, fsync=fsync
-        )
+        return self.master.store.attach_durability(root, fsync=fsync)
 
-    def recover_master(
-        self, root: Any, *, snapshot_every: int | None = None, fsync: bool = False
-    ) -> ObjectStore:
+    def recover_master(self, root: Any, *, fsync: bool = False) -> ObjectStore:
         """Replace a crashed master's store with one recovered from disk.
 
         The recovered store takes over the master region: it is followed,
@@ -418,10 +412,7 @@ class ReplicatedFBNet:
         master = self.master
         master.store.detach_durability()
         master.store = ObjectStore.recover(
-            root,
-            name=f"fbnet-{self.master_region}",
-            snapshot_every=snapshot_every,
-            fsync=fsync,
+            root, name=f"fbnet-{self.master_region}", fsync=fsync
         )
         master.db_healthy = True
         master.in_flight.clear()

@@ -33,7 +33,6 @@ that fail separately; these all live in one process behind one writer.
 
 from __future__ import annotations
 
-import os
 from hashlib import sha256
 from typing import Any, Iterator, TypeVar
 
@@ -44,7 +43,6 @@ from repro.fbnet.query import Query
 from repro.fbnet.store import ChangeRecord, ObjectStore
 
 __all__ = [
-    "SHARDS_ENV",
     "Shard",
     "ShardAssignment",
     "ShardedDurability",
@@ -53,32 +51,12 @@ __all__ = [
 
 M = TypeVar("M", bound=Model)
 
-#: Environment variable read when ``ShardedObjectStore(shards=None)``.
-SHARDS_ENV = "FBNET_SHARDS"
-
-#: Default partition count when neither argument nor environment says.
-DEFAULT_SHARDS = 4
-
 #: FK chains in the model graph are at most ~6 hops (interface → linecard
 #: → device → cluster → site → region); the cap only guards pathological
 #: cycles.
 _TOKEN_DEPTH_LIMIT = 16
 
 _MISSING = object()
-
-
-def shard_count_from_env() -> int:
-    """The shard count :data:`SHARDS_ENV` requests (default 4)."""
-    raw = os.environ.get(SHARDS_ENV, "").strip()
-    if not raw:
-        return DEFAULT_SHARDS
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"{SHARDS_ENV}={raw!r} is not an integer") from None
-    if count < 1:
-        raise ValueError(f"{SHARDS_ENV} must be >= 1, not {count}")
-    return count
 
 
 class ShardAssignment:
@@ -191,11 +169,10 @@ class ShardedObjectStore(ObjectStore):
     ``self.shards[i].tables``.
     """
 
-    def __init__(self, shards: int | None = None, name: str = "fbnet"):
+    def __init__(self, shards: int = 4, name: str = "fbnet"):
         super().__init__(name=name)
-        count = shard_count_from_env() if shards is None else int(shards)
-        self.assignment = ShardAssignment(count)
-        self.shards = [Shard(name, index) for index in range(count)]
+        self.assignment = ShardAssignment(shards)
+        self.shards = [Shard(name, index) for index in range(shards)]
         #: object id -> index of the shard it was placed on.  Placement is
         #: for good (ids are never reused), so the entry outlives the row:
         #: an undone delete returns the row to the table it left, and the
@@ -340,12 +317,8 @@ class ShardedObjectStore(ObjectStore):
     def transaction(self):
         return super().transaction()
 
-    def attach_durability(
-        self, root: Any, *, snapshot_every: int | None = None, fsync: bool = False
-    ):
-        return super().attach_durability(
-            root, snapshot_every=snapshot_every, fsync=fsync
-        )
+    def attach_durability(self, root: Any, *, fsync: bool = False):
+        return super().attach_durability(root, fsync=fsync)
 
     def detach_durability(self) -> None:
         return super().detach_durability()
@@ -357,12 +330,9 @@ class ShardedObjectStore(ObjectStore):
         *,
         name: str | None = None,
         attach: bool = True,
-        snapshot_every: int | None = None,
         fsync: bool = False,
     ) -> ObjectStore:
-        return super().recover(
-            root, name=name, attach=attach, snapshot_every=snapshot_every, fsync=fsync
-        )
+        return super().recover(root, name=name, attach=attach, fsync=fsync)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -124,8 +124,8 @@ class ObjectStore:
         # model lands in, resolved on the model's first write (_slots).
         self._model_slots: dict[type[Model], _Slots] = {}
         self._next_id = 1
-        # Plain int (not itertools.count) so snapshots can persist it and
-        # recovery can restore it.
+        # Plain int (not itertools.count) so recovery can restart it above
+        # the log's tail.
         self._next_txn_id = 1
         self._journal: list[ChangeRecord] = []
         # Durability sidecar (see repro.fbnet.durability); None = volatile.
@@ -818,7 +818,12 @@ class ObjectStore:
         # partial, when the shadow is completed from the row.
         whole = values.keys() == model._meta.fields.keys()
         table = self._table(record.model, record.obj_id, values if creating else None, home)
+        # Strict for all three ops: a record that does not fit the rows
+        # here means this store diverged from the journal's source (or the
+        # log repeats a frame) — surfaced, never papered over.
         if creating:
+            if record.obj_id in table:
+                raise self._diverged(record, "live")
             obj = model.__new__(model)
             obj.__dict__.update(values)
             obj.id = record.obj_id
@@ -831,27 +836,14 @@ class ObjectStore:
         elif record.op is ChangeOp.UPDATE:
             obj = table.get(record.obj_id)
             if obj is None:
-                obs.counter(
-                    "store.replication.divergence", store=self.name, op="update"
-                ).inc()
-                raise TransactionError(
-                    f"replication update for missing {record.model} id={record.obj_id}"
-                )
+                raise self._diverged(record, "missing")
             self._unindex(obj)
             obj.__dict__.update(values)
             self._index(obj, values if whole else obj.clone_values())
         else:  # DELETE
             obj = table.pop(record.obj_id, None)
             if obj is None:
-                # A delete for a row we never had means this store diverged
-                # from the journal's source — surface it like UPDATE does
-                # instead of masking the drift.
-                obs.counter(
-                    "store.replication.divergence", store=self.name, op="delete"
-                ).inc()
-                raise TransactionError(
-                    f"replication delete for missing {record.model} id={record.obj_id}"
-                )
+                raise self._diverged(record, "missing")
             self._unindex(obj)
             obj.id = None
             obj._store = None
@@ -859,30 +851,29 @@ class ObjectStore:
             self._durability.log_applied(record)
         self._journal.append(record)
 
+    def _diverged(self, record: ChangeRecord, state: str) -> TransactionError:
+        op = record.op.value
+        obs.counter("store.replication.divergence", store=self.name, op=op).inc()
+        return TransactionError(
+            f"replication {op} for {state} {record.model} id={record.obj_id}"
+        )
+
     # ------------------------------------------------------------------
     # Durability (see repro.fbnet.durability)
     # ------------------------------------------------------------------
 
-    def attach_durability(
-        self,
-        root: Any,
-        *,
-        snapshot_every: int | None = None,
-        fsync: bool = False,
-    ):
+    def attach_durability(self, root: Any, *, fsync: bool = False):
         """Journal every commit to a write-ahead log under ``root``.
 
-        If this store already has history, a snapshot is written first so
-        the WAL only needs to cover what follows.  Returns the attached
+        If this store already has history, that journal is logged first, so
+        the file always holds the whole of it.  Returns the attached
         :class:`~repro.fbnet.durability.DurabilityEngine`.
         """
         from repro.fbnet.durability import DurabilityEngine
 
         if self._durability is not None:
             raise TransactionError(f"store {self.name!r} already has durability")
-        self._durability = DurabilityEngine(
-            self, root, snapshot_every=snapshot_every, fsync=fsync
-        )
+        self._durability = DurabilityEngine(self, root, fsync=fsync)
         return self._durability
 
     def detach_durability(self) -> None:
@@ -903,25 +894,18 @@ class ObjectStore:
         *,
         name: str | None = None,
         attach: bool = True,
-        snapshot_every: int | None = None,
         fsync: bool = False,
     ) -> ObjectStore:
         """Rebuild a store from the durability root a crashed one left.
 
-        Loads the newest valid snapshot, replays the WAL tail (truncating
-        a torn tail frame), and returns a store whose tables, indexes, and
+        Replays the WAL (truncating a torn tail frame, refusing a damaged
+        one mid-log) and returns a store whose tables, indexes, and
         journal match the crashed store at its last durable commit — a
-        sharded store when the root says a sharded one wrote it.
+        sharded store when the log says a sharded one wrote it.
         """
         from repro.fbnet.durability import recover_store
 
-        return recover_store(
-            root,
-            name=name,
-            attach=attach,
-            snapshot_every=snapshot_every,
-            fsync=fsync,
-        )
+        return recover_store(root, name=name, attach=attach, fsync=fsync)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -126,6 +126,18 @@ class TestAtomicMode:
         assert set(report.rolled_back) == {"pop01.d0", "pop01.d1"}
         assert notifications  # engineers were told
 
+    def test_crashed_device_keys_the_failure_by_its_name(self, rig):
+        # DeviceDownError's message has no "<name>:" prefix to parse.
+        fleet, deployer, _, _ = rig
+        deployer.deploy(all_v1_configs(fleet, mtu=9192))
+        fleet.get("pop01.d2").crash()
+        report = deployer.atomic_deploy(all_v1_configs(fleet, mtu=9000))
+        assert set(report.failed) == {"pop01.d2"}
+        assert "unreachable" in report.failed["pop01.d2"]
+        assert set(report.rolled_back) == {"pop01.d0", "pop01.d1"}
+        for name in ("pop01.d0", "pop01.d1", "pop01.d3"):
+            assert fleet.get(name).parsed.interfaces["ae0"].mtu == 9192
+
     def test_time_window_enforced(self, rig):
         fleet, deployer, _, _ = rig
         deployer.deploy(all_v1_configs(fleet))

@@ -12,8 +12,18 @@ import os
 
 import pytest
 
-#: The three WAL crash points the chaos matrix sweeps.
-CRASH_POINTS = ("wal.append_torn", "wal.append_crash", "wal.rotate_crash")
+from repro.fbnet.sharding import ShardedObjectStore
+from repro.fbnet.store import ObjectStore
+
+#: The stores under test.  Both are named alike, so fault and counter
+#: labels are the same whichever one ran.
+STORES = {
+    "plain": lambda: ObjectStore(name="main"),
+    "sharded": lambda: ShardedObjectStore(shards=4, name="main"),
+}
+
+#: The two WAL crash points the chaos matrix sweeps.
+CRASH_POINTS = ("wal.append_torn", "wal.append_crash")
 
 
 @pytest.fixture

@@ -36,24 +36,13 @@ from repro.fbnet.models import (
     PhysicalInterface,
     Region,
 )
-from repro.fbnet.sharding import ShardedObjectStore
 from repro.fbnet.store import ObjectStore
 
-from tests.durability.conftest import crash_point_params
+from tests.durability.conftest import STORES, crash_point_params
 
 pytestmark = pytest.mark.durability
 
 CLUSTERS = 8  # DC Gen3 clusters of 28 devices each: 224 devices total
-# The builder commits whole clusters atomically (one design change = one
-# WAL frame of ~1.7k records), so cadence is counted in commits.
-SNAPSHOT_EVERY = 4
-
-#: The stores under test.  Both are named like the oracle's store, so the
-#: fault and counter labels are the same.
-STORES = {
-    "plain": lambda: ObjectStore(name="main"),
-    "sharded": lambda: ShardedObjectStore(shards=4, name="main"),
-}
 
 
 def store_crash_cases() -> list:
@@ -82,17 +71,15 @@ def oracle(tmp_path_factory):
     faults.uninstall()
     root = tmp_path_factory.mktemp("oracle-wal")
     store = ObjectStore(name="main")
-    store.attach_durability(root, snapshot_every=SNAPSHOT_EVERY)
+    store.attach_durability(root)
     build_fleet_design(store)
     appends = int(obs.counter("store.wal.appends", store="main").value)
-    snapshots = int(obs.counter("store.snapshot.writes", store="main").value)
     journal = [encode_record(r) for r in store.journal]
     obs.reset()
     return {
         "journal": journal,
         "records": store.journal,
         "appends": appends,
-        "snapshots": snapshots,
         "digest": store_digest(store),
     }
 
@@ -114,18 +101,14 @@ def test_seeded_crash_recovers_bit_identical(
     """Kill the build at a seeded instant; recovery matches the oracle."""
     rng = random.Random(chaos_seed)
     plan = FaultPlan(seed=chaos_seed)
-    if crash_point == "wal.rotate_crash":
-        assert oracle["snapshots"] >= 2, "workload must rotate at least twice"
-        plan.inject(crash_point, after=rng.randint(0, oracle["snapshots"] - 1), times=1)
-    else:
-        plan.inject(
-            crash_point,
-            after=rng.randint(oracle["appends"] // 4, oracle["appends"] - 1),
-            times=1,
-        )
+    plan.inject(
+        crash_point,
+        after=rng.randint(oracle["appends"] // 4, oracle["appends"] - 1),
+        times=1,
+    )
 
     store = STORES[store_kind]()
-    store.attach_durability(tmp_path, snapshot_every=SNAPSHOT_EVERY)
+    store.attach_durability(tmp_path)
     faults.install(plan)
     with pytest.raises(ProcessCrash):
         build_fleet_design(store)
@@ -188,7 +171,7 @@ def test_multi_shard_transaction_recovers_whole_or_not_at_all(
 def test_crash_free_run_recovers_to_full_oracle(tmp_path, oracle):
     """No crash at all: recovery reproduces the complete final state."""
     store = ObjectStore(name="main")
-    store.attach_durability(tmp_path, snapshot_every=SNAPSHOT_EVERY)
+    store.attach_durability(tmp_path)
     build_fleet_design(store)
     recovered = ObjectStore.recover(tmp_path, attach=False)
     assert [encode_record(r) for r in recovered.journal] == oracle["journal"]

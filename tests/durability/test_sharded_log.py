@@ -1,10 +1,9 @@
 """One log for both store kinds: the layout and its reader checks.
 
-A sharded store logs to the same ``wal-*.log`` / ``snap-*.snap`` root as
-a plain one.  Headers and snapshots add ``shards: N``; every commit frame
-and snapshot adds ``homes``, one shard index per record.  The reader
-trusts neither: what does not fit is a ``DurabilityError``, never a
-silently misplaced row.
+A sharded store logs to the same one file as a plain one.  The header
+adds ``shards: N``; every commit frame adds ``homes``, one shard index per
+record.  The reader trusts neither: what does not fit is a
+``DurabilityError``, never a silently misplaced row.
 """
 
 from __future__ import annotations
@@ -17,13 +16,13 @@ from repro import Robotron, seed_environment
 from repro.common.errors import DurabilityError
 from repro.fbnet.durability import (
     WAL_MAGIC,
+    WAL_NAME,
     _canonical,
     encode_record,
     frame,
     recover_store,
     scan_frames,
     store_digest,
-    wal_segments,
 )
 from repro.fbnet.models import ClusterGeneration, Region
 from repro.fbnet.sharding import ShardedObjectStore
@@ -44,28 +43,33 @@ def logged_store(root, store):
     return store
 
 
+def read_frames(root) -> list[dict]:
+    """The log's frame payloads: the header, then the commits."""
+    data = (root / WAL_NAME).read_bytes()
+    return [json.loads(body) for body in scan_frames(data, len(WAL_MAGIC))[0]]
+
+
 def rewrite_commit(root, edit) -> None:
     """Apply ``edit`` to the one commit frame's payload, re-framed validly."""
-    (segment,) = wal_segments(root)
-    header, commit = scan_frames(segment.read_bytes(), len(WAL_MAGIC))[0]
-    payload = json.loads(commit)
+    header, payload = read_frames(root)
     edit(payload)
-    segment.write_bytes(WAL_MAGIC + frame(header) + frame(_canonical(payload)))
+    (root / WAL_NAME).write_bytes(
+        WAL_MAGIC + frame(_canonical(header)) + frame(_canonical(payload))
+    )
 
 
 class TestOneLayout:
     def test_sharded_root_holds_only_wal_and_snapshot_files(self, tmp_path):
+        """…which is exactly one file, the log: there are no snapshots."""
         robotron = Robotron(shards=SHARDS)
-        robotron.attach_durability(tmp_path, snapshot_every=1)
+        robotron.attach_durability(tmp_path)
         env = seed_environment(robotron.store)
         robotron.build_cluster(
             "pop01.c01", env.pops["pop01"], ClusterGeneration.POP_GEN2
         )
         robotron.store.detach_durability()
-        names = sorted(path.name for path in tmp_path.iterdir())
-        assert all(path.is_file() for path in tmp_path.iterdir())
-        assert {name.split("-")[0] for name in names} == {"wal", "snap"}
-        assert all(name.endswith((".log", ".snap")) for name in names)
+        assert [path.name for path in tmp_path.iterdir()] == [WAL_NAME]
+        assert (tmp_path / WAL_NAME).is_file()
 
         live = robotron.store
         recovered = Robotron.recover(tmp_path).store
@@ -80,29 +84,28 @@ class TestOneLayout:
 
     def test_frames_carry_one_home_per_record(self, tmp_path):
         store = logged_store(tmp_path, ShardedObjectStore(shards=SHARDS))
-        (segment,) = wal_segments(tmp_path)
-        header, commit = map(
-            json.loads, scan_frames(segment.read_bytes(), len(WAL_MAGIC))[0]
-        )
+        header, commit = read_frames(tmp_path)
         assert header["shards"] == SHARDS
         assert commit["homes"] == [store._home[r.obj_id] for r in store.journal]
 
     def test_plain_store_writes_neither_key(self, tmp_path):
         logged_store(tmp_path, ObjectStore())
-        (segment,) = wal_segments(tmp_path)
-        header, commit = map(
-            json.loads, scan_frames(segment.read_bytes(), len(WAL_MAGIC))[0]
-        )
+        header, commit = read_frames(tmp_path)
         assert "shards" not in header and "homes" not in commit
         assert type(recover_store(tmp_path, attach=False)) is ObjectStore
 
     def test_snapshot_carries_shards_and_homes(self, tmp_path):
+        """A late attach logs the history it finds — ``shards`` and ``homes``
+        included, and a home outlives its row."""
         store = logged_store(tmp_path, ShardedObjectStore(shards=SHARDS))
-        store.delete(store.all(Region)[0])  # a home must outlive its row
-        store.attach_durability(tmp_path / "later")  # history => snapshot first
+        store.delete(store.all(Region)[0])
+        store.attach_durability(tmp_path / "later")  # history is logged first
         store.detach_durability()
+        header, created, deleted = read_frames(tmp_path / "later")
+        assert header["shards"] == SHARDS
+        assert created["homes"] == [store._placed[r.obj_id] for r in store.journal[:3]]
+        assert deleted["homes"] == created["homes"][:1]
         recovered = recover_store(tmp_path / "later", attach=False)
-        assert not wal_segments(tmp_path / "later")[0].name.endswith("0000.log")
         assert recovered._home == store._home
         assert store_digest(recovered) == store_digest(store)
 
@@ -132,16 +135,18 @@ class TestReaderChecks:
             recover_store(tmp_path, attach=False)
 
     def test_segment_from_another_shard_count(self, tmp_path):
+        """Frames a wider store wrote, under a narrower store's header: a
+        home falls outside the header's range."""
         logged_store(tmp_path / "four", ShardedObjectStore(shards=SHARDS))
-        other = ShardedObjectStore(shards=SHARDS + 1)
-        for index in range(3):
-            other.create(Region, name=f"region-{index:02d}")
-        other.attach_durability(tmp_path / "five")  # rotates to wal-…03.log
-        other.create(Region, name="region-03")
-        other.detach_durability()
-        (stray,) = wal_segments(tmp_path / "five")
-        (tmp_path / "four" / stray.name).write_bytes(stray.read_bytes())
-        with pytest.raises(DurabilityError, match="shards="):
+        wide = ShardedObjectStore(shards=64)
+        logged_store(tmp_path / "wide", wide)
+        assert max(wide._home.values()) >= SHARDS
+        header = read_frames(tmp_path / "four")[0]
+        commit = read_frames(tmp_path / "wide")[1]
+        (tmp_path / "four" / WAL_NAME).write_bytes(
+            WAL_MAGIC + frame(_canonical(header)) + frame(_canonical(commit))
+        )
+        with pytest.raises(DurabilityError, match=rf"home shard in \[0, {SHARDS}\)"):
             recover_store(tmp_path / "four", attach=False)
 
     def test_pre_pr14_layout_is_refused_not_read_as_empty(self, tmp_path):
@@ -151,3 +156,15 @@ class TestReaderChecks:
             Robotron.recover(tmp_path)
         with pytest.raises(DurabilityError, match="pre-PR-14"):
             ShardedObjectStore(shards=SHARDS).attach_durability(tmp_path)
+
+    @pytest.mark.parametrize("stray", ["snap-000000000003.snap", "wal-000000000003.log"])
+    def test_pre_pr19_layout_is_refused_not_half_read(self, tmp_path, stray):
+        """A snapshot or a second segment means history this reader would
+        not see; neither recovery nor attach may go on beside it."""
+        logged_store(tmp_path, ObjectStore())
+        (tmp_path / stray).write_bytes(b"left by a store that snapshotted")
+        with pytest.raises(DurabilityError, match="pre-PR-19"):
+            ObjectStore.recover(tmp_path)
+        (tmp_path / WAL_NAME).unlink()
+        with pytest.raises(DurabilityError, match="pre-PR-19"):
+            ObjectStore().attach_durability(tmp_path)

@@ -1,21 +1,25 @@
-"""WAL and snapshot mechanics: append, rotate, recover, truncate."""
+"""WAL mechanics: append, attach, recover, truncate a torn tail, refuse damage."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import faults, obs
+from repro import Robotron, faults, obs
 from repro.common.errors import DurabilityError, ProcessCrash, TransactionError
 from repro.faults.plan import FaultPlan
 from repro.fbnet.durability import (
     WAL_MAGIC,
+    WAL_NAME,
     encode_record,
-    snapshot_files,
+    scan_frames,
     store_digest,
-    wal_segments,
 )
 from repro.fbnet.models import Region
 from repro.fbnet.store import ObjectStore
+
+from tests.durability.conftest import STORES
 
 pytestmark = pytest.mark.durability
 
@@ -25,6 +29,15 @@ def make_writes(store, count=5, prefix="r"):
     for i in range(count):
         created.append(store.create(Region, name=f"{prefix}{i}"))
     return created
+
+
+def mixed_history(store) -> None:
+    """Single-row commits, a multi-row transaction, an update and a delete."""
+    regions = make_writes(store, 3)
+    with store.transaction():
+        make_writes(store, 4, prefix="txn")
+    store.update(regions[1], name="renamed")
+    store.delete(regions[2])
 
 
 class TestAppendAndRecover:
@@ -100,12 +113,43 @@ class TestAttachRules:
             other.attach_durability(tmp_path)
 
     def test_attach_to_nonempty_store_snapshots_history(self, tmp_path, store):
-        make_writes(store, 4)  # volatile history predates the WAL
+        """The history that predates the WAL is logged into it first."""
+        make_writes(store, 4)  # volatile until the attach
         store.attach_durability(tmp_path)
         make_writes(store, 2, prefix="post")
-        assert snapshot_files(tmp_path)
+        assert [path.name for path in tmp_path.iterdir()] == [WAL_NAME]
         recovered = ObjectStore.recover(tmp_path, attach=False)
+        assert recovered.journal_position == 6
         assert store_digest(recovered) == store_digest(store)
+
+    @pytest.mark.parametrize("kind", list(STORES))
+    def test_late_attach_leaves_the_bytes_of_a_birth_attach(self, tmp_path, kind):
+        born = STORES[kind]()
+        born.attach_durability(tmp_path / "born")
+        mixed_history(born)
+        late = STORES[kind]()
+        mixed_history(late)
+        late.attach_durability(tmp_path / "late")
+        for store in (born, late):
+            make_writes(store, 1, prefix="post")
+            store.detach_durability()
+        assert (tmp_path / "late" / WAL_NAME).read_bytes() == (
+            tmp_path / "born" / WAL_NAME
+        ).read_bytes()
+
+    def test_snapshot_every_accepts_only_none(self, tmp_path):
+        with pytest.raises(TypeError, match="snapshot_every"):
+            Robotron().attach_durability(tmp_path, snapshot_every=3)
+        assert not list(tmp_path.iterdir())
+        Robotron().attach_durability(tmp_path, snapshot_every=None)
+        with pytest.raises(TypeError, match="snapshot_every"):
+            Robotron.recover(tmp_path, snapshot_every=3)
+
+    def test_root_with_no_log_is_refused_not_read_as_empty(self, tmp_path):
+        for root in (tmp_path, tmp_path / "missing"):
+            with pytest.raises(DurabilityError, match="holds no"):
+                ObjectStore.recover(root)
+        assert not list(tmp_path.iterdir())
 
     def test_detach_then_recover(self, tmp_path, store):
         store.attach_durability(tmp_path)
@@ -114,41 +158,6 @@ class TestAttachRules:
         make_writes(store, 2, prefix="lost")  # volatile again
         recovered = ObjectStore.recover(tmp_path, attach=False)
         assert recovered.count(Region) == 2
-
-
-class TestSnapshots:
-    def test_auto_snapshot_cadence_rotates(self, tmp_path, store):
-        store.attach_durability(tmp_path, snapshot_every=2)
-        make_writes(store, 7)
-        assert len(snapshot_files(tmp_path)) == 2  # older ones pruned
-        recovered = ObjectStore.recover(tmp_path, attach=False)
-        assert store_digest(recovered) == store_digest(store)
-
-    def test_manual_snapshot_prunes_covered_segments(self, tmp_path, store):
-        engine = store.attach_durability(tmp_path)
-        make_writes(store, 3)
-        engine.snapshot()
-        make_writes(store, 3, prefix="b")
-        engine.snapshot()
-        make_writes(store, 3, prefix="c")
-        engine.snapshot()
-        # Two snapshots kept; segments below the older one pruned.
-        assert len(snapshot_files(tmp_path)) == 2
-        assert len(wal_segments(tmp_path)) <= 3
-        recovered = ObjectStore.recover(tmp_path, attach=False)
-        assert store_digest(recovered) == store_digest(store)
-
-    def test_corrupt_latest_snapshot_falls_back(self, tmp_path, store):
-        engine = store.attach_durability(tmp_path)
-        make_writes(store, 3)
-        engine.snapshot()
-        make_writes(store, 3, prefix="b")
-        engine.snapshot()
-        latest = snapshot_files(tmp_path)[0]
-        latest.write_bytes(latest.read_bytes()[:-7])  # corrupt the newest
-        recovered = ObjectStore.recover(tmp_path, attach=False)
-        assert store_digest(recovered) == store_digest(store)
-        assert obs.counter("store.recovery.invalid_snapshots").value == 1
 
 
 class TestTornTail:
@@ -185,33 +194,83 @@ class TestTornTail:
         assert second.count(Region) == 5
 
     def test_mid_history_corruption_raises(self, tmp_path, store):
-        engine = store.attach_durability(tmp_path)
-        make_writes(store, 3)
-        engine.snapshot()  # rotate: first segment is no longer the tail
-        make_writes(store, 3, prefix="b")
-        first = wal_segments(tmp_path)[0]
-        data = bytearray(first.read_bytes())
-        data[len(WAL_MAGIC) + 20] ^= 0xFF
-        first.write_bytes(bytes(data))
-        # Corrupt non-tail segment: recovery must refuse, not guess —
-        # unless a snapshot already covers the damaged range.
-        for snap in snapshot_files(tmp_path):
-            snap.unlink()
-        with pytest.raises(DurabilityError):
-            ObjectStore.recover(tmp_path, attach=False)
+        """One flipped byte mid-log is corruption, not a tail to cut off."""
+        store.attach_durability(tmp_path)
+        make_writes(store, 10)
+        store.detach_durability()
+        log = tmp_path / WAL_NAME
+        data = bytearray(log.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        log.write_bytes(bytes(data))
+        with pytest.raises(DurabilityError, match="more bytes of log behind it"):
+            ObjectStore.recover(tmp_path)
+        assert log.read_bytes() == bytes(data)  # refused, not "repaired"
+        assert obs.counter("store.wal.torn_truncated", store="fbnet").value == 0
 
-    def test_coverage_gap_raises(self, tmp_path, store):
-        engine = store.attach_durability(tmp_path)
-        make_writes(store, 3)
-        engine.snapshot()
-        make_writes(store, 3, prefix="b")
-        # Deleting every snapshot leaves the rotated segment's base > 0
-        # with nothing covering [0, base): a gap.
-        for snap in snapshot_files(tmp_path):
-            snap.unlink()
-        wal_segments(tmp_path)[0].unlink()
-        with pytest.raises(DurabilityError, match="gap"):
-            ObjectStore.recover(tmp_path, attach=False)
+
+COMMITS = 6
+
+
+@pytest.fixture(scope="module")
+def seeded_log(tmp_path_factory):
+    """The bytes of a log of ``COMMITS`` commits (the first multi-row), its
+    frame boundaries and the journal it encodes."""
+    root = tmp_path_factory.mktemp("seeded-log")
+    store = ObjectStore(name="main")
+    store.attach_durability(root)
+    with store.transaction():
+        make_writes(store, 3, prefix="txn")
+    make_writes(store, COMMITS - 1)
+    store.detach_durability()
+    log = (root / WAL_NAME).read_bytes()
+    bodies, end, torn = scan_frames(log, len(WAL_MAGIC))
+    assert len(bodies) == 1 + COMMITS and end == len(log) and not torn
+    # ends[0] closes the header frame, ends[i] the frame of transaction i.
+    ends, position = [], len(WAL_MAGIC)
+    for body in bodies:
+        position += 8 + len(body)
+        ends.append(position)
+    return log, ends, store.journal
+
+
+class TestOneTornTailRule:
+    """Cut anywhere: a prefix of whole transactions.  Damage mid-log: refused."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_cut_anywhere_recovers_whole_transactions(
+        self, tmp_path_factory, seeded_log, data
+    ):
+        log, ends, journal = seeded_log
+        cut = data.draw(st.integers(min_value=ends[0], max_value=len(log)))
+        root = tmp_path_factory.mktemp("cut")
+        (root / WAL_NAME).write_bytes(log[:cut])
+        recovered = ObjectStore.recover(root, attach=False)
+        whole = sum(1 for end in ends[1:] if end <= cut)  # transactions that fit
+        assert [encode_record(r) for r in recovered.journal] == [
+            encode_record(r) for r in journal if r.txn_id <= whole
+        ]
+        # Only what could not be read is cut off, and the file is reusable.
+        assert (root / WAL_NAME).read_bytes() == log[: ends[whole]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(index=st.integers(min_value=1, max_value=COMMITS - 1), data=st.data())
+    def test_flip_in_a_non_last_frame_raises_and_leaves_the_file(
+        self, tmp_path_factory, seeded_log, index, data
+    ):
+        log, ends, _journal = seeded_log
+        # Any bit of frame ``index``'s CRC or body (not its length: a length
+        # that points past the end of the file *is* a torn tail).
+        offset = data.draw(
+            st.integers(min_value=ends[index - 1] + 4, max_value=ends[index] - 1)
+        )
+        damaged = bytearray(log)
+        damaged[offset] ^= 1 << data.draw(st.integers(min_value=0, max_value=7))
+        root = tmp_path_factory.mktemp("flip")
+        (root / WAL_NAME).write_bytes(bytes(damaged))
+        with pytest.raises(DurabilityError, match="damaged frame"):
+            ObjectStore.recover(root)
+        assert (root / WAL_NAME).read_bytes() == bytes(damaged)
 
 
 class TestCrashPoints:
@@ -230,21 +289,3 @@ class TestCrashPoints:
         # In-memory the crashed store never saw the row; on disk it exists.
         assert recovered.count(Region) == 4
         assert recovered.journal_position == store.journal_position + 1
-
-    def test_rotate_crash_never_double_applies(self, tmp_path, store):
-        """Crash between snapshot write and WAL rotation: records overlap."""
-        engine = store.attach_durability(tmp_path)
-        make_writes(store, 4)
-        before = store_digest(store)
-        plan = FaultPlan(seed=1)
-        plan.inject("wal.rotate_crash", times=1)
-        faults.install(plan)
-        with pytest.raises(ProcessCrash):
-            engine.snapshot()
-        faults.uninstall()
-
-        # Snapshot covers [0, 4) AND the unrotated segment still holds the
-        # same records; recovery must apply each exactly once.
-        recovered = ObjectStore.recover(tmp_path, attach=False)
-        assert store_digest(recovered) == before
-        assert recovered.count(Region) == 4

@@ -42,6 +42,33 @@ class TestApplyRecordEdges:
             == 1
         )
 
+    def test_create_over_live_object_raises(self, store):
+        # The third direction: replacing the row would leave the old row's
+        # unique-index entry behind, a phantom holder of its name.
+        from repro import obs
+
+        store.apply_record(
+            ChangeRecord(
+                txn_id=1, op=ChangeOp.CREATE, model="Region", obj_id=1,
+                values={"name": "na-east"},
+            )
+        )
+        again = ChangeRecord(
+            txn_id=2, op=ChangeOp.CREATE, model="Region", obj_id=1,
+            values={"name": "eu-west"},
+        )
+        with pytest.raises(TransactionError, match="live"):
+            store.apply_record(again)
+        assert (
+            obs.counter(
+                "store.replication.divergence", store=store.name, op="create"
+            ).value
+            == 1
+        )
+        assert [r.name for r in store.all(Region)] == ["na-east"]
+        assert store.journal_position == 1
+        store.create(Region, name="eu-west")  # no phantom holder either way
+
     def test_replicated_unique_index_works(self, store):
         replica = ObjectStore("replica")
         store.create(Region, name="r1")

@@ -1,7 +1,7 @@
 """A sharded store's durable root: the plain store's, plus homes.
 
-The router logs to one WAL root exactly as a plain store does; segment
-headers and snapshots say ``shards: N`` and every frame carries one home
+The router logs to one WAL file exactly as a plain store does; its
+header says ``shards: N`` and every frame carries one home
 shard per record, so recovery rebuilds an N-shard store with every row
 back where it lived.  ``Robotron.recover`` and replication's
 ``recover_master`` go through the same ``recover_store`` as a plain root.
