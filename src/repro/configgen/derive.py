@@ -4,7 +4,9 @@ For a given location, Robotron fetches all related objects from FBNet;
 for each device it derives the device-specific data — "data for a device
 interface depends on the FBNet circuit object the interface connects to"
 — and stores it as a Thrift object.  This module performs that derivation
-into the :data:`~repro.configgen.schema.CONFIG_SCHEMA` ``Device`` struct.
+into Figure 8's ``Device`` struct; the producer does not grade its own
+work — the struct is checked where it crosses to the renderer
+(``ConfigGenerator._render``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from repro.fbnet.models import (
 )
 from repro.fbnet.query import Expr, Op, Or
 from repro.fbnet.store import ObjectStore
-from repro.configgen.schema import CONFIG_SCHEMA
 
 __all__ = ["derive_device_data", "fetch_location_devices"]
 
@@ -222,7 +223,7 @@ def derive_device_data(
     *,
     syslog_collector: str = SYSLOG_ANYCAST,
 ) -> dict[str, Any]:
-    """Derive one device's config data struct, validated against the schema."""
+    """Derive one device's config data struct (Figure 8's ``Device``)."""
     data: dict[str, Any] = {
         "name": device.name,
         "vendor": device.vendor().value,
@@ -240,4 +241,4 @@ def derive_device_data(
         "acls": _derive_acls(store, device),
     }
     data["route_policies"] = _derive_route_policies(store, data["bgp"])
-    return CONFIG_SCHEMA.validate("Device", data)
+    return data

@@ -234,8 +234,9 @@ class ConfigGenerator:
             read_set.add_object(type(device).__name__, device.id)
         with self._store.track_reads(read_set):
             data = derive_device_data(self._store, device)
-        # Wire round-trip: the data struct is what crosses between the
-        # derivation and rendering stages in the paper's pipeline.
+        # The one boundary of the pipeline: the struct crosses from the
+        # derivation to the rendering stage as wire bytes, checked against
+        # the schema on each side; ``data`` is from here what the reader saw.
         wire = CONFIG_SCHEMA.dumps("Device", data)
         data = CONFIG_SCHEMA.loads("Device", wire)
         vendor = data["vendor"]

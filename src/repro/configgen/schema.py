@@ -3,16 +3,23 @@
 Config generation stores each device's dynamic, vendor-agnostic data "as a
 Thrift object per device according to a pre-defined schema".  This module
 provides the schema machinery — typed struct definitions with required /
-optional fields and numeric field ids — plus validation, JSON round-trip,
-and a compact binary wire encoding, and defines the concrete config data
-schema used by the vendor templates (Figure 8's ``Device`` /
+optional fields and numeric field ids — and defines the concrete config
+data schema used by the vendor templates (Figure 8's ``Device`` /
 ``AggregatedInterface`` / ``PhysicalInterface`` structs, extended with the
 BGP, MPLS, and system sections real configs need).
+
+The rules are walked by one traversal: every type has a ``check(value)``
+that validates *and* returns the value as a reader sees it (absent and
+``None`` optionals take their default).  The wire is the stand-in the RPC
+layer already uses for Thrift — canonical JSON keyed by field name
+(:func:`repro.fbnet.rpc.encode_message`'s spelling) — and the struct is
+checked wherever it crosses it: :meth:`SchemaRegistry.dumps` on the way
+out, :meth:`SchemaRegistry.loads` on the way in.
 """
 
 from __future__ import annotations
 
-import struct as _struct
+import json
 from dataclasses import dataclass
 from typing import Any
 
@@ -38,151 +45,69 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+class _Wrong(Exception):
+    """What is wrong with a value.  Each container prefixes its own segment
+    to :attr:`path` on the way out, so ``Device.aggs[0].number`` is only
+    ever built for a value that is wrong."""
+
+    path = ""
+
+
 class TType:
-    """Base of all schema types."""
+    """A scalar type: a value must be an instance of one of ``admits`` (a
+    ``bool`` only ever of ``bool``) and a reader sees it as the first of
+    them, so a double given as an ``int`` arrives a ``float``; ``bits``
+    bounds a signed integer."""
 
-    code: int = 0  # wire type code
+    def __init__(self, name: str, admits: tuple[type, ...], bits: int = 0):
+        self.name = name
+        self.admits = admits
+        self.bits = bits
 
-    def validate(self, value: Any, path: str, registry: SchemaRegistry) -> None:
-        raise NotImplementedError
-
-    def encode(self, value: Any, out: bytearray, registry: SchemaRegistry) -> None:
-        raise NotImplementedError
-
-    def decode(self, data: memoryview, offset: int, registry: SchemaRegistry) -> tuple[Any, int]:
-        raise NotImplementedError
-
-
-class _TBool(TType):
-    code = 1
-
-    def validate(self, value: Any, path: str, registry: SchemaRegistry) -> None:
-        if not isinstance(value, bool):
-            raise ConfigGenerationError(f"{path}: expected bool, got {type(value).__name__}")
-
-    def encode(self, value: Any, out: bytearray, registry: SchemaRegistry) -> None:
-        out.append(1 if value else 0)
-
-    def decode(self, data: memoryview, offset: int, registry: SchemaRegistry) -> tuple[Any, int]:
-        return bool(data[offset]), offset + 1
+    def check(self, value: Any, registry: SchemaRegistry) -> Any:
+        kind = self.admits[0]
+        if not isinstance(value, self.admits) or isinstance(value, bool) is not (kind is bool):
+            raise _Wrong(f"expected {self.name}, got {type(value).__name__}")
+        if self.bits and not -(1 << self.bits - 1) <= value < 1 << self.bits - 1:
+            raise _Wrong(f"{value} out of {self.name} range")
+        return value if isinstance(value, kind) else kind(value)
 
 
-class _TI32(TType):
-    code = 2
-
-    def validate(self, value: Any, path: str, registry: SchemaRegistry) -> None:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigGenerationError(f"{path}: expected i32, got {type(value).__name__}")
-        if not -(2**31) <= value < 2**31:
-            raise ConfigGenerationError(f"{path}: {value} out of i32 range")
-
-    def encode(self, value: Any, out: bytearray, registry: SchemaRegistry) -> None:
-        out.extend(_struct.pack(">i", value))
-
-    def decode(self, data: memoryview, offset: int, registry: SchemaRegistry) -> tuple[Any, int]:
-        return _struct.unpack_from(">i", data, offset)[0], offset + 4
+TBool = TType("bool", (bool,))
+TI32 = TType("i32", (int,), 32)
+TI64 = TType("i64", (int,), 64)
+TDouble = TType("double", (float, int))
+TString = TType("string", (str,))
 
 
-class _TI64(TType):
-    code = 3
-
-    def validate(self, value: Any, path: str, registry: SchemaRegistry) -> None:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigGenerationError(f"{path}: expected i64, got {type(value).__name__}")
-        if not -(2**63) <= value < 2**63:
-            raise ConfigGenerationError(f"{path}: {value} out of i64 range")
-
-    def encode(self, value: Any, out: bytearray, registry: SchemaRegistry) -> None:
-        out.extend(_struct.pack(">q", value))
-
-    def decode(self, data: memoryview, offset: int, registry: SchemaRegistry) -> tuple[Any, int]:
-        return _struct.unpack_from(">q", data, offset)[0], offset + 8
-
-
-class _TDouble(TType):
-    code = 4
-
-    def validate(self, value: Any, path: str, registry: SchemaRegistry) -> None:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigGenerationError(f"{path}: expected double, got {type(value).__name__}")
-
-    def encode(self, value: Any, out: bytearray, registry: SchemaRegistry) -> None:
-        out.extend(_struct.pack(">d", float(value)))
-
-    def decode(self, data: memoryview, offset: int, registry: SchemaRegistry) -> tuple[Any, int]:
-        return _struct.unpack_from(">d", data, offset)[0], offset + 8
-
-
-class _TString(TType):
-    code = 5
-
-    def validate(self, value: Any, path: str, registry: SchemaRegistry) -> None:
-        if not isinstance(value, str):
-            raise ConfigGenerationError(f"{path}: expected string, got {type(value).__name__}")
-
-    def encode(self, value: Any, out: bytearray, registry: SchemaRegistry) -> None:
-        raw = value.encode("utf-8")
-        out.extend(_struct.pack(">I", len(raw)))
-        out.extend(raw)
-
-    def decode(self, data: memoryview, offset: int, registry: SchemaRegistry) -> tuple[Any, int]:
-        (length,) = _struct.unpack_from(">I", data, offset)
-        offset += 4
-        return bytes(data[offset : offset + length]).decode("utf-8"), offset + length
-
-
-class TList(TType):
+class TList:
     """A homogeneous list of another schema type."""
 
-    code = 6
-
-    def __init__(self, element: TType):
+    def __init__(self, element: TType | TList | TStructRef):
         self.element = element
 
-    def validate(self, value: Any, path: str, registry: SchemaRegistry) -> None:
+    def check(self, value: Any, registry: SchemaRegistry) -> list[Any]:
         if not isinstance(value, list):
-            raise ConfigGenerationError(f"{path}: expected list, got {type(value).__name__}")
-        for index, item in enumerate(value):
-            self.element.validate(item, f"{path}[{index}]", registry)
-
-    def encode(self, value: Any, out: bytearray, registry: SchemaRegistry) -> None:
-        out.extend(_struct.pack(">I", len(value)))
-        for item in value:
-            self.element.encode(item, out, registry)
-
-    def decode(self, data: memoryview, offset: int, registry: SchemaRegistry) -> tuple[Any, int]:
-        (count,) = _struct.unpack_from(">I", data, offset)
-        offset += 4
+            raise _Wrong(f"expected list, got {type(value).__name__}")
+        check = self.element.check
         items = []
-        for _ in range(count):
-            item, offset = self.element.decode(data, offset, registry)
-            items.append(item)
-        return items, offset
+        try:
+            for index, item in enumerate(value):
+                items.append(check(item, registry))
+        except _Wrong as wrong:
+            wrong.path = f"[{index}]{wrong.path}"
+            raise
+        return items
 
 
-class TStructRef(TType):
+class TStructRef:
     """A reference to a named struct in the registry (allows recursion)."""
-
-    code = 7
 
     def __init__(self, name: str):
         self.name = name
 
-    def validate(self, value: Any, path: str, registry: SchemaRegistry) -> None:
-        registry.get(self.name).validate(value, path, registry)
-
-    def encode(self, value: Any, out: bytearray, registry: SchemaRegistry) -> None:
-        registry.get(self.name).encode(value, out, registry)
-
-    def decode(self, data: memoryview, offset: int, registry: SchemaRegistry) -> tuple[Any, int]:
-        return registry.get(self.name).decode(data, offset, registry)
-
-
-TBool = _TBool()
-TI32 = _TI32()
-TI64 = _TI64()
-TDouble = _TDouble()
-TString = _TString()
+    def check(self, value: Any, registry: SchemaRegistry) -> dict[str, Any]:
+        return registry.get(self.name).check(value, registry)
 
 
 @dataclass(frozen=True)
@@ -191,7 +116,7 @@ class FieldDef:
 
     id: int
     name: str
-    type: TType
+    type: TType | TList | TStructRef
     required: bool = False
     default: Any = None
 
@@ -213,116 +138,70 @@ class StructDef:
             raise ValueError(f"struct {name}: duplicate field names")
         self.name = name
         self.fields = sorted(fields, key=lambda f: f.id)
-        self._by_name = {f.name: f for f in fields}
-        self._by_id = {f.id: f for f in fields}
+        self._names = frozenset(names)
 
-    def validate(self, value: Any, path: str, registry: SchemaRegistry) -> None:
+    def check(self, value: Any, registry: SchemaRegistry) -> dict[str, Any]:
+        """``value`` with every field present, in field-id order."""
         if not isinstance(value, dict):
-            raise ConfigGenerationError(
-                f"{path}: expected {self.name} struct (dict), got {type(value).__name__}"
-            )
-        unknown = set(value) - set(self._by_name)
-        if unknown:
-            raise ConfigGenerationError(
-                f"{path}: unknown field(s) {sorted(unknown)} for struct {self.name}"
-            )
-        for field in self.fields:
-            if field.name not in value or value[field.name] is None:
-                if field.required:
-                    raise ConfigGenerationError(
-                        f"{path}.{field.name}: required field missing"
-                    )
-                continue
-            field.type.validate(value[field.name], f"{path}.{field.name}", registry)
-
-    def normalize(self, value: dict[str, Any]) -> dict[str, Any]:
-        """Fill optional fields with their defaults (None if unspecified)."""
-        result = dict(value)
-        for field in self.fields:
-            if field.name not in result:
-                result[field.name] = field.default
-        return result
-
-    # -- binary wire format ---------------------------------------------------
-
-    def encode(self, value: dict[str, Any], out: bytearray, registry: SchemaRegistry) -> None:
-        present = [
-            f for f in self.fields if value.get(f.name) is not None
-        ]
-        out.extend(_struct.pack(">H", len(present)))
-        for field in present:
-            out.extend(_struct.pack(">HB", field.id, field.type.code))
-            field.type.encode(value[field.name], out, registry)
-
-    def decode(self, data: memoryview, offset: int, registry: SchemaRegistry) -> tuple[dict, int]:
-        (count,) = _struct.unpack_from(">H", data, offset)
-        offset += 2
-        result: dict[str, Any] = {f.name: f.default for f in self.fields}
-        for _ in range(count):
-            field_id, code = _struct.unpack_from(">HB", data, offset)
-            offset += 3
-            field = self._by_id.get(field_id)
-            if field is None or field.type.code != code:
-                raise ConfigGenerationError(
-                    f"struct {self.name}: unknown/mistyped field id {field_id}"
-                )
-            value, offset = field.type.decode(data, offset, registry)
-            result[field.name] = value
-        return result, offset
+            raise _Wrong(f"expected {self.name} struct (dict), got {type(value).__name__}")
+        if not value.keys() <= self._names:
+            unknown = sorted(set(value) - self._names)
+            raise _Wrong(f"unknown field(s) {unknown} for struct {self.name}")
+        seen: dict[str, Any] = {}
+        try:
+            for field in self.fields:
+                item = value.get(field.name)
+                if item is not None:
+                    seen[field.name] = field.type.check(item, registry)
+                elif field.required:
+                    raise _Wrong("required field missing")
+                else:
+                    # A list default is copied: readers may not share it.
+                    default = field.default
+                    seen[field.name] = list(default) if isinstance(default, list) else default
+        except _Wrong as wrong:
+            wrong.path = f".{field.name}{wrong.path}"
+            raise
+        return seen
 
 
 class SchemaRegistry:
     """Named structs plus serialization entry points."""
 
     def __init__(self) -> None:
-        self._structs: dict[str, StructDef] = {}
+        self._by_name: dict[str, StructDef] = {}
 
     def define(self, name: str, fields: list[FieldDef]) -> StructDef:
-        if name in self._structs:
+        if name in self._by_name:
             raise ValueError(f"struct {name} already defined")
         struct_def = StructDef(name, fields)
-        self._structs[name] = struct_def
+        self._by_name[name] = struct_def
         return struct_def
 
     def get(self, name: str) -> StructDef:
         try:
-            return self._structs[name]
+            return self._by_name[name]
         except KeyError:
             raise ConfigGenerationError(f"unknown struct {name!r}") from None
 
     def validate(self, struct_name: str, value: dict[str, Any]) -> dict[str, Any]:
-        """Validate ``value`` against ``struct_name``; returns it normalized."""
-        struct_def = self.get(struct_name)
-        struct_def.validate(value, struct_name, self)
-        return self._normalize_deep(struct_def, value)
-
-    def _normalize_deep(self, struct_def: StructDef, value: dict[str, Any]) -> dict[str, Any]:
-        result = struct_def.normalize(value)
-        for field in struct_def.fields:
-            item = result.get(field.name)
-            if item is None:
-                continue
-            if isinstance(field.type, TStructRef):
-                result[field.name] = self._normalize_deep(self.get(field.type.name), item)
-            elif isinstance(field.type, TList) and isinstance(field.type.element, TStructRef):
-                element = self.get(field.type.element.name)
-                result[field.name] = [self._normalize_deep(element, x) for x in item]
-        return result
+        """Check ``value`` against ``struct_name``; returns it as a reader sees it."""
+        try:
+            return self.get(struct_name).check(value, self)
+        except _Wrong as wrong:
+            raise ConfigGenerationError(f"{struct_name}{wrong.path}: {wrong}") from None
 
     def dumps(self, struct_name: str, value: dict[str, Any]) -> bytes:
-        """Serialize to the compact binary wire format (with validation)."""
-        normalized = self.validate(struct_name, value)
-        out = bytearray()
-        self.get(struct_name).encode(normalized, out, self)
-        return bytes(out)
+        """Check ``value`` and serialize it to the wire (canonical JSON)."""
+        checked = self.validate(struct_name, value)
+        return json.dumps(checked, separators=(",", ":"), sort_keys=True).encode()
 
     def loads(self, struct_name: str, wire: bytes) -> dict[str, Any]:
-        """Deserialize from the binary wire format (with validation)."""
-        value, offset = self.get(struct_name).decode(memoryview(wire), 0, self)
-        if offset != len(wire):
-            raise ConfigGenerationError(
-                f"struct {struct_name}: {len(wire) - offset} trailing bytes"
-            )
+        """Deserialize from the wire; what arrives is checked like any value."""
+        try:
+            value = json.loads(wire.decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigGenerationError(f"struct {struct_name}: malformed wire: {exc}") from None
         return self.validate(struct_name, value)
 
 

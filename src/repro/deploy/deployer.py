@@ -55,6 +55,7 @@ class DeployReport:
     failed: dict[str, str] = field(default_factory=dict)
     rolled_back: list[str] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
+    #: Per-device unified diffs; filled by :meth:`Deployer.dryrun` only.
     diffs: dict[str, str] = field(default_factory=dict)
     changed_lines: dict[str, int] = field(default_factory=dict)
     notifications: list[str] = field(default_factory=list)
@@ -329,7 +330,6 @@ class Deployer:
                     )
                     continue
                 report.succeeded.append(name)
-                report.diffs[name] = unified_diff(before, text, name)
                 report.changed_lines[name] = count_changed_lines(before, text)
                 flight.record(
                     "deploy.push", phase="deployment", device=name, verdict="ok",
@@ -347,7 +347,9 @@ class Deployer:
 
         If any device errors or cannot finish within ``time_window``, the
         entire transaction is rolled back: every already-updated device is
-        restored to its previous config.
+        restored to its previous config.  A device whose restore fails is
+        still on the new config; it is paged *and* listed in
+        ``report.failed``, so the report never reads cleaner than the fleet.
         """
         report = DeployReport(operation="atomic_deploy")
         previous: dict[str, str] = {}
@@ -373,11 +375,12 @@ class Deployer:
                     try:
                         device.commit(old_text)
                         report.rolled_back.append(restored)
-                    except DeploymentError:
+                    except DeploymentError as stuck:
                         # A device that cannot be restored is a page, not a log line.
                         self._notify(
                             f"atomic rollback FAILED on {restored}; manual intervention needed"
                         )
+                        report.failed.setdefault(restored, str(stuck))
                 report.changed_lines.clear()
                 self._notify(f"atomic deployment aborted: {exc}")
                 span.set_attribute("aborted", True)

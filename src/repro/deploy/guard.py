@@ -222,30 +222,29 @@ class DeploymentGuard:
     # LKG bookkeeping
     # ------------------------------------------------------------------
 
+    def _pin(self, name: str) -> int:
+        """Make the running version ``name``'s LKG.
+
+        The one place a pin changes hands: the running version is pinned,
+        the version this guard pinned before is released, so a device
+        holds exactly one pinned entry however its rollouts ended.
+        """
+        device = self._fleet.get(name)
+        version = device.config_version
+        device.pin_version(version)
+        if self.lkg.get(name, version) != version:
+            device.unpin_version(self.lkg[name])
+        self.lkg[name] = version
+        return version
+
     def _record_lkg(self, names: list[str]) -> dict[str, int]:
-        lkg: dict[str, int] = {}
         for name in names:
-            device = self._fleet.get(name)
-            version = device.config_version
-            if version == 0:
+            if self._fleet.get(name).config_version == 0:
                 raise DeploymentError(
                     f"{name} has no committed config to fall back to; "
                     "provision it before a guarded rollout"
                 )
-            device.pin_version(version)
-            lkg[name] = version
-            self.lkg[name] = version
-        return lkg
-
-    def _promote_lkg(self, names: list[str], previous: dict[str, int]) -> None:
-        """After a clean rollout, the new versions become the LKG."""
-        for name in names:
-            device = self._fleet.get(name)
-            version = device.config_version
-            device.pin_version(version)
-            if previous.get(name, version) != version:
-                device.unpin_version(previous[name])
-            self.lkg[name] = version
+        return {name: self._pin(name) for name in names}
 
     def _restore_lkg(
         self, touched: list[str], lkg: dict[str, int], report: DeployReport
@@ -267,6 +266,9 @@ class DeploymentGuard:
                         verdict="restored", detail=f"version {target}",
                     )
                 restored.append(name)
+                # The revert committed the LKG text as a *new* version: hold
+                # that one.  (A stuck device keeps its pin: it is the way back.)
+                self._pin(name)
             except DeploymentError as exc:
                 # A device that cannot be restored is a page, not a log line.
                 stuck.append(name)
@@ -453,7 +455,8 @@ class DeploymentGuard:
                 ]
                 span.set_attribute("outcome", result.outcome.value)
             else:
-                self._promote_lkg(report.succeeded, lkg)
+                for name in report.succeeded:
+                    self._pin(name)
                 span.set_attribute("outcome", result.outcome.value)
 
         flight.record(

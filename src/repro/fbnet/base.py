@@ -25,7 +25,17 @@ from repro.common.errors import ValidationError
 from repro.common.util import camel_to_snake
 from repro.fbnet.fields import Field, ForeignKey
 
-__all__ = ["Model", "ModelGroup", "ModelRegistry", "model_registry"]
+__all__ = ["Model", "ModelGroup", "ModelRegistry", "hashable", "model_registry"]
+
+
+def hashable(value: Any) -> Any:
+    """``value`` as the store's indexes and the read-sets key it — the one
+    spelling both compare by, so a dependency matches what an index holds."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (list, dict, set)):
+        return repr(value)
+    return value
 
 
 class ModelGroup(Enum):
@@ -52,9 +62,9 @@ class ModelRegistry:
     def __init__(self) -> None:
         self._models: dict[str, type[Model]] = {}
         #: Facts derived from the registered set.  Keys: a model class
-        #: (its :meth:`family`), ``("abstract", name)``, ``"reverse"`` and
-        #: ``("reverse", model)``, and the planner's ``(model, frozenset of
-        #: field names)``.  :meth:`register` rebinds it to a fresh dict, so
+        #: (its :meth:`family`), ``("abstract", name)``, ``("ancestry",
+        #: name)``, ``"reverse"`` and ``("reverse", model)``, and the
+        #: planner's ``(model, frozenset of field names)``.  :meth:`register` rebinds it to a fresh dict, so
         #: fill it through a local reference (``memo = registry.memo``): a
         #: value computed from the old set then lands in the old dict.
         self.memo: dict[Any, Any] = {}
@@ -107,6 +117,22 @@ class ModelRegistry:
             found = memo[model] = tuple(
                 m for m in self._models.values() if issubclass(m, model)
             )
+        return found
+
+    def ancestry(self, name: str) -> tuple[str, ...]:
+        """``name`` and the name of every model it inherits from, so a
+        dependency recorded against an abstract base (``Device``) matches a
+        record of a concrete subclass (``PeeringRouter``).  A name not
+        (yet) registered is its own whole ancestry."""
+        memo = self.memo
+        found = memo.get(("ancestry", name))
+        if found is None:
+            lineage = self._models[name].__mro__ if name in self._models else ()
+            found = memo["ancestry", name] = tuple(
+                klass.__name__
+                for klass in lineage
+                if getattr(klass, "_meta", None) is not None and klass is not Model
+            ) or (name,)
         return found
 
     def by_group(self, group: ModelGroup) -> list[type[Model]]:

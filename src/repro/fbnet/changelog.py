@@ -39,10 +39,9 @@ Dependency kinds, from most to least precise:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.fbnet.base import model_registry
+from repro.fbnet.base import hashable as _norm, model_registry
 from repro.fbnet.query import And, Expr, Or, Query, fold_equalities
 
 if TYPE_CHECKING:
@@ -55,40 +54,6 @@ __all__ = [
     "equality_dependencies",
     "query_models",
 ]
-
-
-#: model name -> that model's family names (itself + every Model ancestor),
-#: so deps recorded against an abstract base (e.g. ``Device``) match records
-#: of its concrete subclasses (e.g. ``PeeringRouter``).
-_FAMILY_CACHE: dict[str, tuple[str, ...]] = {}
-
-
-def _family(model_name: str) -> tuple[str, ...]:
-    cached = _FAMILY_CACHE.get(model_name)
-    if cached is not None:
-        return cached
-    try:
-        cls = model_registry.get(model_name)
-    except KeyError:
-        family: tuple[str, ...] = (model_name,)
-    else:
-        family = tuple(
-            klass.__name__
-            for klass in cls.__mro__
-            if getattr(klass, "_meta", None) is not None
-            and klass.__name__ != "Model"
-        )
-    _FAMILY_CACHE[model_name] = family
-    return family
-
-
-def _norm(value: Any) -> Any:
-    """Normalize a value for dependency comparison (mirrors index hashing)."""
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, (list, dict, set)):
-        return repr(value)
-    return value
 
 
 def equality_dependencies(query: Query) -> list[tuple[str, tuple[Any, ...]]] | None:
@@ -212,7 +177,7 @@ class ReadSet:
 
     def matches(self, record: ChangeRecord) -> bool:
         """Whether ``record`` could change what this computation read."""
-        family = _family(record.model)
+        family = model_registry.ancestry(record.model)
         if self.models and not self.models.isdisjoint(family):
             return True
         if self.objects:
@@ -294,7 +259,7 @@ class ReadSetIndex:
         postings = self._postings
         keys: set[Any] = set()
         changed = record.changed_fields
-        for name in _family(record.model):
+        for name in model_registry.ancestry(record.model):
             keys.update(postings.get((name,), ()))
             keys.update(postings.get((name, record.obj_id), ()))
             for field_name in self._fields.get(name, ()):

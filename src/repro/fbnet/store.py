@@ -31,7 +31,7 @@ from repro.common.errors import (
     TransactionError,
 )
 from repro.common.task import current
-from repro.fbnet.base import Model, model_registry
+from repro.fbnet.base import Model, hashable, model_registry
 from repro.fbnet.changelog import ReadSet, equality_dependencies, query_models
 from repro.fbnet.fields import OnDelete
 from repro.fbnet.query import Expr, Query, ensure_query, plan
@@ -527,13 +527,7 @@ class ObjectStore:
                     "unique_together"
                 )
 
-    @staticmethod
-    def _hashable(value: Any) -> Any:
-        if isinstance(value, Enum):
-            return value.value
-        if isinstance(value, (list, dict, set)):
-            return repr(value)
-        return value
+    _hashable = staticmethod(hashable)
 
     # ------------------------------------------------------------------
     # Indexes

@@ -1,11 +1,15 @@
 """Tests for derivation and the full config generation pipeline."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.common.errors import ConfigGenerationError
+from repro.configgen import derive
 from repro.configgen.configerator import Configerator
 from repro.configgen.derive import derive_device_data, fetch_location_devices
 from repro.configgen.generator import ConfigGenerator
+from repro.configgen.schema import CONFIG_SCHEMA
 from repro.design.cluster import build_cluster
 from repro.fbnet.models import ClusterGeneration, DrainState
 
@@ -57,6 +61,30 @@ class TestDerivation:
         )
         data = derive_device_data(store, cluster.devices["PSW"][0])
         assert data["bgp"] is None
+
+
+class TestTheOneBoundary:
+    def test_a_config_carries_what_the_reader_saw(self, store, env, pop_cluster, generator):
+        """derive hands over what it built; the struct on a golden config is
+        that, as the schema shows it to the render side of the wire."""
+        configs = generator.generate_location(env.pops["pop01"])
+        for device in fetch_location_devices(store, env.pops["pop01"]):
+            built = derive_device_data(store, device)
+            assert configs[device.name].data == CONFIG_SCHEMA.validate("Device", built)
+
+    def test_the_producer_does_not_grade_its_own_work(self):
+        assert "configgen.schema" not in Path(derive.__file__).read_text()
+        assert not hasattr(derive, "CONFIG_SCHEMA")
+
+    def test_a_struct_the_schema_refuses_does_not_render(
+        self, store, env, pop_cluster, generator, monkeypatch
+    ):
+        def bad_derive(store, device):
+            return {**derive_device_data(store, device), "vendor": 7}
+
+        monkeypatch.setattr("repro.configgen.generator.derive_device_data", bad_derive)
+        with pytest.raises(ConfigGenerationError, match="Device.vendor: expected string"):
+            generator.generate_device(pop_cluster.devices["PR"][0])
 
 
 class TestGeneration:

@@ -138,6 +138,20 @@ class TestAtomicMode:
         for name in ("pop01.d0", "pop01.d1", "pop01.d3"):
             assert fleet.get(name).parsed.interfaces["ae0"].mtu == 9192
 
+    def test_failed_rollback_is_reported_not_just_paged(self, rig):
+        fleet, deployer, notifications, _ = rig
+        deployer.deploy(all_v1_configs(fleet, mtu=9192))
+        fleet.get("pop01.d2").fail_next_commits = 1
+        # d0 takes the new config, then refuses the commit that restores it.
+        fleet.get("pop01.d0").on_config_change(
+            lambda device: setattr(device, "fail_next_commits", 1)
+        )
+        report = deployer.atomic_deploy(all_v1_configs(fleet, mtu=9000))
+        assert fleet.get("pop01.d0").parsed.interfaces["ae0"].mtu == 9000
+        assert set(report.failed) == {"pop01.d0", "pop01.d2"}
+        assert report.rolled_back == ["pop01.d1"]
+        assert any("atomic rollback FAILED on pop01.d0" in n for n in notifications)
+
     def test_time_window_enforced(self, rig):
         fleet, deployer, _, _ = rig
         deployer.deploy(all_v1_configs(fleet))

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fbnet.base import Model, ModelGroup, model_registry
 from repro.fbnet.changelog import (
     ReadSet,
     ReadSetIndex,
     equality_dependencies,
 )
+from repro.fbnet.fields import CharField
 from repro.fbnet.models import (
     DrainState,
     NetworkDomain,
@@ -177,6 +179,35 @@ class TestReadSetMatching:
         store.update(pr, name="pr1-renamed")
         (record,) = store.journal_since(position)
         assert reads.matches(record)
+
+    def test_late_registered_subclass_dirties_a_scan_of_its_base(self):
+        # The ancestry of a name is a fact of the registered set: asked
+        # about before the models exist, it must not be remembered past
+        # the registration that changes the answer.
+        reads = ReadSet()
+        reads.add_model("LateBase")
+        record = ChangeRecord(txn_id=1, op=ChangeOp.CREATE, model="LateGadget", obj_id=1)
+        index = ReadSetIndex()
+        index.put("scan", reads)
+        assert not reads.matches(record)
+        assert index.affected(record) == set()
+
+        class LateBase(Model):
+            class Meta:
+                abstract = True
+
+        class LateGadget(LateBase):
+            class Meta:
+                group = ModelGroup.DESIRED
+
+            label = CharField(default="")
+
+        try:
+            assert reads.matches(record)
+            assert index.affected(record) == {"scan"}
+        finally:
+            del model_registry._models["LateGadget"]
+            model_registry.memo = {}
 
     def test_merge_combines_dependencies(self):
         left, right = ReadSet(), ReadSet()

@@ -84,6 +84,30 @@ class TestLkgBookkeeping:
             for entry in record.device_versions.values()
         )
 
+    def test_rolled_back_rollouts_hold_one_pin_a_device(self, rig):
+        """A rollback re-commits the LKG text as a new version; the pin must
+        follow it, or every failed rollout leaks one unevictable entry."""
+        fleet, guard, _, _, _ = rig
+        for device in fleet.devices.values():
+            device.max_config_history = 4
+        for attempt in range(8):
+            # The last device refuses its push, so d0..d2 are rolled back.
+            fleet.get("pop01.d3").fail_next_commits = 1
+            result = guard.rollout(
+                new_configs(fleet, mtu=9000 + attempt),
+                [PhaseSpec(name="all", percentage=100)],
+            )
+            assert result.outcome is DeploymentOutcome.ROLLED_BACK
+        for name, device in fleet.devices.items():
+            assert len(device.config_history) <= device.max_config_history
+            pinned = [entry.version for entry in device.config_history if entry.pinned]
+            assert pinned == [device.config_version] == [guard.lkg[name]]
+        # The pin still moves forward when a rollout finally succeeds.
+        assert guard.rollout(new_configs(fleet), PHASES).ok
+        for device in fleet.devices.values():
+            pinned = [entry.version for entry in device.config_history if entry.pinned]
+            assert pinned == [device.config_version]
+
     def test_gates_pass_and_phases_logged(self, rig):
         fleet, guard, store, _, sched = rig
         guard.gate = HealthGate(fleet)
