@@ -41,6 +41,12 @@ def metric(name: str):
     return lambda run: run["metrics"][name]["value"]
 
 
+def off_by(name: str, expected: float):
+    """How far metric ``name`` reads from ``expected``, in either direction
+    (for a count that repeats exactly)."""
+    return lambda run: abs(metric(name)(run) - expected)
+
+
 def alert_share_error(run: dict) -> float:
     """How far ``alert_share`` is from the share of the generated burst that
     was built to match a rule — a prefilter dropping a matching line moves it."""
@@ -56,6 +62,12 @@ GATES = [
     # (benchmarks/results/ledger_pr17.txt).
     ("turnup", "fbnet.store.write us a call", us_per_call("fbnet.store.write"), 14.0),
     ("turnup", "fbnet.store.read us a call", us_per_call("fbnet.store.read"), 20.0),
+    # Placement may not move unnoticed: the largest shard's object count over
+    # the mean, a function of the journal alone (ledger_pr21.txt).
+    ("turnup", "fbnet.sharding.imbalance off 2.7685",
+     off_by("fbnet.sharding.imbalance", 2.7685), 1e-3),
+    ("churn", "fbnet.sharding.imbalance off 2.2237",
+     off_by("fbnet.sharding.imbalance", 2.2237), 1e-3),
     # 61 % when every message walked all 719 rules, under 20 % behind the
     # prefilter (ledger_pr16.txt).
     ("monitor", "monitoring.classifier share of the round", share("monitoring.classifier"), 0.25),

@@ -18,7 +18,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import Robotron, seed_environment
 from repro.deploy.phases import PhaseSpec
-from repro.fbnet.models import ClusterGeneration, Device, Rack, RackProfile
+from repro.fbnet.models import (
+    AggregatedInterface,
+    ClusterGeneration,
+    Device,
+    Rack,
+    RackProfile,
+)
 from repro.fbnet.query import Expr, Op
 
 
@@ -44,14 +50,22 @@ def drill_stale_configs() -> None:
     print(f"Engineer A generated config at design position "
           f"{config_a.design_position}")
 
-    # Engineer B updates the rack profile days later.
+    # Someone adds a rack: the journal moves, but not what A's config read.
     profile = robotron.store.create(
         RackProfile, name="hot-rack", downlinks_per_rack=12
     )
     robotron.store.create(
         Rack, name="rack-z", cluster=psw1.related("cluster"), rack_profile=profile
     )
-    print("Engineer B changed the design (new rack profile + rack)")
+    assert not robotron.generator.is_stale(config_a)
+    print("an unrelated rack was added: config still current")
+
+    # Engineer B changes the design A's config was generated from.
+    aggregate = robotron.store.first(
+        AggregatedInterface, Expr("device", Op.EQUAL, psw1.id)
+    )
+    robotron.store.update(aggregate, mtu=1500)
+    print(f"Engineer B changed the design ({aggregate.name} mtu 1500)")
 
     if robotron.generator.is_stale(config_a):
         print("deploy blocked: config predates a later design change — "

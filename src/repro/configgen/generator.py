@@ -455,12 +455,20 @@ class ConfigGenerator:
     # ------------------------------------------------------------------
 
     def is_stale(self, config: DeviceConfig) -> bool:
-        """Whether FBNet design state changed since ``config`` was generated.
+        """Whether FBNet design state ``config`` read changed since it was
+        generated.
 
         The paper recounts an outage from deploying configs generated
         before a later design change; deployment uses this check to warn.
-        A position *ahead* of the store's journal is stale too: after a
-        replica promotion loses the journal tail, a config generated
-        against the lost tail can no longer be trusted.
+        The evidence is the config's own read-set, the predicate
+        :meth:`regenerate_dirty` marks by — so monitoring's Derived writes
+        and unrelated design changes, which move the journal, do not cry
+        wolf.  A position *ahead* of the store's journal is stale too:
+        after a replica promotion loses the journal tail, a config
+        generated against the lost tail can no longer be trusted.  A
+        hand-built config with no read-set is current only at its position.
         """
-        return config.design_position != self._store.journal_position
+        position, store = config.design_position, self._store
+        if config.read_set is None or position > store.journal_position:
+            return position != store.journal_position
+        return any(map(config.read_set.matches, store.journal_since(position)))

@@ -492,15 +492,7 @@ class Robotron:
         :meth:`guarded_push` (health gate + LKG rollback) instead of a
         plain deploy.
         """
-        from repro.deploy.maintenance import drain_device
-
-        self._require_fleet()
-        assert self.deployer is not None
-        return drain_device(
-            self.store, self.fleet, self.generator, self.deployer,
-            device_name, reason=reason,
-            pusher=self.guarded_push if guarded else None,
-        )
+        return self._set_drain_state(device_name, DrainState.DRAINED, reason, guarded)
 
     def undrain(
         self,
@@ -510,13 +502,18 @@ class Robotron:
         guarded: bool = False,
     ):
         """Return a drained device to production traffic."""
-        from repro.deploy.maintenance import undrain_device
+        return self._set_drain_state(device_name, DrainState.UNDRAINED, reason, guarded)
+
+    def _set_drain_state(
+        self, device_name: str, target: DrainState, reason: str, guarded: bool
+    ):
+        from repro.deploy.maintenance import set_drain_state
 
         self._require_fleet()
         assert self.deployer is not None
-        return undrain_device(
+        return set_drain_state(
             self.store, self.fleet, self.generator, self.deployer,
-            device_name, reason=reason,
+            device_name, target, reason=reason,
             pusher=self.guarded_push if guarded else None,
         )
 

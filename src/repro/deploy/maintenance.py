@@ -35,7 +35,7 @@ from repro.fbnet.models import Device, DrainEvent, DrainState
 from repro.fbnet.query import Expr, Op
 from repro.fbnet.store import ObjectStore
 
-__all__ = ["MaintenanceResult", "drain_device", "undrain_device"]
+__all__ = ["MaintenanceResult", "drain_device", "set_drain_state", "undrain_device"]
 
 #: Signature of an alternative push path (e.g. a guarded rollout) the
 #: caller may route the drain config through instead of a plain deploy.
@@ -59,16 +59,25 @@ def _find_device(store: ObjectStore, name: str) -> Device:
     return device
 
 
-def _apply_drain_state(
+def set_drain_state(
     store: ObjectStore,
     fleet: DeviceFleet,
     generator: ConfigGenerator,
     deployer: Deployer,
     device_name: str,
     target: DrainState,
+    *,
     reason: str,
+    verify: bool = True,
     pusher: Pusher | None = None,
 ) -> MaintenanceResult:
+    """Move a device to ``target``: Desired write, regenerate, push, verify.
+
+    The one procedure behind :func:`drain_device` and
+    :func:`undrain_device`, which differ only in ``target`` and so in what
+    verification expects of the live sessions: none established once
+    DRAINED, all of them otherwise.
+    """
     device = _find_device(store, device_name)
     previous = device.drain_state
     with store.transaction():
@@ -81,8 +90,7 @@ def _apply_drain_state(
             at=fleet.scheduler.clock.now,
         )
     config = generator.generate_device(device)
-    push = pusher if pusher is not None else deployer.deploy
-    report = push({device_name: config})
+    report = (pusher or deployer.deploy)({device_name: config})
     if not report.ok:
         failure = report.failed.get(device_name, str(report.failed))
         # Compensating transaction: the push never landed, so the Desired
@@ -111,6 +119,40 @@ def _apply_drain_state(
         raise DeploymentError(
             f"{device_name}: drain-state deployment failed: {report.failed}"
         )
+    if verify:
+        drained = target is DrainState.DRAINED
+        wrong = [
+            entry["peer_ip"]
+            for entry in fleet.get(device_name).bgp_summary()
+            if (entry["state"] == "established") is drained
+        ]
+        if wrong:
+            # The device is genuinely half-transitioned (config pushed,
+            # sessions disagree), so the Desired state stands — but the
+            # failure must be visible: a failed DrainEvent for auditors and
+            # a flight event for anyone tracing the change, not just a raise.
+            what = "still established" if drained else "not re-established"
+            detail = f"sessions {what}: {', '.join(wrong)}"
+            store.create(
+                DrainEvent,
+                device=device,
+                state=target,
+                reason=f"verification failed: {detail}",
+                at=fleet.scheduler.clock.now,
+                succeeded=False,
+            )
+            obs.counter("deploy.drain_verify_fail", device=device_name).inc()
+            flight.record(
+                "deploy.drain",
+                phase="deployment",
+                device=device_name,
+                verdict="verify-failed",
+                detail=detail,
+            )
+            raise DeploymentError(
+                f"{device_name}: sessions {what} after "
+                f"{'drain' if drained else 'undrain'}: {wrong}"
+            )
     shut = sum(
         1 for n in (config.data.get("bgp") or {}).get("neighbors", [])
         if n.get("shutdown")
@@ -120,39 +162,6 @@ def _apply_drain_state(
         state=target,
         sessions_affected=shut,
         config_lines_changed=report.changed_lines.get(device_name, 0),
-    )
-
-
-def _record_verify_failure(
-    store: ObjectStore,
-    fleet: DeviceFleet,
-    device: Device,
-    target: DrainState,
-    detail: str,
-) -> None:
-    """A drain/undrain deployed but verification found live state wrong.
-
-    The device is genuinely half-transitioned (config pushed, sessions
-    disagree), so the Desired state stands — but the failure must be
-    visible: a failed :class:`DrainEvent` for auditors and a flight event
-    for anyone tracing the change, not just a raised exception.
-    """
-    with store.transaction():
-        store.create(
-            DrainEvent,
-            device=device,
-            state=target,
-            reason=f"verification failed: {detail}",
-            at=fleet.scheduler.clock.now,
-            succeeded=False,
-        )
-    obs.counter("deploy.drain_verify_fail", device=device.name).inc()
-    flight.record(
-        "deploy.drain",
-        phase="deployment",
-        device=device.name,
-        verdict="verify-failed",
-        detail=detail,
     )
 
 
@@ -176,27 +185,10 @@ def drain_device(
     established.  A verification failure is recorded (failed
     ``DrainEvent`` + flight event) before it raises.
     """
-    result = _apply_drain_state(
-        store, fleet, generator, deployer, device_name,
-        DrainState.DRAINED, reason, pusher,
+    return set_drain_state(
+        store, fleet, generator, deployer, device_name, DrainState.DRAINED,
+        reason=reason, verify=verify, pusher=pusher,
     )
-    if verify:
-        emulated = fleet.get(device_name)
-        still_up = [
-            entry["peer_ip"]
-            for entry in emulated.bgp_summary()
-            if entry["state"] == "established"
-        ]
-        if still_up:
-            detail = f"sessions still established: {', '.join(still_up)}"
-            _record_verify_failure(
-                store, fleet, _find_device(store, device_name),
-                DrainState.DRAINED, detail,
-            )
-            raise DeploymentError(
-                f"{device_name}: sessions still established after drain: {still_up}"
-            )
-    return result
 
 
 def undrain_device(
@@ -216,24 +208,7 @@ def undrain_device(
     undrain is only safe when the far ends agree.  Verification failures
     are recorded the same way :func:`drain_device` records them.
     """
-    result = _apply_drain_state(
-        store, fleet, generator, deployer, device_name,
-        DrainState.UNDRAINED, reason, pusher,
+    return set_drain_state(
+        store, fleet, generator, deployer, device_name, DrainState.UNDRAINED,
+        reason=reason, verify=verify, pusher=pusher,
     )
-    if verify:
-        emulated = fleet.get(device_name)
-        down = [
-            entry["peer_ip"]
-            for entry in emulated.bgp_summary()
-            if entry["state"] != "established"
-        ]
-        if down:
-            detail = f"sessions not re-established: {', '.join(down)}"
-            _record_verify_failure(
-                store, fleet, _find_device(store, device_name),
-                DrainState.UNDRAINED, detail,
-            )
-            raise DeploymentError(
-                f"{device_name}: sessions not re-established after undrain: {down}"
-            )
-    return result

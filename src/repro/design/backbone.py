@@ -227,7 +227,7 @@ class BackboneDesignTool:
             raise DesignValidationError(
                 f"circuit {circuit_name} is not fully connected"
             )
-        a_dev = a_pif.related("linecard").related("device")
+        a_dev = a_pif.device()
         new_z = self._router(new_z_name)
         if new_z.id == a_dev.id:
             raise DesignValidationError(

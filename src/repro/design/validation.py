@@ -45,11 +45,6 @@ __all__ = [
 ]
 
 
-def _pif_device(store: ObjectStore, pif) -> object:
-    linecard = pif.related("linecard")
-    return linecard.related("device") if linecard is not None else None
-
-
 def rule_circuit_endpoints(store: ObjectStore) -> list[str]:
     """Active circuits must terminate at two interfaces on different devices."""
     violations = []
@@ -69,9 +64,8 @@ def rule_circuit_endpoints(store: ObjectStore) -> list[str]:
                 f"circuit {circuit.name}: both endpoints are the same interface"
             )
             continue
-        a_dev = _pif_device(store, a_pif)
-        z_dev = _pif_device(store, z_pif)
-        if a_dev is not None and z_dev is not None and a_dev.id == z_dev.id:
+        a_dev = a_pif.device()
+        if a_dev.id == z_pif.device().id:
             violations.append(
                 f"circuit {circuit.name}: both endpoints on device {a_dev.name}"
             )
@@ -128,10 +122,8 @@ def rule_agg_members_on_same_device(store: ObjectStore) -> list[str]:
         if pif.agg_interface_id is None:
             continue
         agg = pif.related("agg_interface")
-        pif_dev = _pif_device(store, pif)
-        if agg is None or pif_dev is None:
-            continue
-        if agg.device_id != pif_dev.id:
+        pif_dev = pif.device()
+        if agg is not None and agg.device_id != pif_dev.id:
             violations.append(
                 f"interface {pif_dev.name}:{pif.name} grouped into {agg.name} "
                 f"which belongs to a different device"
@@ -210,9 +202,7 @@ def rule_port_capacity(store: ObjectStore) -> list[str]:
     per_device: Counter = Counter()
     device_of: dict = {}
     for pif in store.all(PhysicalInterface):
-        device = _pif_device(store, pif)
-        if device is None:
-            continue
+        device = pif.device()
         per_device[device.id] += 1
         device_of[device.id] = device
     for device_id, used in per_device.items():

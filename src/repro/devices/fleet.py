@@ -107,13 +107,10 @@ class DeviceFleet:
         for device in store.all(Device):
             fleet.add_device(device.name, device.vendor().value, role=device.role.value)
         for circuit in store.all(Circuit):
-            a_pif = circuit.related("a_interface")
-            z_pif = circuit.related("z_interface")
-            if a_pif is None or z_pif is None:
-                continue
-            a_dev = a_pif.related("linecard").related("device")
-            z_dev = z_pif.related("linecard").related("device")
-            fleet.wire(a_dev.name, a_pif.name, z_dev.name, z_pif.name)
+            ends = circuit.endpoints()
+            if ends is not None:
+                (a_dev, a_pif), (z_dev, z_pif) = ends
+                fleet.wire(a_dev.name, a_pif.name, z_dev.name, z_pif.name)
         return fleet
 
     def sync_wiring(self, store) -> None:
@@ -122,12 +119,10 @@ class DeviceFleet:
 
         self._wiring.clear()
         for circuit in store.all(Circuit):
-            a_pif = circuit.related("a_interface")
-            z_pif = circuit.related("z_interface")
-            if a_pif is None or z_pif is None:
+            ends = circuit.endpoints()
+            if ends is None:
                 continue
-            a_dev = a_pif.related("linecard").related("device")
-            z_dev = z_pif.related("linecard").related("device")
+            (a_dev, a_pif), (z_dev, z_pif) = ends
             if a_dev.name in self.devices and z_dev.name in self.devices:
                 self.wire(a_dev.name, a_pif.name, z_dev.name, z_pif.name)
 

@@ -35,8 +35,8 @@ harnesses treat as process death: discard the store, recover from disk.
 A sharded store (:mod:`repro.fbnet.sharding`) writes the same file with
 two additions: the header carries ``"shards": N`` and every commit frame
 carries ``"homes"``, one shard index per record, beside ``"records"`` —
-so recovery builds an N-shard store and puts each row back where it
-lived without re-deriving placement.  A plain store writes neither key.
+so recovery builds an N-shard store and gives each row the home it had
+without re-deriving placement.  A plain store writes neither key.
 The reader checks both: ``homes`` must be absent under a plain header
 and, under a sharded one, as long as ``records`` with every index in
 ``[0, N)`` — anything else is a :class:`DurabilityError`.
@@ -55,7 +55,7 @@ import zlib
 from collections.abc import Iterable
 from enum import Enum
 from hashlib import sha256
-from itertools import groupby, repeat
+from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, BinaryIO
@@ -314,16 +314,17 @@ def _batch(store: ObjectStore, records: list[ChangeRecord]) -> dict[str, Any]:
 
 def _read_batch(
     payload: dict[str, Any], shards: int | None, where: str
-) -> Iterable[tuple[dict[str, Any], int | None]]:
-    """Invert :func:`_batch`: ``(record payload, home)`` pairs, checked
-    against the header's ``shards``."""
+) -> Iterable[tuple[Any, ...]]:
+    """Invert :func:`_batch`: ``(record payload, home)`` pairs — bare
+    ``(record payload,)`` under a plain header, whose store takes no
+    home — checked against the header's ``shards``."""
     records, homes = payload.get("records"), payload.get("homes")
     if not isinstance(records, list):
         raise DurabilityError(f"{where}: no record list")
     if shards is None:
         if homes is not None:
             raise DurabilityError(f"{where}: homes in a plain store's log")
-        return zip(records, repeat(None))
+        return zip(records)
     if (
         not isinstance(homes, list)
         or len(homes) != len(records)
@@ -501,8 +502,8 @@ def recover_store(
         commit = _load_json_body(body, "commit")
         if commit is None:
             raise DurabilityError(f"{path.name}: malformed commit frame")
-        for payload, home in _read_batch(commit, shards, path.name):
-            store.apply_record(record_from_payload(payload), home)
+        for payload, *home in _read_batch(commit, shards, path.name):
+            store.apply_record(record_from_payload(payload), *home)
     if torn:
         with path.open("r+b") as handle:
             handle.truncate(valid_end)
@@ -557,7 +558,7 @@ def store_digest(store: ObjectStore) -> str:
             str(obj_id): _encode_row(obj.clone_values())
             for obj_id, obj in sorted(rows.items())
         }
-        for model, rows in sorted(store._digest_tables().items())
+        for model, rows in sorted(store._tables.items())
         if rows
     }
     payload = {

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.fbnet.base import Model, ModelGroup
 from repro.fbnet.fields import CharField, EnumField, ForeignKey, IntField, OnDelete
+from repro.fbnet.models.device import Device
 from repro.fbnet.models.enums import CircuitStatus
 from repro.fbnet.models.interface import AggregatedInterface, PhysicalInterface
 
@@ -64,3 +65,11 @@ class Circuit(Model):
     status = EnumField(CircuitStatus, default=CircuitStatus.PLANNED)
     provider = CharField(default="", help_text="Circuit provider for long-haul spans.")
     speed_mbps = IntField(default=10_000, min_value=10)
+
+    def endpoints(self) -> tuple[tuple[Device, PhysicalInterface], ...] | None:
+        """``((device, interface), (device, interface))`` for the A and Z
+        ends — or ``None`` while either end is disconnected."""
+        a_pif, z_pif = self.related("a_interface"), self.related("z_interface")
+        if a_pif is None or z_pif is None:
+            return None
+        return (a_pif.device(), a_pif), (z_pif.device(), z_pif)

@@ -1,8 +1,9 @@
-"""Region-sharded FBNet store (ROADMAP item 1; paper sections 4.3.1/4.3.3).
+"""Region placement labels over the FBNet store (PR 9's extension).
 
-The paper's FBNet holds hundreds of thousands of objects; one in-process
-table set stops being a credible stand-in at that scale.  This module
-partitions *where rows live* by region, and nothing else:
+The paper's FBNet is *not* sharded: section 4.3 runs one MySQL master
+with a read replica per region.  This module is this reproduction's own
+experiment in labelling every object with a home shard by region, and
+nothing else — rows live where a plain store keeps them:
 
 * :class:`ShardAssignment` — the deterministic home-shard rule.  An
   object's *region token* is the lexicographically smallest region name
@@ -12,23 +13,19 @@ partitions *where rows live* by region, and nothing else:
   Catalog objects with no located ancestor (hardware profiles, prefix
   pools) home on shard 0.  The token is hashed, not range-mapped, so
   adding regions spreads load without reassigning existing ones.
-* :class:`Shard` — one partition: a key, a name and a set of tables.  It
-  is not a store: it has no journal, undo log, transaction or WAL.
-* :class:`ShardedObjectStore` — the router, and the only store.  It is an
-  :class:`~repro.fbnet.store.ObjectStore` whose one difference is the
-  answer to "which table holds row (model, id)": ids, transactions, undo
-  log, journal, indexes, listeners and durability are the base class's,
-  so results are identical at any shard count and any worker count.
+* :class:`Shard` — one label: a key, a name and a live-object count.
+* :class:`ShardedObjectStore` — an
+  :class:`~repro.fbnet.store.ObjectStore` that also keeps the placement
+  map (object id -> shard) and counts which reads one shard could have
+  served.  Tables, ids, transactions, undo log, journal, indexes,
+  listeners and durability are the base class's, so results are
+  identical at any shard count and any worker count.
 
-Consistency model: a commit is what it is on a plain store — one
-transaction id, one journal batch, one WAL frame — however many shards
-its rows land on, so a multi-shard commit is atomic on disk by
-construction and a crash leaves a prefix of whole transactions.  The
-frame carries each record's home shard beside it (see
-:mod:`repro.fbnet.durability`), so recovery places rows from data and
-the recovered home map equals the crashed one.  The weaker per-partition
-durable prefix of arXiv:1609.06678 buys independence between partitions
-that fail separately; these all live in one process behind one writer.
+Placement is a function of the journal: an object is placed when its
+CREATE is first indexed, from the state the journal prefix before it
+describes, and never moves.  The WAL carries each record's home beside
+it (see :mod:`repro.fbnet.durability`) so that recovery need not repeat
+the FK walk; what it carries is what a cold replay would compute.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from repro import obs
 from repro.common.errors import ObjectDoesNotExist
 from repro.fbnet.base import Model, model_registry
 from repro.fbnet.query import Query
-from repro.fbnet.store import ChangeRecord, ObjectStore
+from repro.fbnet.store import ChangeOp, ChangeRecord, ObjectStore
 
 __all__ = [
     "Shard",
@@ -129,19 +126,15 @@ class ShardAssignment:
 
 
 class Shard:
-    """One partition of a :class:`ShardedObjectStore`: its tables.
-
-    A value, not a store — every row's ``_store`` is the router, which
-    alone journals, transacts and logs.
-    """
+    """One label of a :class:`ShardedObjectStore`'s placement map: a key,
+    a name and a count.  It holds no rows."""
 
     def __init__(self, router_name: str, index: int):
         self.shard_index = index
         self.shard_key = f"s{index:02d}"
         self.name = f"{router_name}/{self.shard_key}"
-        self.tables: dict[str, dict[int, Model]] = {}
-        #: Live rows across ``tables``, kept by the router as it indexes
-        #: and unindexes them, so the per-commit gauges need no table walk.
+        #: Live rows placed here, kept by the store as it indexes and
+        #: unindexes them, so the per-commit gauges need no walk.
         self.live = 0
 
     def total_objects(self) -> int:
@@ -160,13 +153,12 @@ class ShardedDurability:
 
 
 class ShardedObjectStore(ObjectStore):
-    """An :class:`ObjectStore` whose rows are partitioned by region.
+    """An :class:`ObjectStore` whose rows are labelled with a home shard.
 
-    Drop-in compatible with the single store: the same transaction ids,
-    the same journal in the same order, the same flight events, the same
-    WAL, and query results identical byte-for-byte at any shard count and
-    any worker count.  ``self._tables`` stays empty; rows live in
-    ``self.shards[i].tables``.
+    Drop-in compatible with the single store: the same tables, the same
+    transaction ids, the same journal in the same order, the same flight
+    events, the same WAL but for ``shards``/``homes``, and query results
+    identical byte-for-byte at any shard count and any worker count.
     """
 
     def __init__(self, shards: int = 4, name: str = "fbnet"):
@@ -175,14 +167,15 @@ class ShardedObjectStore(ObjectStore):
         self.shards = [Shard(name, index) for index in range(shards)]
         #: object id -> index of the shard it was placed on.  Placement is
         #: for good (ids are never reused), so the entry outlives the row:
-        #: an undone delete returns the row to the table it left, and the
+        #: an undone delete returns the row to the shard it left, and the
         #: WAL can name the home of every journal record.
         self._placed: dict[int, int] = {}
         #: ``_placed`` restricted to live rows.
         self._home: dict[int, int] = {}
-        #: object id -> region token, invalidated whenever the object's
-        #: row is (re)indexed.  Only an accelerator for the placement walk
-        #: (recovery places from the WAL and starts it cold).
+        #: object id -> region token: only an accelerator for the placement
+        #: walk, so it must never change an answer.  An entry is derived
+        #: *through* the object's ancestors, so the whole cache is emptied
+        #: whenever any ancestry moves (``_ancestry_moved``, ``_rollback``).
         self._token_cache: dict[int, str | None] = {}
 
     @property
@@ -190,33 +183,8 @@ class ShardedObjectStore(ObjectStore):
         return len(self.shards)
 
     # ------------------------------------------------------------------
-    # Placement: the one thing the router decides
+    # Placement: the one thing this class decides
     # ------------------------------------------------------------------
-
-    def _table(
-        self,
-        model_name: str,
-        obj_id: int,
-        new: dict[str, Any] | None = None,
-        home: int | None = None,
-    ) -> dict[int, Model]:
-        index = self._placed.get(obj_id)
-        if index is None:
-            if new is None:
-                return {}  # never placed: no such row
-            if home is None:
-                home = self.assignment.shard_index(
-                    model_registry.get(model_name),
-                    new,
-                    self._home_resolve,
-                    self._token_cache,
-                )
-            index = self._placed[obj_id] = home
-        tables = self.shards[index].tables
-        table = tables.get(model_name)
-        if table is None:
-            table = tables[model_name] = {}
-        return table
 
     #: The placement walk's FK resolver (it records no read).
     _home_resolve = ObjectStore._resolve
@@ -229,19 +197,43 @@ class ShardedObjectStore(ObjectStore):
         super()._index(obj, values)
         obj_id = obj.id
         if obj_id not in self._home:
-            home = self._home[obj_id] = self._placed[obj_id]
+            home = self._placed.get(obj_id)
+            if home is None:  # first indexed: placed now, once and for good
+                home = self._placed[obj_id] = self.assignment.shard_index(
+                    type(obj), values, self._home_resolve, self._token_cache
+                )
+            self._home[obj_id] = home
             self.shards[home].live += 1
-        self._token_cache.pop(obj_id, None)
 
     def _unindex(self, obj: Model) -> None:
         super()._unindex(obj)
         home = self._home.pop(obj.id, None)
         if home is not None:
             self.shards[home].live -= 1
-        self._token_cache.pop(obj.id, None)
+
+    def _record(
+        self, op: ChangeOp, model_name: str, obj_id: int, values: dict[str, Any],
+        changed: tuple[str, ...],
+    ) -> None:
+        super()._record(op, model_name, obj_id, values, changed)
+        if changed:  # an UPDATE: nothing points at a row just made or removed
+            self._ancestry_moved(model_name, changed)
+
+    def _ancestry_moved(self, model_name: str, changed: tuple[str, ...]) -> None:
+        """Forget every token if this UPDATE renamed a ``Region`` or
+        re-parented a row (the two things ``token()`` reads)."""
+        fks = model_registry.get(model_name)._meta.fk_fields
+        if not fks.keys().isdisjoint(changed) or (
+            model_name == "Region" and "name" in changed
+        ):
+            self._token_cache.clear()
+
+    def _rollback(self) -> None:
+        super()._rollback()
+        self._token_cache.clear()  # whatever it walked through is undone
 
     def shard_of(self, obj: Model) -> str:
-        """The shard key (``"s00"``…) holding ``obj``."""
+        """The shard key (``"s00"``…) ``obj`` is placed on."""
         if obj.id is None or obj.id not in self._home:
             raise ObjectDoesNotExist(f"{obj!r} is not stored here")
         return self.shards[self._home[obj.id]].shard_key
@@ -261,13 +253,13 @@ class ShardedObjectStore(ObjectStore):
             ).inc()
 
     # ------------------------------------------------------------------
-    # Reads: routing only
+    # Reads: counters only
     # ------------------------------------------------------------------
     #
     # Planning is the base class's: every verb goes through
-    # ``ObjectStore._select``.  What the router adds is the counters that
-    # say whether a read went to one shard (``get``, ``_candidate_rows``)
-    # or to all of them (``_iter_rows``).
+    # ``ObjectStore._select``.  What this class adds is the counters that
+    # say whether one shard could have served a read (``get``,
+    # ``_candidate_rows``) or it took all of them (``_iter_rows``).
 
     def get(self, model: type[M], obj_id: int) -> M:
         found = super().get(model, obj_id)
@@ -275,7 +267,7 @@ class ShardedObjectStore(ObjectStore):
         return found
 
     def _iter_rows(self, model: type[M]) -> Iterator[M]:
-        """Every shard's rows, in shard order: a fan-out, counted per shard."""
+        """A scan reads rows of every shard: a fan-out, counted per shard."""
         if len(self.shards) > 1:
             for shard in self.shards:
                 obs.counter(
@@ -284,7 +276,7 @@ class ShardedObjectStore(ObjectStore):
         return super()._iter_rows(model)
 
     def _candidate_rows(self, candidates: dict[str, set[int]]) -> list[Model]:
-        """Index-served rows; counted when one shard held all of them."""
+        """Index-served rows; counted when they all share one home."""
         rows = super()._candidate_rows(candidates)
         if len({self._home[row.id] for row in rows}) <= 1:
             obs.counter("store.planner.single_shard", store=self.name).inc()
@@ -312,7 +304,12 @@ class ShardedObjectStore(ObjectStore):
         return super().delete(obj)
 
     def apply_record(self, record: ChangeRecord, home: int | None = None) -> None:
-        return super().apply_record(record, home)
+        """``home`` is recovery's: where the WAL says the record's row lives."""
+        if home is not None:
+            self._placed.setdefault(record.obj_id, home)
+        if record.changed_fields:
+            self._ancestry_moved(record.model, record.changed_fields)
+        return super().apply_record(record)
 
     def transaction(self):
         return super().transaction()
@@ -341,6 +338,3 @@ class ShardedObjectStore(ObjectStore):
     def shard_sizes(self) -> dict[str, int]:
         """Object count per shard key — the balance view."""
         return {shard.shard_key: shard.total_objects() for shard in self.shards}
-
-    def _partitions(self) -> list[dict[str, dict[int, Model]]]:
-        return [shard.tables for shard in self.shards]

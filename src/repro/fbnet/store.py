@@ -102,9 +102,10 @@ class ObjectStore:
     :mod:`repro.fbnet.replication` on top of the journal this store emits.
     """
 
-    #: How many shards rows are spread over; ``None`` on a plain store.
-    #: A store that sets it (:mod:`repro.fbnet.sharding`) also says where
-    #: each journal record's row lives, and the durability layer logs both.
+    #: How many shards rows are labelled with; ``None`` on a plain store.
+    #: A store that sets it (:mod:`repro.fbnet.sharding`) also says which
+    #: shard each journal record's row belongs to, and the durability layer
+    #: logs both.  Rows live in ``_tables`` either way.
     shard_count: int | None = None
 
     def __init__(self, name: str = "fbnet"):
@@ -301,7 +302,7 @@ class ObjectStore:
 
     def _rollback(self) -> None:
         for entry in reversed(self._undo_log):
-            table = self._table(entry.model.__name__, entry.obj_id)
+            table = self._tables[entry.model.__name__]
             if entry.op is ChangeOp.CREATE:
                 obj = table.pop(entry.obj_id, None)
                 if obj is not None:
@@ -428,7 +429,7 @@ class ObjectStore:
     def _remove_row(self, obj: Model) -> None:
         assert obj.id is not None
         obj_id, name = obj.id, type(obj).__name__
-        table = self._table(name, obj_id)
+        table = self._tables[name]
         if obj_id not in table:
             return  # already deleted within this cascade
         values = obj.clone_values()
@@ -457,7 +458,7 @@ class ObjectStore:
         self._check_unique(model, values, exclude_id=None)
         obj.id = obj_id = self._alloc_id()
         obj._store = self
-        self._table(model.__name__, obj_id, values)[obj_id] = obj
+        self._tables.setdefault(model.__name__, {})[obj_id] = obj
         self._index(obj, values)
         self._undo_log.append(_UndoEntry(ChangeOp.CREATE, model, obj_id, None))
         self._record(ChangeOp.CREATE, model.__name__, obj_id, values, ())
@@ -619,28 +620,10 @@ class ObjectStore:
         ids = self._reverse_index.get((name, fk_name), {}).get(obj.id, ())
         return [row for i in sorted(ids) if (row := self._row(name, i)) is not None]
 
-    def _table(
-        self,
-        model_name: str,
-        obj_id: int,
-        new: dict[str, Any] | None = None,
-        home: int | None = None,
-    ) -> dict[int, Model]:
-        """The table that holds row ``(model_name, obj_id)``.
-
-        The one question about where rows live, and the only one a
-        partitioned store (:mod:`repro.fbnet.sharding`) answers
-        differently; journal, undo log, transactions and the WAL never
-        ask.  ``new`` is passed when the id is new to the store (insert,
-        replicated CREATE) and carries the row's field values, from which
-        a partitioned store decides, once and for good, where the id
-        lives; ``home`` is that decision as a WAL recorded it.
-        """
-        return self._tables.setdefault(model_name, {})
-
     def _row(self, model_name: str, obj_id: int) -> Model | None:
         """Resolve one indexed id to its live row."""
-        return self._table(model_name, obj_id).get(obj_id)
+        rows = self._tables.get(model_name)
+        return rows.get(obj_id) if rows else None
 
     # ------------------------------------------------------------------
     # Reads
@@ -662,19 +645,17 @@ class ObjectStore:
     def _resolve(self, model: type[M], obj_id: int) -> M | None:
         # Ids are store-wide, so at most one table of the family holds it.
         for concrete in model_registry.family(model):
-            obj = self._table(concrete.__name__, obj_id).get(obj_id)
+            obj = self._row(concrete.__name__, obj_id)
             if obj is not None:
                 return obj  # type: ignore[return-value]
         return None
 
     def _iter_rows(self, model: type[M]) -> Iterator[M]:
         """Every row of ``model`` (and subclasses), unsorted and untracked."""
-        family = model_registry.family(model)
-        for tables in self._partitions():
-            for concrete in family:
-                rows = tables.get(concrete.__name__)
-                if rows:
-                    yield from rows.values()  # type: ignore[misc]
+        for concrete in model_registry.family(model):
+            rows = self._tables.get(concrete.__name__)
+            if rows:
+                yield from rows.values()  # type: ignore[misc]
 
     def all(self, model: type[M]) -> list[M]:
         """All objects of ``model``, including subclasses, ordered by id."""
@@ -798,12 +779,11 @@ class ObjectStore:
         """Register ``fn`` to receive each committed transaction's records."""
         self._commit_listeners.append(fn)
 
-    def apply_record(self, record: ChangeRecord, home: int | None = None) -> None:
+    def apply_record(self, record: ChangeRecord) -> None:
         """Apply a journal record from another store (replication receive).
 
         Object ids are preserved so that replicas remain id-compatible with
-        the master.  ``home`` is recovery's: where the WAL says the row of
-        a CREATE lives (see :meth:`_table`).
+        the master.
         """
         model = model_registry.get(record.model)
         values, creating = record.values, record.op is ChangeOp.CREATE
@@ -811,7 +791,7 @@ class ObjectStore:
         # the record was written — unless the record is hand-built and
         # partial, when the shadow is completed from the row.
         whole = values.keys() == model._meta.fields.keys()
-        table = self._table(record.model, record.obj_id, values if creating else None, home)
+        table = self._tables.setdefault(record.model, {})
         # Strict for all three ops: a record that does not fit the rows
         # here means this store diverged from the journal's source (or the
         # log repeats a frame) — surfaced, never papered over.
@@ -905,34 +885,12 @@ class ObjectStore:
     # Introspection
     # ------------------------------------------------------------------
 
-    def _partitions(self) -> list[dict[str, dict[int, Model]]]:
-        """Every table set rows live in (one, unless partitioned)."""
-        return [self._tables]
-
     def table_sizes(self) -> dict[str, int]:
         """Row count per concrete model (only non-empty tables)."""
-        sizes: dict[str, int] = {}
-        for tables in self._partitions():
-            for name, rows in tables.items():
-                if rows:
-                    sizes[name] = sizes.get(name, 0) + len(rows)
-        return sizes
+        return {name: len(rows) for name, rows in self._tables.items() if rows}
 
     def total_objects(self) -> int:
-        return sum(
-            len(rows) for tables in self._partitions() for rows in tables.values()
-        )
-
-    def _digest_tables(self) -> dict[str, dict[int, Model]]:
-        """Every non-empty table, partitions merged, as one mapping — the
-        fingerprinting surface, so :func:`repro.fbnet.durability.store_digest`
-        compares sharded and single stores on equal footing."""
-        merged: dict[str, dict[int, Model]] = {}
-        for tables in self._partitions():
-            for model_name, rows in tables.items():
-                if rows:
-                    merged.setdefault(model_name, {}).update(rows)
-        return merged
+        return sum(map(len, self._tables.values()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ObjectStore {self.name!r} objects={self.total_objects()}>"

@@ -58,14 +58,10 @@ def _desired_circuit_endpoints(store: ObjectStore) -> dict[frozenset, Circuit]:
     for circuit in store.all(Circuit):
         if circuit.status is CircuitStatus.DECOMMISSIONED:
             continue
-        a_pif = circuit.related("a_interface")
-        z_pif = circuit.related("z_interface")
-        if a_pif is None or z_pif is None:
-            continue
-        a_dev = a_pif.related("linecard").related("device")
-        z_dev = z_pif.related("linecard").related("device")
-        key = frozenset(((a_dev.name, a_pif.name), (z_dev.name, z_pif.name)))
-        endpoints[key] = circuit
+        ends = circuit.endpoints()
+        if ends is not None:
+            key = frozenset((device.name, pif.name) for device, pif in ends)
+            endpoints[key] = circuit
     return endpoints
 
 

@@ -281,16 +281,6 @@ class WorkloadExecutor:
         a, z = self._rng.sample(routers, 2)
         return a.name, z.name
 
-    @staticmethod
-    def _endpoint_devices(circuit) -> tuple | None:
-        a_pif = circuit.related("a_interface")
-        z_pif = circuit.related("z_interface")
-        if a_pif is None or z_pif is None:
-            return None
-        a_dev = a_pif.related("linecard").related("device")
-        z_dev = z_pif.related("linecard").related("device")
-        return a_dev, z_dev
-
     def _pick_backbone_circuit(self):
         # Backbone circuits carry "bbNNN.<site>--..." bundle-derived names;
         # pre-filter on the cheap string before resolving any FK chain.
@@ -301,10 +291,10 @@ class WorkloadExecutor:
         ]
         self._rng.shuffle(candidates)
         for circuit in candidates:
-            endpoints = self._endpoint_devices(circuit)
+            endpoints = circuit.endpoints()
             if endpoints is None:
                 continue
-            a_dev, z_dev = endpoints
+            (a_dev, _a_pif), (z_dev, _z_pif) = endpoints
             if isinstance(a_dev, BackboneRouter) and isinstance(z_dev, BackboneRouter):
                 return circuit, a_dev.name, z_dev.name
         raise DesignValidationError("no backbone circuit available")

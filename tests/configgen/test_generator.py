@@ -1,5 +1,6 @@
 """Tests for derivation and the full config generation pipeline."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,14 @@ from repro.configgen.derive import derive_device_data, fetch_location_devices
 from repro.configgen.generator import ConfigGenerator
 from repro.configgen.schema import CONFIG_SCHEMA
 from repro.design.cluster import build_cluster
-from repro.fbnet.models import ClusterGeneration, DrainState
+from repro.fbnet.models import (
+    AggregatedInterface,
+    ClusterGeneration,
+    DrainState,
+    Rack,
+    RackProfile,
+)
+from repro.fbnet.query import Expr, Op
 
 
 @pytest.fixture
@@ -146,6 +154,43 @@ class TestGeneration:
         assert not generator.is_stale(config)
         store.update(device, drain_state=DrainState.DRAINING)
         assert generator.is_stale(config)
+
+    def test_staleness_is_judged_by_what_the_config_read(self, pop_network):
+        """Section 8's check must not cry wolf: monitoring's Derived writes
+        and unrelated design changes move the journal on every deployment."""
+        store, generator = pop_network.store, pop_network.generator
+        golden = dict(generator.golden)
+        assert len(golden) == 14
+        position = store.journal_position
+        pop_network.run(120)  # two minutes of monitoring
+        assert store.journal_position > position
+        assert not any(map(generator.is_stale, golden.values()))
+        profile = store.create(RackProfile, name="unrelated", downlinks_per_rack=2)
+        store.create(
+            Rack, name="rack-9", cluster=pop_network.cluster.cluster, rack_profile=profile
+        )
+        assert not any(map(generator.is_stale, golden.values()))
+        # A change one config read: stale, and only that one.
+        pr1 = pop_network.cluster.devices["PR"][0]
+        aggregate = store.first(AggregatedInterface, Expr("device", Op.EQUAL, pr1.id))
+        store.update(aggregate, mtu=1500)
+        assert [name for name, config in golden.items() if generator.is_stale(config)] == [
+            pr1.name
+        ]
+        assert generator.regenerate_dirty().dirty.keys() == {pr1.name}
+
+    def test_staleness_without_a_read_set_or_ahead_of_the_journal(
+        self, store, env, pop_cluster, generator
+    ):
+        config = generator.generate_device(pop_cluster.devices["PR"][0])
+        # A tail lost to a promotion: the config read state this store never saw.
+        ahead = replace(config, design_position=store.journal_position + 1)
+        assert generator.is_stale(ahead)
+        # Hand-built, no evidence of what it read: current only at its position.
+        blind = replace(config, read_set=None)
+        assert not generator.is_stale(blind)
+        store.create(RackProfile, name="unrelated", downlinks_per_rack=2)
+        assert generator.is_stale(blind) and not generator.is_stale(config)
 
     def test_mpls_section_only_when_tunnels(self, store, env, pop_cluster, generator):
         config = generator.generate_device(pop_cluster.devices["PR"][0])

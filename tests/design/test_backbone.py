@@ -136,6 +136,16 @@ class TestCircuits:
         with pytest.raises(DesignValidationError, match="own A-end"):
             tool.migrate_circuit(circuit.name, "bb1.bbs01")
 
+    def test_circuit_endpoints_are_both_ends_or_none(self, store, tool, routers):
+        tool.add_circuit("bb1.bbs01", "bb2.bbs01")
+        circuit = store.all(Circuit)[0]
+        (a_dev, a_pif), (z_dev, z_pif) = circuit.endpoints()
+        assert (a_dev.name, z_dev.name) == ("bb1.bbs01", "bb2.bbs01")
+        assert (a_pif.id, z_pif.id) == (circuit.a_interface_id, circuit.z_interface_id)
+        # Mid-migration one end is disconnected: there is no wiring to derive.
+        store.update(circuit, z_interface=None)
+        assert circuit.endpoints() is None
+
 
 class TestMesh:
     def test_join_creates_full_mesh(self, store, env, tool):

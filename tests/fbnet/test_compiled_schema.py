@@ -361,9 +361,12 @@ class TestOneValuesDictPerRowWrite:
         for record in store.journal:
             replica.apply_record(record)
         for subject in (store, replica):
+            live = {row.id for rows in subject._tables.values() for row in rows.values()}
+            assert subject._home.keys() == live
             for shard in subject.shards:
-                assert shard.total_objects() == sum(map(len, shard.tables.values()))
-            assert sum(subject.shard_sizes().values()) == len(subject._home)
+                sent_here = [i for i, home in subject._home.items() if home == shard.shard_index]
+                assert shard.total_objects() == len(sent_here)
+            assert sum(subject.shard_sizes().values()) == subject.total_objects()
         assert replica.shard_sizes() == store.shard_sizes()
 
 

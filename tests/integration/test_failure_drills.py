@@ -10,7 +10,7 @@
 import pytest
 
 from repro import Robotron, seed_environment
-from repro.fbnet.models import ClusterGeneration, Rack, RackProfile
+from repro.fbnet.models import ClusterGeneration, DrainState, Rack, RackProfile
 from repro.fbnet.query import Expr, Op
 
 
@@ -32,12 +32,20 @@ class TestStaleConfigs:
         config_a = robotron.generator.generate_device(fbnet_device)
         assert not robotron.generator.is_stale(config_a)
 
-        # Engineer B makes a design change days later.
+        # Two minutes of monitoring and an unrelated design change (a new
+        # rack profile and rack) move the journal, not what A's config read.
+        position = robotron.store.journal_position
+        robotron.run(120)
+        assert robotron.store.journal_position > position
         profile = robotron.store.create(
             RackProfile, name="new-web-rack", downlinks_per_rack=2
         )
         cluster = fbnet_device.related("cluster")
         robotron.store.create(Rack, name="rack-9", cluster=cluster, rack_profile=profile)
+        assert not robotron.generator.is_stale(config_a)
+
+        # Engineer B makes a design change days later: drains the device.
+        robotron.store.update(fbnet_device, drain_state=DrainState.DRAINED)
 
         # A's config is now stale — the check the paper wished for.
         assert robotron.generator.is_stale(config_a)

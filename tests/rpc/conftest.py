@@ -1,8 +1,8 @@
 """Read-front-door suite fixtures.
 
-The ``cache-consistency`` CI matrix pins ``FBNET_SHARDS``,
-``ROBOTRON_WORKERS``, and ``CHAOS_SEED`` and reruns this suite per
-cell; locally the fixtures default to 4 shards and seed 1337.
+The ``cache-consistency`` CI matrix pins ``ROBOTRON_WORKERS`` and
+``CHAOS_SEED`` and reruns this suite per cell; the fixtures default to
+4 shards (``FBNET_SHARDS``, which CI leaves alone) and seed 1337.
 """
 
 from __future__ import annotations

@@ -3,16 +3,23 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import seed_environment
+from repro.fbnet.durability import WAL_NAME
 from repro.fbnet.models import (
     BackboneSite,
     Circuit,
+    Cluster,
+    ClusterGeneration,
     HardwareProfile,
     LinecardModel,
     NetworkDomain,
     Pop,
     PrefixPool,
+    Rack,
+    RackProfile,
     Region,
     Vendor,
 )
@@ -163,3 +170,123 @@ class TestCrossRegionHomeRule:
             assert sharded.shard_of(site) == sharded.shard_of(
                 site.related("region")
             )
+
+
+# ---------------------------------------------------------------------------
+# Placement is a function of the journal
+# ---------------------------------------------------------------------------
+
+#: Wide enough that two region tokens rarely share a shard.
+WIDE = 16
+
+INDEX = st.integers(min_value=0, max_value=7)
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["pop", "cluster", "rack", "drop_rack", "drop_cluster"]), INDEX),
+        st.tuples(st.sampled_from(["move_pop", "move_cluster", "rename"]), INDEX, INDEX),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+def located_hierarchy(store):
+    """Three regions, one POP, one cluster and the catalog a rack needs."""
+    regions = [store.create(Region, name=f"region-{i}") for i in range(3)]
+    store.create(RackProfile, name="profile", downlinks_per_rack=1)
+    pop = store.create(Pop, name="pop-seed", region=regions[0], domain=NetworkDomain.POP)
+    store.create(
+        Cluster, name="cluster-seed", pop=pop, generation=ClusterGeneration.POP_GEN2
+    )
+    return store
+
+
+def take_step(store, number, step):
+    """Apply one drawn step; a pick is an index into the rows by id, so
+    every arm that holds the same rows makes the same write."""
+    kind, *picks = step
+
+    def pick(model, which=0):
+        rows = store.all(model)
+        return rows[picks[which] % len(rows)] if rows else None
+
+    if kind == "pop":
+        store.create(
+            Pop, name=f"pop-{number}", region=pick(Region), domain=NetworkDomain.POP
+        )
+    elif kind == "cluster":
+        store.create(
+            Cluster,
+            name=f"cluster-{number}",
+            pop=pick(Pop),
+            generation=ClusterGeneration.POP_GEN2,
+        )
+    elif kind == "rack" and pick(Cluster) is not None:
+        store.create(
+            Rack,
+            name=f"rack-{number}",
+            cluster=pick(Cluster),
+            rack_profile=store.all(RackProfile)[0],
+        )
+    elif kind == "drop_rack" and pick(Rack) is not None:
+        store.delete(pick(Rack))
+    elif kind == "drop_cluster" and pick(Cluster) is not None:
+        store.delete(pick(Cluster))  # cascades to its racks
+    elif kind == "move_pop":
+        store.update(pick(Pop), region=pick(Region, 1))
+    elif kind == "move_cluster" and pick(Cluster) is not None:
+        store.update(pick(Cluster), pop=pick(Pop, 1))
+    elif kind == "rename":
+        # The pick leads the name, so a rename reorders the region tokens.
+        store.update(pick(Region), name=f"{picks[1]}-renamed-{number}")
+
+
+def cold_replay(journal):
+    replica = ShardedObjectStore(shards=WIDE)
+    for record in journal:
+        replica.apply_record(record)  # no home: the walk decides
+    return replica
+
+
+class TestPlacementFollowsTheJournal:
+    @settings(max_examples=60, deadline=None)
+    @given(steps=STEPS, crash_before=st.integers(min_value=0, max_value=19))
+    # ISSUE 21's case: racks warm the cluster's token, the POP above it
+    # moves, and the next rack landed by the stale token unless the
+    # process had crashed (and lost the cache) in between.
+    @example(steps=[("rack", 0), ("rack", 0), ("move_pop", 0, 1), ("rack", 0)], crash_before=3)
+    def test_three_arms_agree_after_every_step(
+        self, tmp_path_factory, steps, crash_before
+    ):
+        """The live store, a cold replay of its journal, and a store that
+        crashed mid-sequence and carried on from its WAL place every
+        object alike — and the two logs end byte-equal."""
+        roots = [tmp_path_factory.mktemp(arm) for arm in ("live", "crashed")]
+        live, crashed = (
+            located_hierarchy(ShardedObjectStore(shards=WIDE)) for _root in roots
+        )
+        live.attach_durability(roots[0])
+        crashed.attach_durability(roots[1])
+        for number, step in enumerate(steps):
+            if number == crash_before % len(steps):
+                crashed.detach_durability()
+                crashed = ShardedObjectStore.recover(roots[1])
+            take_step(live, number, step)
+            take_step(crashed, number, step)
+            replayed = cold_replay(live.journal)
+            assert crashed._placed == live._placed == replayed._placed
+            assert crashed._home == live._home == replayed._home
+            assert crashed.shard_sizes() == live.shard_sizes() == replayed.shard_sizes()
+        live.detach_durability()
+        crashed.detach_durability()
+        assert (roots[1] / WAL_NAME).read_bytes() == (roots[0] / WAL_NAME).read_bytes()
+
+    def test_rollback_forgets_the_tokens_it_walked(self):
+        live = located_hierarchy(ShardedObjectStore(shards=WIDE))
+        with pytest.raises(RuntimeError):
+            with live.transaction():
+                take_step(live, 0, ("move_pop", 0, 1))
+                take_step(live, 1, ("rack", 0))  # walks through the moved POP
+                raise RuntimeError("abort")
+        take_step(live, 2, ("rack", 0))
+        assert cold_replay(live.journal)._home == live._home

@@ -22,6 +22,7 @@ from repro.fbnet.models import (
     Circuit,
     ClusterGeneration,
     Device,
+    DrainState,
     PhysicalInterface,
     Pop,
     Region,
@@ -76,6 +77,27 @@ class TestDigestEquivalence:
         assert journal_shape(solo) == journal_shape(plain)
         assert solo.total_objects() == plain.total_objects()
         assert solo.table_sizes() == plain.table_sizes()
+
+    def test_rolled_back_multi_shard_transaction_leaves_no_trace(self, sharded):
+        """Rows live in one place, so undoing a transaction whose rows were
+        labelled with several shards is the plain store's undo."""
+        plain = small_build(ObjectStore())
+        small_build(sharded)
+        before = plain.table_sizes(), plain.journal_position
+        for store in (plain, sharded):
+            with pytest.raises(RuntimeError):
+                with store.transaction():
+                    for index in range(12):  # twelve tokens: every shard count spreads them
+                        store.create(Region, name=f"region-{index:02d}")
+                    for device in store.all(Device):
+                        store.update(device, drain_state=DrainState.DRAINED)
+                    store.delete(store.all(Circuit)[0])  # cascades to its prefixes
+                    raise RuntimeError("abort")
+        assert store_digest(sharded) == store_digest(plain)
+        assert (sharded.table_sizes(), sharded.journal_position) == before
+        assert (plain.table_sizes(), plain.journal_position) == before
+        assert sharded.total_objects() == plain.total_objects()
+        assert sum(sharded.shard_sizes().values()) == plain.total_objects()
 
     def test_fleet_build_digest_matches(self, fleet_pair):
         plain, sharded = fleet_pair
