@@ -17,6 +17,7 @@ import ipaddress
 
 from repro.common.errors import DesignValidationError
 from repro.fbnet.models import PrefixPool, V4Prefix, V6Prefix
+from repro.fbnet.query import Expr, Op
 from repro.fbnet.store import ObjectStore
 
 __all__ = ["IpAllocator", "P2P_PLEN", "p2p_pair"]
@@ -85,9 +86,8 @@ class IpAllocator:
         result is deduplicated accordingly.
         """
         taken: dict[str, ipaddress._BaseNetwork] = {}
-        for obj in self._store.all(self._prefix_model()):
-            if obj.pool_id != self.pool.id:
-                continue
+        in_pool = Expr("pool", Op.EQUAL, self.pool.id)  # the reverse-FK index
+        for obj in self._store.filter(self._prefix_model(), in_pool):
             network = ipaddress.ip_interface(obj.prefix).network
             taken[str(network)] = network
         return list(taken.values())

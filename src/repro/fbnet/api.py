@@ -15,11 +15,12 @@ in a single transaction so no partial state is ever visible (section
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import groupby
 from typing import Any
 
 from repro.common.errors import QueryError
 from repro.fbnet.base import Model, model_registry
-from repro.fbnet.query import Query, ensure_query, resolve_path
+from repro.fbnet.query import Query, ensure_query, path_plan
 from repro.fbnet.store import ObjectStore
 
 __all__ = ["ReadApi", "WriteApi"]
@@ -56,47 +57,20 @@ class ReadApi:
         rows = self._store.filter(model, query)
         if fields is None:
             return [obj.to_dict() for obj in rows]
-        result = []
-        for obj in rows:
-            record: dict[str, Any] = {"id": obj.id}
-            for path in fields:
-                record[path] = self._project(obj, path)
-            result.append(record)
+        result: list[dict[str, Any]] = []
+        for concrete, group in groupby(rows, type):
+            # One field of the row, one leaf or a list of them: what a path
+            # is gets decided per (concrete model, path), not per row.
+            project = [(path, path_plan(concrete, path).project) for path in fields]
+            result.extend(
+                {"id": obj.id, **{path: read(obj) for path, read in project}}
+                for obj in group
+            )
         return result
 
     def count(self, model_name: str, query: Query | None = None) -> int:
         """Count objects of ``model_name`` matching ``query``."""
         return self._store.count(self._model(model_name), query)
-
-    def _project(self, obj: Model, path: str) -> Any:
-        leaves = resolve_path(obj, path)
-        multi = self._is_multi_valued(type(obj), path)
-        if multi:
-            return leaves
-        if not leaves:
-            return None
-        return leaves[0]
-
-    @staticmethod
-    def _is_multi_valued(model: type[Model], path: str) -> bool:
-        """Whether ``path`` crosses a reverse connection (fans out)."""
-        current: list[type[Model]] = [model]
-        for part in path.split("."):
-            next_models: list[type[Model]] = []
-            for klass in current:
-                field = klass._meta.fields.get(part)
-                if field is not None:
-                    fk = klass._meta.fk_fields.get(part)
-                    if fk is not None:
-                        next_models.append(fk.to)
-                    continue
-                if part == "id":
-                    continue
-                reverse = model_registry.reverse_relations(klass)
-                if part in reverse:
-                    return True
-            current = next_models or current
-        return False
 
     def _model(self, model_name: str) -> type[Model]:
         # resolve() also accepts abstract family names ("Device"), which

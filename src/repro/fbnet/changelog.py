@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.fbnet.base import hashable as _norm, model_registry
-from repro.fbnet.query import And, Expr, Or, Query, fold_equalities
+from repro.fbnet.query import And, Expr, Or, Query, fold_equalities, path_plan
 
 if TYPE_CHECKING:
     from repro.fbnet.base import Model
@@ -66,9 +66,10 @@ def equality_dependencies(query: Query) -> list[tuple[str, tuple[Any, ...]]] | N
     The And/Or logic is :func:`repro.fbnet.query.fold_equalities` — the
     same decomposition the query planner serves from its indexes: ``And``
     only needs one analyzable child (its result set is a subset of that
-    child's matches, and any record that could change membership either
-    matches the child's values or changed the child's field), ``Or``
-    needs *every* child analyzable.
+    child's matches, and any record *of the queried model* that could
+    change membership either matches the child's values or changed the
+    child's field), ``Or`` needs *every* child analyzable.  Records of
+    the models a dotted sibling traverses are :func:`query_models`'.
     """
     return fold_equalities(
         query, lambda expr: [(expr.field, tuple(_norm(v) for v in expr.rvalues))]
@@ -88,40 +89,18 @@ def _iter_exprs(query: Query) -> Iterable[Expr]:
 
 
 def query_models(model: type[Model], query: Query) -> set[str]:
-    """Every model name an unanalyzable ``query`` could depend on.
-
-    The conservative fallback for a query the equality analyzer rejects:
-    the queried model itself, plus — for dotted paths — every model the
-    path traverses, since membership also changes when a *traversed*
-    object mutates (e.g. ``pop.name == "x"`` depends on Pop records, not
-    just the queried device records).
+    """The models ``query`` depends on wholesale: the queried model itself
+    when the equality analyzer rejects it — the conservative fallback —
+    and, analyzable or not, every model its dotted paths traverse
+    (``PathPlan.models``).  Membership also changes when a *traversed*
+    object mutates (``pop.name == "x"`` depends on Pop records, not just
+    the queried device's); no analysis of the queried model's own fields
+    covers that.
     """
-    from repro.fbnet.fields import ForeignKey
-
-    names = {model.__name__}
+    analyzable = fold_equalities(query, lambda expr: []) is not None
+    names = set() if analyzable else {model.__name__}
     for expr in _iter_exprs(query):
-        current: list[type] = [model]
-        for part in expr.field.split("."):
-            next_models: list[type] = []
-            for klass in current:
-                meta = getattr(klass, "_meta", None)
-                if meta is None or part == "id":
-                    continue
-                fk = meta.fields.get(part)
-                if isinstance(fk, ForeignKey):
-                    names.add(fk.to.__name__)
-                    next_models.append(fk.to)
-                    continue
-                if fk is not None:
-                    continue  # value field: terminal, no hop
-                reverse = model_registry.reverse_relations(klass)
-                if part in reverse:
-                    source_model, _fk_name = reverse[part]
-                    names.add(source_model.__name__)
-                    next_models.append(source_model)
-            current = next_models
-            if not current:
-                break
+        names |= path_plan(model, expr.field).models
     return names
 
 

@@ -10,19 +10,25 @@ Dotted field paths traverse relationship fields — forwards through foreign
 keys (``linecard.device.name``) and backwards through reverse connections
 (``device.linecards.slot``).  A reverse hop fans out to many objects, in
 which case an expression matches if *any* leaf value matches.
+
+What a path *is* on a model is a fact of the schema, classified once
+(:func:`path_plan`); :meth:`Query.compile` evaluates a query through it,
+as one predicate per table.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from collections.abc import Callable
 from enum import Enum
+from functools import partial
 from itertools import product
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.common.errors import QueryError
 from repro.fbnet.base import Model, model_registry
-from repro.fbnet.fields import ForeignKey
+from repro.fbnet.fields import EnumField, ForeignKey
 
 if TYPE_CHECKING:
     from repro.fbnet.store import ObjectStore
@@ -35,6 +41,7 @@ __all__ = [
     "Or",
     "Query",
     "fold_equalities",
+    "path_plan",
     "plan",
     "resolve_path",
 ]
@@ -55,7 +62,9 @@ class Op(Enum):
     IS_NULL = "isnull"
 
 
-_ORDERED_OPS = {Op.GT, Op.GTE, Op.LT, Op.LTE}
+_ORDERED_OPS = {
+    Op.GT: operator.gt, Op.GTE: operator.ge, Op.LT: operator.lt, Op.LTE: operator.le,
+}
 
 
 def resolve_path(obj: Model, path: str) -> list[Any]:
@@ -65,6 +74,9 @@ def resolve_path(obj: Model, path: str) -> list[Any]:
     fan out.  Missing links (null FKs) contribute no leaves.  The final
     segment must be a value field (or ``id``); enum values are unwrapped
     to their raw ``.value`` for comparison.
+
+    This is the *reference*, with no caller under ``src/``: reads go through
+    :func:`path_plan`, which the tests hold to this walk, errors included.
     """
     parts = path.split(".")
     current: list[Model] = [obj]
@@ -122,11 +134,145 @@ def resolve_path(obj: Model, path: str) -> list[Any]:
     return []
 
 
+#: What one path segment names on one concrete model (:func:`_hop`).
+_VALUE, _ENUM, _FORWARD, _REVERSE = "value", "enum", "forward", "reverse"
+
+
+def _hop(model: type[Model], part: str) -> tuple[str | None, type[Model] | None]:
+    """What ``part`` names on a row of concrete ``model``, decided once: the
+    kind (``None``: nothing; ``id`` is a value, a stored row holds it) and
+    the model an FK or a reverse relation leads to."""
+    memo, key = model_registry.memo, ("hop", model, part)
+    hop = memo.get(key)
+    if hop is None:
+        field = None if part == "id" else model._meta.fields.get(part)
+        if isinstance(field, ForeignKey):
+            hop = (_FORWARD, field.to)
+        elif field is not None or part == "id":
+            hop = (_ENUM if isinstance(field, EnumField) else _VALUE, None)
+        else:
+            source = model_registry.reverse_relations(model).get(part)
+            hop = (_REVERSE, source[0]) if source else (None, None)
+        memo[key] = hop
+    return hop
+
+
+def _walk(parts: tuple[str, ...], path: str, obj: Model) -> list[Any]:
+    """:func:`resolve_path`'s leaves, errors and store reads (hops go through
+    ``Model.related`` and the reverse accessor), level by level as there,
+    each node's segment looked up (:func:`_hop`) instead of derived."""
+    last = len(parts) - 1
+    current = [obj]
+    for depth, part in enumerate(parts):
+        leaves, ids, onward = [], [], []  # values; FK ids; rows to go on from
+        for node in current:
+            kind = _hop(type(node), part)[0]
+            if kind is _REVERSE:
+                onward.extend(node.__getattr__(part))
+            elif kind is None:
+                raise QueryError(
+                    f"unknown field {part!r} in path {path!r} on {type(node).__name__}"
+                )
+            elif (value := node.__dict__.get(part)) is None and kind is _FORWARD:
+                pass  # a null FK: no leaf, nothing to follow
+            elif kind is _ENUM and isinstance(value, Enum):
+                leaves.append(value.value)
+            elif kind is not _FORWARD or depth == last:
+                leaves.append(value)  # a value, or the FK's id off the row
+            elif parts[depth + 1 :] == ("id",):
+                ids.append(value)
+            else:
+                onward.append(node.related(part))
+        if depth == last:
+            if onward and not leaves:
+                raise QueryError(
+                    f"path {path!r} ends on a relationship; "
+                    "append a value field (e.g. '.name')"
+                )
+            return leaves
+        if ids:
+            return ids
+        current = onward
+    return []
+
+
+class PathPlan(NamedTuple):
+    """A dotted path as the rows of one model see it (:func:`path_plan`)."""
+
+    #: ``row -> leaf values``, as :func:`resolve_path` answers.
+    leaves: Callable[[Model], list[Any]]
+    #: ``row -> value`` when the path is one field of the row itself (``id``,
+    #: a value, an enum unwrapped, an FK's raw id), else ``None``.
+    read: Callable[[Model], Any] | None
+    #: Whether a ``None`` that ``read`` answers is no leaf (a null FK).
+    optional: bool
+    #: ``row -> what the read API returns``: the leaves where the path fans
+    #: out (``multi``: it crosses a reverse relation), else the one or ``None``.
+    project: Callable[[Model], Any]
+    multi: bool
+    #: The models whose rows the walk resolves through the store; an FK read
+    #: off the row (terminal, or followed only by ``id``) traverses nothing.
+    models: frozenset[str]
+
+
+def path_plan(model: type[Model], path: str) -> PathPlan:
+    """``path`` from ``model``, classified once per registered model set.
+
+    An FK may point at an abstract family (``Linecard.device -> Device``)
+    whose members declare their own fields (``PeeringRouter.pop``): a row
+    is walked by its own concrete type, and the static facts (``multi``,
+    ``models``) expand ``model`` and every FK target to its family.
+    """
+    memo, key = model_registry.memo, ("path", model, path)
+    if key in memo:
+        return memo[key]
+    parts = tuple(path.split("."))
+    last = len(parts) - 1
+    multi, models = False, set()
+    level = set(model_registry.family(model))
+    for depth, part in enumerate(parts):
+        # An FK read off the row (terminal, or only ``id`` follows) goes nowhere.
+        follows = depth < last and parts[depth + 1 :] != ("id",)
+        hops = {_hop(klass, part) for klass in level}
+        level = set()
+        for kind, target in hops:
+            if kind is _REVERSE or (kind is _FORWARD and follows):
+                multi = multi or kind is _REVERSE
+                models.add(target.__name__)
+                level.update(model_registry.family(target))
+
+    leaves = partial(_walk, parts, path)
+    name, kind = parts[0], None if last else _hop(model, parts[0])[0]
+    read: Callable[[Model], Any] | None = None
+    if kind is _ENUM:
+        def read(row):
+            value = row.__dict__.get(name)
+            return value.value if isinstance(value, Enum) else value
+    elif kind is _VALUE or kind is _FORWARD:
+        def read(row):
+            return row.__dict__.get(name)
+    project = read or leaves
+    if read is None and not multi:
+        def project(row):
+            found = leaves(row)
+            return found[0] if found else None
+    memo[key] = found = PathPlan(
+        leaves, read, kind is _FORWARD, project, multi, frozenset(models)
+    )
+    return found
+
+
 class Query:
     """Abstract base of all query nodes."""
 
-    def matches(self, obj: Model) -> bool:
+    def compile(self, model: type[Model]) -> Callable[[Model], bool]:
+        """The query as one predicate over the rows of concrete ``model``.
+        A field the model lacks is the predicate's :class:`QueryError`, on
+        the first row it is asked about, never the compilation's."""
         raise NotImplementedError
+
+    def matches(self, obj: Model) -> bool:
+        return self.compile(type(obj))(obj)
 
     def to_wire(self) -> dict[str, Any]:
         """Serialize to a JSON-compatible dict for the RPC layer."""
@@ -192,60 +338,58 @@ class Expr(Query):
             raise QueryError(f"{op.name} takes exactly one rvalue")
         if not self.rvalues and op is not Op.IS_NULL:
             raise QueryError("empty rvalue list")
+        self._test = self._leaf_test()
+
+    def _leaf_test(self) -> Callable[[Any], bool]:
+        """The operator and rvalues as one test of one leaf (``NOT_EQUAL``
+        tests equality, ``IS_NULL`` nullness: :meth:`compile` folds them)."""
+        op, rvalues, field = self.op, self.rvalues, self.field
+        if op is Op.IS_NULL:
+            return lambda leaf: leaf is None
+        if op is Op.EQUAL or op is Op.NOT_EQUAL:
+            if len(rvalues) == 1:
+                (only,) = rvalues
+                return lambda leaf: leaf == only
+            return lambda leaf: any(leaf == rv for rv in rvalues)
+        if op in _ORDERED_OPS:
+            compare, (bound,) = _ORDERED_OPS[op], rvalues
+
+            def ordered(leaf: Any) -> bool:
+                try:
+                    return leaf is not None and compare(leaf, bound)
+                except TypeError:
+                    raise QueryError(
+                        f"cannot order {type(leaf).__name__} against "
+                        f"{type(bound).__name__} for field {field!r}"
+                    ) from None
+
+            return ordered
         if op is Op.REGEXP:
             try:
-                self._patterns = [re.compile(str(p)) for p in self.rvalues]
+                searches = [re.compile(str(p)).search for p in rvalues]
             except re.error as exc:
                 raise QueryError(f"bad regexp in query: {exc}") from None
-
-    def matches(self, obj: Model) -> bool:
-        leaves = resolve_path(obj, self.field)
-        if self.op is Op.IS_NULL:
-            want_null = bool(self.rvalues[0])
-            is_null = not leaves or all(leaf is None for leaf in leaves)
-            return is_null == want_null
-        if self.op is Op.NOT_EQUAL:
-            # NOT_EQUAL is the negation of EQUAL over the leaf set.
-            return not any(self._compare_equal(leaf) for leaf in leaves)
-        return any(self._compare(leaf) for leaf in leaves)
-
-    def _compare_equal(self, leaf: Any) -> bool:
-        return any(leaf == rv for rv in self.rvalues)
-
-    def _compare(self, leaf: Any) -> bool:
-        op = self.op
-        if op is Op.EQUAL:
-            return self._compare_equal(leaf)
-        if op is Op.REGEXP:
-            if leaf is None:
-                return False
-            return any(p.search(str(leaf)) for p in self._patterns)
-        if op is Op.CONTAINS:
-            if leaf is None:
-                return False
-            return any(str(rv) in str(leaf) for rv in self.rvalues)
+            return lambda leaf: leaf is not None and any(
+                search(str(leaf)) is not None for search in searches
+            )
+        texts = tuple(str(rv) for rv in rvalues)
         if op is Op.STARTSWITH:
-            if leaf is None:
-                return False
-            return any(str(leaf).startswith(str(rv)) for rv in self.rvalues)
-        if op in _ORDERED_OPS:
-            if leaf is None:
-                return False
-            rv = self.rvalues[0]
-            try:
-                if op is Op.GT:
-                    return leaf > rv
-                if op is Op.GTE:
-                    return leaf >= rv
-                if op is Op.LT:
-                    return leaf < rv
-                return leaf <= rv
-            except TypeError:
-                raise QueryError(
-                    f"cannot order {type(leaf).__name__} against {type(rv).__name__} "
-                    f"for field {self.field!r}"
-                ) from None
-        raise QueryError(f"unhandled operator {op}")  # pragma: no cover
+            return lambda leaf: leaf is not None and str(leaf).startswith(texts)
+        return lambda leaf: leaf is not None and any(t in str(leaf) for t in texts)
+
+    def compile(self, model: type[Model]) -> Callable[[Model], bool]:
+        plan = path_plan(model, self.field)
+        test, read, leaves = self._test, plan.read, plan.leaves
+        # IS_NULL must hold of all leaves (so of none), any other test of
+        # some leaf; NOT_EQUAL is EQUAL over the leaf set, negated.
+        fold = all if self.op is Op.IS_NULL else any
+        want = self.rvalues[0] if self.op is Op.IS_NULL else self.op is not Op.NOT_EQUAL
+        if read is None:
+            return lambda row: fold(map(test, leaves(row))) == want
+        if plan.optional:
+            absent = fold(()) == want
+            return lambda row: absent if (v := read(row)) is None else test(v) == want
+        return lambda row: test(read(row)) == want
 
     def to_wire(self) -> dict[str, Any]:
         return {
@@ -259,50 +403,44 @@ class Expr(Query):
         return f"Expr({self.field!r} {self.op.value} {list(self.rvalues)!r})"
 
 
-class And(Query):
+class _Junction(Query):
+    """``And`` / ``Or``: a fold — ``all`` / ``any`` — over child queries."""
+
+    _fold: Callable[[Any], bool]
+
+    def __init__(self, *children: Query):
+        name = type(self).__name__
+        if not children:
+            raise QueryError(f"{name}() requires at least one child")
+        for child in children:
+            if not isinstance(child, Query):
+                raise QueryError(
+                    f"{name}() children must be Query nodes, got {child!r}"
+                )
+        self.children = children
+
+    def compile(self, model: type[Model]) -> Callable[[Model], bool]:
+        fold, preds = self._fold, [child.compile(model) for child in self.children]
+        return lambda row: fold(pred(row) for pred in preds)
+
+    def to_wire(self) -> dict[str, Any]:
+        kind = type(self).__name__.lower()
+        return {"kind": kind, "children": [c.to_wire() for c in self.children]}
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self.children))})"
+
+
+class And(_Junction):
     """True when every child query matches."""
 
-    def __init__(self, *children: Query):
-        if not children:
-            raise QueryError("And() requires at least one child")
-        for child in children:
-            if not isinstance(child, Query):
-                raise QueryError(
-                    f"And() children must be Query nodes, got {child!r}"
-                )
-        self.children = children
-
-    def matches(self, obj: Model) -> bool:
-        return all(child.matches(obj) for child in self.children)
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"kind": "and", "children": [c.to_wire() for c in self.children]}
-
-    def __repr__(self) -> str:
-        return f"And({', '.join(map(repr, self.children))})"
+    _fold = staticmethod(all)
 
 
-class Or(Query):
+class Or(_Junction):
     """True when any child query matches."""
 
-    def __init__(self, *children: Query):
-        if not children:
-            raise QueryError("Or() requires at least one child")
-        for child in children:
-            if not isinstance(child, Query):
-                raise QueryError(
-                    f"Or() children must be Query nodes, got {child!r}"
-                )
-        self.children = children
-
-    def matches(self, obj: Model) -> bool:
-        return any(child.matches(obj) for child in self.children)
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"kind": "or", "children": [c.to_wire() for c in self.children]}
-
-    def __repr__(self) -> str:
-        return f"Or({', '.join(map(repr, self.children))})"
+    _fold = staticmethod(any)
 
 
 class Not(Query):
@@ -315,8 +453,9 @@ class Not(Query):
             raise QueryError(f"Not() requires a Query child, got {child!r}")
         self.child = child
 
-    def matches(self, obj: Model) -> bool:
-        return not self.child.matches(obj)
+    def compile(self, model: type[Model]) -> Callable[[Model], bool]:
+        pred = self.child.compile(model)
+        return lambda row: not pred(row)
 
     def to_wire(self) -> dict[str, Any]:
         return {"kind": "not", "child": self.child.to_wire()}

@@ -18,6 +18,7 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby
 from operator import attrgetter
 from time import perf_counter
 from typing import Any, NamedTuple, TypeVar
@@ -191,22 +192,19 @@ class ObjectStore:
             tracker.add_field(model_name, field_name, values)
 
     def _note_query_read(self, model: type[Model], query: Query) -> None:
-        """Record a query read: field deps when analyzable, else models.
+        """Record a query read: field deps when analyzable, else the queried
+        model — and either way the models its dotted paths traverse.
 
-        The unanalyzable fallback covers every model the query's paths
-        traverse, which is why ``query.matches`` itself runs with tracking
-        suspended (see :meth:`_select`) — the FK hops it resolves through
-        the store are membership tests, not semantic reads, and recording
-        them would drag every examined row into the read-set.
+        Which is why the filter itself runs with tracking suspended (see
+        :meth:`_select`) — the FK hops it resolves through the store are
+        membership tests, not semantic reads, and recording them would
+        drag every examined row into the read-set.
         """
-        deps = equality_dependencies(query)
-        if deps is None:
-            for name in query_models(model, query):
-                for tracker in self._read_trackers:
-                    tracker.add_model(name)
-            return
-        for field_name, values in deps:
+        for field_name, values in equality_dependencies(query) or ():
             self._note_field_read(model.__name__, field_name, values)
+        for name in query_models(model, query):
+            for tracker in self._read_trackers:
+                tracker.add_model(name)
 
     @contextmanager
     def _suspend_tracking(self) -> Iterator[None]:
@@ -684,11 +682,12 @@ class ObjectStore:
         Every query verb lands here, so this is the one place that counts
         the query, records its read-set, asks :func:`repro.fbnet.query.plan`
         for index candidates, and falls back to the scan.  Candidates are
-        a superset; the same ``query.matches`` filter runs over them as
-        over a scan, so the plan taken never changes the answer.
+        a superset; the same predicate runs over them as over a scan —
+        ``query.compile``, once per table, since rows arrive table by
+        table either way — so the plan taken never changes the answer.
 
         The filter runs with this store's trackers taken out of the task
-        context: the FK hops ``matches`` resolves are membership tests,
+        context: the FK hops a predicate resolves are membership tests,
         not semantic reads.
         """
         ensure_query(query)
@@ -718,7 +717,11 @@ class ObjectStore:
                 rows = self._iter_rows(model)
             else:
                 rows = self._candidate_rows(candidates)
-            return [row for row in rows if query.matches(row)]
+            return [
+                row
+                for concrete, table in groupby(rows, type)
+                for row in filter(query.compile(concrete), table)
+            ]
         finally:
             if tracking:
                 trackers[self] = tracking

@@ -9,10 +9,13 @@ from repro.fbnet.changelog import (
     ReadSet,
     ReadSetIndex,
     equality_dependencies,
+    query_models,
 )
 from repro.fbnet.fields import CharField
 from repro.fbnet.models import (
+    Device,
     DrainState,
+    Linecard,
     NetworkDomain,
     PeeringRouter,
     Pop,
@@ -115,6 +118,54 @@ class TestEqualityDependencies:
 
     def test_not_never_analyzable(self):
         assert equality_dependencies(Not(Expr("a", Op.EQUAL, 1))) is None
+
+
+class TestQueryModels:
+    """The models a query depends on wholesale: what its dotted paths
+    resolve through the store, family-wide, and — unanalyzable — itself."""
+
+    def test_fk_into_an_abstract_family_keeps_the_path(self):
+        # `pop` is declared on PeeringRouter, not on the abstract Device
+        # the queried name resolves to: the walk looks at the members.
+        query = Expr("pop.name", Op.EQUAL, "pop01")
+        assert query_models(Device, query) == {"Device", "Pop"}
+        assert query_models(PeeringRouter, query) == {"PeeringRouter", "Pop"}
+        deep = Expr("device.pop.peering_routers.name", Op.EQUAL, "pr1")
+        assert query_models(Linecard, deep) == {"Linecard", "Device", "Pop", "PeeringRouter"}
+
+    def test_an_fk_read_off_the_row_traverses_nothing(self):
+        for path in ("device", "device.id", "slot", "id"):
+            assert query_models(Linecard, Expr(path, Op.NOT_EQUAL, 1)) == {"Linecard"}
+        # ... while a hop beyond it resolves the row it points at.
+        assert query_models(Linecard, Expr("device.name", Op.EQUAL, "x")) == {
+            "Linecard", "Device",
+        }
+
+    def test_an_analyzable_query_keeps_only_what_it_traverses(self):
+        local = And(Expr("slot", Op.EQUAL, 1), Expr("device", Op.EQUAL, 7))
+        assert query_models(Linecard, local) == set()
+        query = And(
+            Expr("slot", Op.EQUAL, 1),
+            Or(Expr("device.name", Op.EQUAL, "x"), Not(Expr("linecard_model.name", Op.EQUAL, "y"))),
+        )
+        assert query_models(Linecard, query) == {"Device", "LinecardModel"}
+
+    def test_and_read_set_holds_the_traversed_models_too(self, store, env, pr):
+        # One analyzable child bounds what a *Linecard* record can do; the
+        # dotted sibling changes with the router, so its model is a
+        # dependency whatever the index answered.
+        query = And(Expr("device", Op.EQUAL, pr.id), Expr("device.name", Op.EQUAL, "pr1"))
+        with store.track_reads() as reads:
+            store.filter(Linecard, query)
+        assert reads.fields == {"Linecard": {"device": {pr.id}}}
+        assert reads.models == {"Device"}
+        assert not reads.objects  # the filter's own hops are not reads
+        store.update(pr, name="pr1-renamed")
+        assert reads.matches(store.journal[-1])
+        # Local equalities alone record what they always did.
+        with store.track_reads() as local:
+            store.filter(Linecard, And(Expr("device", Op.EQUAL, pr.id), Expr("slot", Op.EQUAL, 1)))
+        assert not local.models
 
 
 class TestReadSetMatching:

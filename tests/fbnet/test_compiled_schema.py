@@ -2,7 +2,8 @@
 
 What a model declares is resolved once — ``ModelOptions`` for what the
 model alone fixes, ``ModelRegistry.memo`` for what the registered set
-fixes (families, reverse relations, the planner's choice of index), one
+fixes (families, reverse relations, the planner's choice of index, what a
+dotted path is on a model), one
 ``_Slots`` per (store, model), one spelling memo in the metrics registry —
 and the store's read, write and replay paths consume the resolved form.
 The derivations those paths used to run per row and per query live on
@@ -24,8 +25,10 @@ from hypothesis import strategies as st
 from repro import Robotron, obs, seed_environment
 from repro.common.errors import IntegrityError, QueryError
 from repro.fbnet import durability
+from repro.fbnet.api import ReadApi
 from repro.fbnet.base import Model, ModelGroup, model_registry
-from repro.fbnet.fields import CharField
+from repro.fbnet.changelog import query_models
+from repro.fbnet.fields import CharField, ForeignKey, OnDelete
 from repro.fbnet.models import (
     Circuit,
     ClusterGeneration,
@@ -34,8 +37,9 @@ from repro.fbnet.models import (
     DrainState,
     PeeringRouter,
     RackProfile,
+    Region,
 )
-from repro.fbnet.query import Expr, Op, Query, fold_equalities, plan
+from repro.fbnet.query import Expr, Op, Query, fold_equalities, path_plan, plan
 from repro.fbnet.sharding import ShardedObjectStore
 from repro.fbnet.store import ChangeOp, ChangeRecord, ObjectStore
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry, _label_key
@@ -175,6 +179,39 @@ class TestResolvedFactsEqualDeclaredOnes:
         profile = LabSwitch._meta.fk_fields["hardware_profile"].to
         sources = {src for src, _fk in model_registry.reverse_relations(profile).values()}
         assert LabSwitch in sources
+
+    def test_a_path_plan_is_remembered_until_a_model_registers(self, runtime_models):
+        store = ObjectStore()
+        region = store.create(Region, name="r1")
+        path = "lab_notes.text"
+        noted = Expr(path, Op.EQUAL, "calibrated")
+        before = path_plan(Region, path)
+        assert path_plan(Region, path) is before
+        assert (before.multi, before.models, before.read) == (False, frozenset(), None)
+        with pytest.raises(QueryError, match="unknown field 'lab_notes'"):
+            store.filter(Region, noted)
+
+        class LabNote(Model):
+            class Meta:
+                group = ModelGroup.DESIRED
+
+            region = ForeignKey(Region, on_delete=OnDelete.CASCADE, related_name="lab_notes")
+            text = CharField()
+
+        runtime_models.append(LabNote)
+        # The new model adds a reverse relation to Region: what the path
+        # *is* changed, so the plan classified against the old set is gone.
+        after = path_plan(Region, path)
+        assert after is not before
+        assert (after.multi, after.models) == (True, frozenset({"LabNote"}))
+        assert query_models(Region, noted) == {"Region", "LabNote"}
+        assert store.filter(Region, noted) == []
+        for text in ("calibrated", "racked"):
+            store.create(LabNote, region=region, text=text)
+        assert store.filter(Region, noted) == [region]
+        assert ReadApi(store).get("Region", [path]) == [
+            {"id": region.id, path: ["calibrated", "racked"]}
+        ]
 
     @pytest.mark.parametrize("make_store", [ObjectStore, lambda: ShardedObjectStore(shards=4)])
     def test_a_runtime_subclass_joins_already_memoised_plans(self, make_store, runtime_models):

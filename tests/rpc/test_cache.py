@@ -7,9 +7,9 @@ import pytest
 from repro import obs
 from repro.common.errors import RpcError
 from repro.fbnet.api import ReadApi
-from repro.fbnet.models import NetworkSwitch, Region
+from repro.fbnet.models import Linecard, NetworkSwitch, PeeringRouter, Region
 from repro.fbnet.models.enums import DrainState
-from repro.fbnet.query import Expr, Op
+from repro.fbnet.query import And, Expr, Op
 from repro.fbnet.rpc import (
     CachingReadService,
     ReadCache,
@@ -136,6 +136,35 @@ class TestInvalidation:
         store.update(device, drain_state=DrainState.UNDRAINED)
         assert cache.get("Device", ["name"], scan) == []
         assert cache.stats()["invalidations"] == 1
+
+    def test_traversed_row_evicts_an_and_narrowed_by_its_index(self, store, env):
+        # An And stands on one analyzable child only for records of the
+        # queried model: `device == id` bounds what a Linecard record can
+        # do, but `device.name` changes with the *router*, whose rename
+        # matches nothing in {Linecard.device in (id,)} — the read-set
+        # must also hold the models the dotted path traverses.
+        router = store.create(
+            PeeringRouter, name="pr1",
+            hardware_profile=env.profiles["Router_Vendor1"], pop=env.pops["pop01"],
+        )
+        lcm = env.profiles["Router_Vendor1"].related("linecard_model")
+        card = store.create(Linecard, device=router, slot=1, linecard_model=lcm)
+        query = And(
+            Expr("device", Op.EQUAL, router.id), Expr("device.name", Op.EQUAL, "pr1")
+        )
+        cache = ReadCache(store)
+        assert cache.get("Linecard", ["slot"], query) == [{"id": card.id, "slot": 1}]
+        store.update(router, name="pr1-renamed")
+        assert ReadApi(store).get("Linecard", ["slot"], query) == []
+        assert cache.get("Linecard", ["slot"], query) == []
+        assert cache.stats()["invalidations"] == 1
+        # ... and the index-served shape with no dotted sibling still
+        # depends on nothing but the linecards of that device.
+        narrow = Expr("device", Op.EQUAL, router.id)
+        cache.get("Linecard", ["slot"], narrow)
+        store.update(router, name="pr1")
+        cache.get("Linecard", ["slot"], narrow)
+        assert cache.stats()["hits"] == 1
 
     def test_clear_drops_everything(self, store, regions):
         cache = ReadCache(store)

@@ -1,22 +1,23 @@
 """Property: under any read/mutation interleaving, cache == fresh store.
 
 Hypothesis drives randomized interleavings of reads (point lookups,
-scans, counts, multi-get batches) and mutations (create / update /
-delete) against one store; every cache-served answer must equal a fresh
-uncached read taken at the same instant, and unrelated entries must
-survive (asserted via the hit counter, not just payloads).
+scans, counts, multi-get batches, and a two-model shape whose answer
+moves when a row it only *traverses* is renamed) and mutations (create /
+update / delete) against one store; every cache-served answer must equal
+a fresh uncached read taken at the same instant, and unrelated entries
+must survive (asserted via the hit counter, not just payloads).
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
 from repro.fbnet.api import ReadApi
-from repro.fbnet.models import Region
-from repro.fbnet.query import Expr, Op, Query
+from repro.fbnet.models import NetworkDomain, Pop, Region
+from repro.fbnet.query import And, Expr, Op, Query
 from repro.fbnet.rpc import ReadCache
 from repro.fbnet.store import ObjectStore
 
@@ -29,6 +30,11 @@ read_op = st.tuples(
     st.just("read"),
     st.sampled_from(NAMES + [None]),  # None = full scan
 )
+#: Every region is created with one Pop.  This asks for the pops of the
+#: region last *created* under a name, while it still carries that name:
+#: an index-narrowed ``And`` with a dotted sibling, so a rename of the
+#: region — a record of a model the query only traverses — empties it.
+pops_op = st.tuples(st.just("pops"), st.sampled_from(NAMES))
 count_op = st.tuples(st.just("count"), st.sampled_from(NAMES))
 batch_op = st.tuples(
     st.just("batch"),
@@ -39,7 +45,7 @@ rename_op = st.tuples(st.just("rename"), st.sampled_from(NAMES), st.sampled_from
 delete_op = st.tuples(st.just("delete"), st.sampled_from(NAMES))
 
 ops = st.lists(
-    st.one_of(read_op, count_op, batch_op, create_op, rename_op, delete_op),
+    st.one_of(read_op, pops_op, count_op, batch_op, create_op, rename_op, delete_op),
     min_size=1,
     max_size=40,
 )
@@ -56,12 +62,15 @@ class TestCacheEquivalenceProperty:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(script=ops)
+    # The shortest script a read-set without the traversed models fails.
+    @example([("create", "r0"), ("pops", "r0"), ("rename", "r0", "r1"), ("pops", "r0")])
     def test_cache_always_equals_fresh_store(self, script):
         obs.reset()
         store = ObjectStore()
         api = ReadApi(store)
         cache = ReadCache(store)
         live: dict[str, list] = {name: [] for name in NAMES}
+        born: dict[str, int] = {}  # name -> id of the region last created under it
         serial = 0
         for op in script:
             kind = op[0]
@@ -69,6 +78,14 @@ class TestCacheEquivalenceProperty:
                 wire = _query(op[1])
                 assert cache.get("Region", ["name"], wire) == api.get(
                     "Region", ("name",), Query.from_wire(wire)
+                )
+            elif kind == "pops":
+                wire = And(
+                    Expr("region", Op.EQUAL, born.get(op[1], 0)),
+                    Expr("region.name", Op.STARTSWITH, f"{op[1]}-"),
+                ).to_wire()
+                assert cache.get("Pop", ["name"], wire) == api.get(
+                    "Pop", ("name",), Query.from_wire(wire)
                 )
             elif kind == "count":
                 wire = _query(op[1])
@@ -88,7 +105,11 @@ class TestCacheEquivalenceProperty:
                 # while the *queried* name prefix stays in the hot set.
                 serial += 1
                 obj = store.create(Region, name=f"{op[1]}-{serial}")
+                store.create(
+                    Pop, name=f"p{serial}", region=obj, domain=NetworkDomain.POP
+                )
                 live[op[1]].append(obj)
+                born[op[1]] = obj.id
             elif kind == "rename":
                 if live[op[1]]:
                     serial += 1
@@ -97,7 +118,10 @@ class TestCacheEquivalenceProperty:
                     live[op[2]].append(obj)
             elif kind == "delete":
                 if live[op[1]]:
-                    store.delete(live[op[1]].pop())
+                    region = live[op[1]].pop()
+                    for pop in region.pops:  # PROTECT: the pops go first
+                        store.delete(pop)
+                    store.delete(region)
 
     @settings(
         max_examples=25,
