@@ -1,20 +1,23 @@
-"""The one gate on traced ledgers: a table of bounds over the runs CI makes.
+"""The one gate: a table of bounds over the runs CI makes.
 
     python3 benchmarks/ledger/run.py --workload turnup --seconds 1 --trace --out DIR
-    python3 benchmarks/check_ledger.py DIR [DIR ...]
+    python3 benchmarks/check_ledger.py DIR [DIR | BENCH_x.json ...]
 
-Each ``DIR`` holds one ``traced-<workload>-*.json`` (so it must be fresh);
-every row of :data:`GATES` for that workload is measured on it and fails the
-script when it reads above its bound.  Times are the ledger's
-reference-speed seconds (``benchmarks/ledger/clock.py`` divides the
-machine's speed out), so a budget means the same on a CI runner as here;
-counts repeat exactly.  A new gate is a row, not a script.
+Each ``DIR`` holds one ``traced-<workload>-*.json`` (so it must be fresh); a
+file is read as it is — a traced run, or the ``BENCH_*.json`` a pytest bench
+wrote, which is called by its stem.  Every row of :data:`GATES` for that
+name is measured on it and fails the script when it reads above its bound.
+Times are the ledger's reference-speed seconds (``benchmarks/ledger/clock.py``
+divides the machine's speed out; the benches time through it with
+``conftest.reference_seconds``), so a budget means the same on a CI runner
+as here; counts repeat exactly.  A new gate is a row, not a script.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "ledger"))
@@ -55,7 +58,7 @@ def alert_share_error(run: dict) -> float:
     return abs(metric("monitoring.classifier.alert_share")(run) - generated)
 
 
-#: (workload, what is measured, how, the most it may read)
+#: (workload or bench, what is measured, how, the most it may read)
 GATES = [
     # The store's per-call budget: 16.6 / 26.1 us while it re-derived schema
     # facts per row and per query, about 12.6 / 16.7 with those resolved once
@@ -86,15 +89,32 @@ GATES = [
     ("churn", "configgen.schema share of the round", share("configgen.schema"), 0.10),
     ("churn", "configgen.schema calls a derive",
      calls_per_call("configgen.schema", "configgen.derive"), 4.0),
+    # What the retired cache and WAL benches gated that is machine-neutral
+    # (ledger_pr23.txt): 0.2289 misses a read, an exact count unchanged since
+    # PR 11; the WAL at 18-21 % of a durable turn-up and 255.9 B a record.
+    # Misses, not a hit-vs-miss time ratio: a faster miss path lowers that
+    # ratio, and op_p50 (hit) / op_p95 (miss) bound each side on their own.
+    ("frontdoor", "cache misses a read (1 - fbnet.rpc.cache.hit_rate)",
+     lambda run: 1 - metric("fbnet.rpc.cache.hit_rate")(run), 0.23),
+    ("turnup", "fbnet.durability share of the round", share("fbnet.durability"), 0.30),
+    ("turnup", "WAL bytes a record", metric("fbnet.durability.bytes_per_record"), 270.0),
+    # The two CPU-bound times no ledger workload restates, through the same
+    # clock, read straight off the bench's results JSON: 1.5 x the median of
+    # five runs at PR 23 (ledger_pr23.txt).
+    ("BENCH_remediation", "storm convergence, reference s", itemgetter("convergence_ref_s"), 0.30),
+    ("BENCH_shard", "fleet_2k build, reference s", itemgetter("build_ref_s"), 47.0),
+    ("BENCH_shard", "fleet_2k provision, reference s", itemgetter("provision_ref_s"), 22.0),
 ]
 
 
 def check(out: Path) -> list[str]:
-    [path] = out.glob("traced-*.json")
-    run = json.loads(path.read_text())
-    rows = [gate for gate in GATES if gate[0] == run["workload"]]
+    if out.is_dir():
+        [out] = out.glob("traced-*.json")
+    run = json.loads(out.read_text())
+    name = run.get("workload", out.stem)
+    rows = [gate for gate in GATES if gate[0] == name]
     if not rows:
-        return [f"{path.name}: no gate reads a {run['workload']} run"]
+        return [f"{out.name}: no gate reads a {name} run"]
     problems = []
     for workload, what, measure, limit in rows:
         value = measure(run)

@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from time import perf_counter
 
-_SRC = str(Path(__file__).resolve().parent.parent / "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+_HERE = Path(__file__).resolve().parent
+for _path in (str(_HERE.parent / "src"), str(_HERE / "ledger")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
+from clock import MAX_BURST, Clock  # noqa: E402  (benchmarks/ledger/clock.py)
+
+RESULTS_DIR = _HERE / "results"
 
 _REPORTS: dict[str, str] = {}
 
@@ -27,6 +31,25 @@ def publish_report(name: str, text: str) -> None:
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
 
+class reference_seconds:
+    """Time a ``with`` block on the ledger's clock: ``raw_s`` is what
+    ``perf_counter`` saw, ``ref_s`` the same converted to reference-speed
+    seconds by a burst of its calibration loop either side of the block
+    (``benchmarks/ledger/clock.py``), so ``check_ledger.py`` can hold it to
+    an absolute budget on any host."""
+
+    def __enter__(self) -> "reference_seconds":
+        self._clock = Clock()
+        self._clock.sample(MAX_BURST)
+        self._started = perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.raw_s = perf_counter() - self._started
+        self._clock.sample(MAX_BURST)
+        self.ref_s = self.raw_s * self._clock.factor(self._started + self.raw_s / 2)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _REPORTS:
         return
@@ -34,19 +57,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for name in sorted(_REPORTS):
         terminalreporter.write_sep("-", name)
         terminalreporter.write_line(_REPORTS[name])
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Archive the run's self-telemetry so perf PRs can track trajectories.
-
-    Every benchmark exercises the instrumented pipeline, so the global
-    ``repro.obs`` registry accumulates store/configgen/deploy/monitoring
-    metrics across the whole session; dump them next to the other results.
-    """
-    from repro import obs
-
-    snap = obs.snapshot()
-    if not any(snap["metrics"].values()):
-        return
-    RESULTS_DIR.mkdir(exist_ok=True)
-    obs.dump_json(str(RESULTS_DIR / "obs_metrics.json"))

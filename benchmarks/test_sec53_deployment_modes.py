@@ -16,7 +16,6 @@ import json
 import time
 
 import pytest
-from check_regression import calibration_seconds
 from conftest import RESULTS_DIR, publish_report
 
 from repro import Robotron, seed_environment
@@ -189,7 +188,6 @@ def test_sec53_deployment_mode_safety(benchmark, drill):
             {
                 "fleet_size": fleet,
                 "drill_seconds": results["drill_seconds"],
-                "calibration_seconds": calibration_seconds(),
             },
             indent=2,
         )

@@ -11,9 +11,7 @@ byte-identical output, and be at least an order of magnitude faster.
 
 import json
 import time
-from pathlib import Path
 
-from check_regression import calibration_seconds
 from conftest import RESULTS_DIR, publish_report
 
 from repro import ObjectStore, seed_environment
@@ -40,13 +38,14 @@ def build_design():
     return store
 
 
-def measure_flight_overhead(generator, store, pif, rounds: int = 5) -> float:
+def measure_flight_overhead(generator, store, pif, rounds: int = 40) -> float:
     """Hot-path cost of the flight recorder: recorder on vs off.
 
     Each round runs the steady-state unit of work (one mutation, one
-    ``regenerate_dirty`` walking the journal) and takes the best of
-    ``rounds`` per mode — min-of-rounds suppresses scheduler noise,
-    which would otherwise dwarf the recorder's per-event cost.
+    ``regenerate_dirty`` walking the journal), alternating recorder on and
+    off so the host's drift lands on both, and the best round per mode is
+    kept — the minimum of 40 interleaved 3 ms rounds repeats within 3%,
+    where five on then five off spread from 0.9x to 1.9x.
     """
     def one_round(tag: str) -> float:
         store.update(pif, description=f"flight-bench {tag}")
@@ -55,13 +54,12 @@ def measure_flight_overhead(generator, store, pif, rounds: int = 5) -> float:
         return time.perf_counter() - started
 
     recorder = flight.recorder()
-    best: dict[bool, float] = {}
+    best = {True: float("inf"), False: float("inf")}
     try:
-        for enabled in (True, False):
-            recorder.enabled = enabled
-            best[enabled] = min(
-                one_round(f"{enabled}-{index}") for index in range(rounds)
-            )
+        for index in range(rounds):
+            for enabled in (True, False):
+                recorder.enabled = enabled
+                best[enabled] = min(best[enabled], one_round(f"{enabled}-{index}"))
     finally:
         recorder.enabled = True
     return best[True] / best[False]
@@ -113,10 +111,14 @@ def test_sec54_incremental_vs_full(benchmark):
         f"incremental pass only {speedup:.1f}x faster than full regeneration"
     )
 
-    # Provenance must ride the hot path for free (gated at <5% by
-    # check_regression.py); measured after the correctness assertions
+    # Provenance must ride the hot path for free: at most 5% on a mutate +
+    # regenerate_dirty round.  Measured after the correctness assertions
     # because each round mutates the fleet again.
     flight_overhead_ratio = measure_flight_overhead(generator, store, pif)
+    assert flight_overhead_ratio <= 1.05, (
+        f"flight recorder costs {(flight_overhead_ratio - 1) * 100:+.1f}% "
+        "on the incremental hot path"
+    )
 
     rows = [
         ("devices in design", str(len(devices))),
@@ -152,7 +154,6 @@ def test_sec54_incremental_vs_full(benchmark):
                 "records_scanned": report.records_scanned,
                 "speedup": speedup,
                 "flight_overhead_ratio": flight_overhead_ratio,
-                "calibration_seconds": calibration_seconds(),
             },
             indent=2,
         )

@@ -74,8 +74,6 @@ class PhaseOutcome:
 
     succeeded: list[str] = field(default_factory=list)
     failed: dict[str, str] = field(default_factory=dict)
-    #: Batch members never attempted because the push stopped early.
-    not_attempted: list[str] = field(default_factory=list)
     circuit_open: bool = False
     halted: bool = False
 
@@ -345,11 +343,11 @@ class Deployer:
     ) -> DeployReport:
         """All-or-nothing multi-device update (e.g. iBGP mesh changes).
 
-        If any device errors or cannot finish within ``time_window``, the
-        entire transaction is rolled back: every already-updated device is
-        restored to its previous config.  A device whose restore fails is
-        still on the new config; it is paged *and* listed in
-        ``report.failed``, so the report never reads cleaner than the fleet.
+        If any device errors or cannot finish within ``time_window``, every
+        already-updated device is restored to its previous config and the
+        devices not yet reached are reported skipped.  A device whose
+        restore fails is still on the new config; it is paged *and* listed
+        in ``report.failed``, so the report never reads cleaner than the fleet.
         """
         report = DeployReport(operation="atomic_deploy")
         previous: dict[str, str] = {}
@@ -375,13 +373,15 @@ class Deployer:
                     try:
                         device.commit(old_text)
                         report.rolled_back.append(restored)
+                        report.changed_lines.pop(restored, None)
                     except DeploymentError as stuck:
                         # A device that cannot be restored is a page, not a log line.
                         self._notify(
                             f"atomic rollback FAILED on {restored}; manual intervention needed"
                         )
                         report.failed.setdefault(restored, str(stuck))
-                report.changed_lines.clear()
+                # In name order, so what sorts after ``name`` was never attempted.
+                report.skipped.extend(n for n in sorted(configs) if n > name)
                 self._notify(f"atomic deployment aborted: {exc}")
                 span.set_attribute("aborted", True)
                 return self._account(report)
@@ -411,8 +411,8 @@ class Deployer:
         failures are tolerated until it opens; with ``halt_on_failure``,
         any failure stops after the current wave.  Either way the wave
         boundary is the halt boundary, and the devices never attempted
-        land in ``not_attempted`` so the caller can account for (or roll
-        back around) them.
+        land in ``report.skipped``: every batch member ends in one of the
+        report's lists, whoever the caller is.
         """
         outcome = PhaseOutcome()
         waves = self._plan_waves(list(batch))
@@ -471,7 +471,7 @@ class Deployer:
                         ),
                     )
                 for later in waves[index + 1 :]:
-                    outcome.not_attempted.extend(later)
+                    report.skipped.extend(later)
                 return outcome
         return outcome
 
@@ -545,7 +545,6 @@ class Deployer:
                     )
                     report.notifications.append(message)
                     self._notify(message)
-                    report.skipped.extend(outcome.not_attempted)
                     report.skipped.extend(r for r in remaining if r not in batch)
                     span.set_attribute("circuit_open_in", phase_name)
                     return self._account(report)
@@ -621,6 +620,7 @@ class Deployer:
                         report.failed.setdefault(device.name, str(exc))
                         continue
                     reverted.append(device.name)
+                    del report.changed_lines[device.name]
                 if reverted:
                     obs.counter(
                         "deploy.rollback", op="deploy_with_confirmation"

@@ -261,6 +261,7 @@ class DeploymentGuard:
                     obs.counter("deploy.lkg_restore", device=name).inc()
                     obs.counter("deploy.rollback", op="guarded_rollout").inc()
                     report.rolled_back.append(name)
+                    report.changed_lines.pop(name, None)
                     flight.record(
                         "deploy.lkg_restore", phase="deployment", device=name,
                         verdict="restored", detail=f"version {target}",
@@ -432,11 +433,9 @@ class DeploymentGuard:
                     verdict="passed", detail=phase_name,
                 )
                 obs.counter("deploy.phase", phase=phase_name).inc()
-            else:
-                report.skipped.extend(remaining)
+            report.skipped.extend(remaining)
 
             if failure:
-                report.skipped.extend(remaining)
                 self._notify(
                     f"guarded rollout aborted: {failure}; rolling back "
                     f"{len(touched)} device(s) to last-known-good"
