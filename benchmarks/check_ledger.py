@@ -40,6 +40,13 @@ def calls_per_call(layer: str, per: str):
     return lambda run: run["layers"]["calls"][layer] / run["layers"]["calls"][per]
 
 
+def rpc_calls_per_request(run: dict) -> float:
+    """Traced ``fbnet.rpc`` entry points entered for each request a replica
+    handled (a count, so exact)."""
+    handled = run["layers"]["names"]["fbnet.rpc:ServiceReplica.handle"][1]
+    return run["layers"]["calls"]["fbnet.rpc"] / handled
+
+
 def metric(name: str):
     return lambda run: run["metrics"][name]["value"]
 
@@ -96,6 +103,13 @@ GATES = [
     # ratio, and op_p50 (hit) / op_p95 (miss) bound each side on their own.
     ("frontdoor", "cache misses a read (1 - fbnet.rpc.cache.hit_rate)",
      lambda run: 1 - metric("fbnet.rpc.cache.hit_rate")(run), 0.23),
+    # What a request pays in the RPC layer, as entry points entered: 6 hit or
+    # miss while the header was inside the JSON body; with the call named by
+    # the header and the cache holding bytes a hit is 4 (client encode, handle,
+    # dispatch, client decode), a miss 7, a write 6 (ledger_pr24.txt).  A
+    # decode or encode creeping back onto the hit path moves it.
+    ("frontdoor", "fbnet.rpc calls a request off 4.7129",
+     lambda run: abs(rpc_calls_per_request(run) - 4.7129), 1e-9),
     ("turnup", "fbnet.durability share of the round", share("fbnet.durability"), 0.30),
     ("turnup", "WAL bytes a record", metric("fbnet.durability.bytes_per_record"), 270.0),
     # The two CPU-bound times no ledger workload restates, through the same

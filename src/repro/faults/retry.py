@@ -102,7 +102,7 @@ class RetryPolicy:
         used to bump ``rpc.retry``-style counters.  Raises
         :class:`GiveUp` after the final failure.
         """
-        rng = random.Random(self.jitter_seed)
+        delays = self.delays()  # a generator: seeds its RNG at the first backoff
         started = clock.now if clock is not None else None
         last: BaseException | None = None
         for attempt in range(self.max_attempts):
@@ -112,7 +112,7 @@ class RetryPolicy:
                 last = exc
                 if attempt == self.max_attempts - 1:
                     break
-                delay = self.backoff(attempt, rng)
+                delay = next(delays)
                 if (
                     self.timeout is not None
                     and started is not None

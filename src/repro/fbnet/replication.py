@@ -466,6 +466,12 @@ class FBNetClient:
 
     # -- reads ---------------------------------------------------------------
 
+    def _read(self, method: str, args: dict[str, Any], consistency: str) -> Any:
+        return self._call(
+            RpcRequest(service="read", method=method, args=args),
+            lambda: self._cluster._read_candidates(self.region, consistency),
+        )
+
     def get(
         self,
         model_name: str,
@@ -473,19 +479,12 @@ class FBNetClient:
         query: Query | None = None,
         consistency: str = READ_LOCAL,
     ) -> list[dict[str, Any]]:
-        request = RpcRequest(
-            service="read",
-            method="get",
-            args={
-                "model": model_name,
-                "fields": fields,
-                "query": query.to_wire() if query else None,
-            },
-        )
-        return self._call(
-            request,
-            lambda: self._cluster._read_candidates(self.region, consistency),
-        )
+        args = {
+            "model": model_name,
+            "fields": fields,
+            "query": query.to_wire() if query else None,
+        }
+        return self._read("get", args, consistency)
 
     def multi_get(
         self,
@@ -498,23 +497,11 @@ class FBNetClient:
         form; against a caching deployment the whole batch is served from
         the region cache, with misses filled together.
         """
-        wire_specs = []
-        for spec in specs:
-            model, fields, query = _normalize_spec(spec)
-            wire_specs.append(
-                {
-                    "model": model,
-                    "fields": list(fields) if fields is not None else None,
-                    "query": query,
-                }
-            )
-        request = RpcRequest(
-            service="read", method="multi_get", args={"specs": wire_specs}
-        )
-        return self._call(
-            request,
-            lambda: self._cluster._read_candidates(self.region, consistency),
-        )
+        wire_specs = [
+            {"model": model, "fields": fields, "query": query}
+            for model, fields, query in map(_normalize_spec, specs)
+        ]
+        return self._read("multi_get", {"specs": wire_specs}, consistency)
 
     def count(
         self,
@@ -522,41 +509,32 @@ class FBNetClient:
         query: Query | None = None,
         consistency: str = READ_LOCAL,
     ) -> int:
-        request = RpcRequest(
-            service="read",
-            method="count",
-            args={"model": model_name, "query": query.to_wire() if query else None},
-        )
-        return self._call(
-            request,
-            lambda: self._cluster._read_candidates(self.region, consistency),
-        )
+        args = {"model": model_name, "query": query.to_wire() if query else None}
+        return self._read("count", args, consistency)
 
     # -- writes (forwarded to the master region) ------------------------------
 
-    def create_objects(self, specs: list[tuple[str, dict[str, Any]]]) -> list[int]:
-        request = RpcRequest(
-            service="write",
-            method="create_objects",
-            args={"specs": [[name, values] for name, values in specs]},
+    def _write(self, method: str, args: dict[str, Any]) -> Any:
+        return self._call(
+            RpcRequest(service="write", method=method, args=args),
+            self._cluster._write_candidates,
+            write=True,
         )
-        return self._call(request, self._cluster._write_candidates, write=True)
+
+    def create_objects(self, specs: list[tuple[str, dict[str, Any]]]) -> list[int]:
+        return self._write(
+            "create_objects", {"specs": [[name, values] for name, values in specs]}
+        )
 
     def update_objects(self, updates: list[tuple[str, int, dict[str, Any]]]) -> int:
-        request = RpcRequest(
-            service="write",
-            method="update_objects",
-            args={"updates": [[m, i, v] for m, i, v in updates]},
+        return self._write(
+            "update_objects", {"updates": [[m, i, v] for m, i, v in updates]}
         )
-        return self._call(request, self._cluster._write_candidates, write=True)
 
     def delete_objects(self, targets: list[tuple[str, int]]) -> int:
-        request = RpcRequest(
-            service="write",
-            method="delete_objects",
-            args={"targets": [[m, i] for m, i in targets]},
+        return self._write(
+            "delete_objects", {"targets": [[m, i] for m, i in targets]}
         )
-        return self._call(request, self._cluster._write_candidates, write=True)
 
     # -- plumbing --------------------------------------------------------------
 

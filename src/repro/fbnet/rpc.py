@@ -1,25 +1,30 @@
 """The Thrift-like service layer over FBNet (paper section 4.3.2).
 
 Both read and write APIs are exposed as language-independent RPCs.  The
-wire format here is a typed, length-prefixed JSON encoding — structurally
-equivalent to Thrift's role in the paper: clients marshal a request,
-service replicas unmarshal it, execute against their local store through
-the ORM-style APIs, and marshal the results back.
+wire format stands where Thrift does in the paper: clients marshal a
+request, service replicas unmarshal it, execute against their local
+store through the ORM-style APIs, and marshal the results back.  As in
+a Thrift message, the *header* names the call and the body carries only
+its arguments::
+
+    request:  version | len service | len method | 4-byte length | args
+    response: version | ok flag               | 4-byte length | body
+
+(``len x`` is one length byte and then ``x``.)  The args are one
+canonical-JSON object (:func:`encode_message`); a response body is the
+payload's canonical JSON, or the error text when the flag is 0.  A
+replica therefore learns service and method without parsing any JSON.
 
 Failure semantics match section 4.3.3: a replica whose process has
 "crashed" refuses requests, and the routing layer (in
 :mod:`repro.fbnet.replication`) redirects to surviving replicas in the
 same region, then to the nearest neighboring region.
 
-On top of raw dispatch this module provides the **read front door**
-(ROADMAP item 2): :class:`ReadCache` is a read-through cache layered
-over the read API.  Every cache entry carries the
-:class:`~repro.fbnet.changelog.ReadSet` captured while the entry's fill
-ran, plus the journal position the fill observed; the store's
-change journal then maps each committed mutation onto *exactly* the
-entries whose read-sets it invalidates — no TTLs, no blanket flushes.
-:class:`CachingReadService` plugs the cache into a read
-:class:`ServiceReplica`, and ``multi_get`` batches many reads into one
+On top of raw dispatch this module provides the **read front door**:
+:class:`ReadCache`, a read-through cache keyed by a request's marshalled
+args and holding the marshalled answer, invalidated precisely from the
+store's change journal.  :class:`CachingReadService` plugs it into a
+read :class:`ServiceReplica`; ``multi_get`` batches many reads into one
 RPC, filling each distinct miss once.
 """
 
@@ -49,33 +54,60 @@ __all__ = [
 ]
 
 _WIRE_VERSION = 1
+_OK = bytes((_WIRE_VERSION, 1))
 
 
-def encode_message(payload: dict[str, Any]) -> bytes:
-    """Marshal ``payload`` to the wire: a version byte + length + JSON body."""
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
-    header = _WIRE_VERSION.to_bytes(1, "big") + len(body).to_bytes(4, "big")
-    return header + body
+#: ``json.dumps`` builds an encoder per call once it is given options.
+_canonical_json = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
-def decode_message(wire: bytes) -> dict[str, Any]:
-    """Unmarshal a message produced by :func:`encode_message`."""
-    if len(wire) < 5:
-        raise RpcError("truncated RPC message header")
-    version = wire[0]
-    if version != _WIRE_VERSION:
-        raise RpcError(f"unsupported RPC wire version {version}")
-    length = int.from_bytes(wire[1:5], "big")
-    body = wire[5 : 5 + length]
-    if len(body) != length:
-        raise RpcError(f"truncated RPC body: expected {length}, got {len(body)}")
+def encode_message(payload: Any) -> bytes:
+    """Marshal a request's args or a response's payload: canonical JSON."""
+    return _canonical_json(payload).encode()
+
+
+def decode_message(body: bytes) -> Any:
+    """Unmarshal a body produced by :func:`encode_message`."""
     try:
-        payload = json.loads(body.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return json.loads(body.decode())
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise RpcError(f"malformed RPC body: {exc}") from None
-    if not isinstance(payload, dict):
-        raise RpcError("RPC body must be an object")
-    return payload
+
+
+def _decode_args(body: bytes) -> dict[str, Any]:
+    args = decode_message(body)
+    if not isinstance(args, dict):
+        raise RpcError("RPC args must be an object")
+    return args
+
+
+def _frame(head: bytes, body: bytes) -> bytes:
+    """``head``, then ``body`` behind its 4-byte length."""
+    return b"".join((head, len(body).to_bytes(4, "big"), body))
+
+
+def _unframe(wire: bytes, at: int) -> bytes:
+    """The length-prefixed body at ``at``, which must end the message."""
+    body = wire[at + 4 :]
+    if len(wire) < at + 4 or int.from_bytes(wire[at : at + 4], "big") != len(body):
+        raise RpcError(f"truncated or overlong RPC message ({len(wire)} bytes)")
+    return body
+
+
+def _parse_request(wire: bytes) -> tuple[str, str, bytes]:
+    """``(service, method, args body)``, read from the header alone."""
+    try:
+        if wire[0] != _WIRE_VERSION:
+            raise RpcError(f"unsupported RPC wire version {wire[0]}")
+        method_at = 2 + wire[1]
+        body_at = method_at + 1 + wire[method_at]
+        service = wire[2:method_at].decode()
+        method = wire[method_at + 1 : body_at].decode()
+    except IndexError:
+        raise RpcError("truncated RPC message header") from None
+    except UnicodeDecodeError as exc:
+        raise RpcError(f"malformed RPC request header: {exc}") from None
+    return service, method, _unframe(wire, body_at)
 
 
 @dataclass(frozen=True)
@@ -87,21 +119,16 @@ class RpcRequest:
     args: dict[str, Any] = field(default_factory=dict)
 
     def to_wire(self) -> bytes:
-        return encode_message(
-            {"service": self.service, "method": self.method, "args": self.args}
+        service, method = self.service.encode(), self.method.encode()
+        head = b"".join(
+            (bytes((_WIRE_VERSION, len(service))), service, bytes((len(method),)), method)
         )
+        return _frame(head, encode_message(self.args))
 
     @staticmethod
     def from_wire(wire: bytes) -> RpcRequest:
-        payload = decode_message(wire)
-        try:
-            return RpcRequest(
-                service=payload["service"],
-                method=payload["method"],
-                args=payload.get("args", {}),
-            )
-        except KeyError as exc:
-            raise RpcError(f"request missing key {exc}") from None
+        service, method, body = _parse_request(wire)
+        return RpcRequest(service=service, method=method, args=_decode_args(body))
 
 
 @dataclass(frozen=True)
@@ -113,18 +140,20 @@ class RpcResponse:
     error: str = ""
 
     def to_wire(self) -> bytes:
-        return encode_message(
-            {"ok": self.ok, "payload": self.payload, "error": self.error}
-        )
+        body = encode_message(self.payload) if self.ok else self.error.encode()
+        return _frame(bytes((_WIRE_VERSION, self.ok)), body)
 
     @staticmethod
     def from_wire(wire: bytes) -> RpcResponse:
-        data = decode_message(wire)
-        return RpcResponse(
-            ok=bool(data.get("ok")),
-            payload=data.get("payload"),
-            error=data.get("error", ""),
-        )
+        body = _unframe(wire, 2)  # at least six bytes, or it raised
+        if wire[0] != _WIRE_VERSION:
+            raise RpcError(f"unsupported RPC wire version {wire[0]}")
+        if wire[1] == 1:
+            return RpcResponse(ok=True, payload=decode_message(body))
+        if wire[1] != 0:
+            raise RpcError(f"malformed RPC response: ok flag {wire[1]}")
+        # The text is for people: bytes that are not UTF-8 show as U+FFFD.
+        return RpcResponse(ok=False, error=body.decode(errors="replace"))
 
     def result(self) -> Any:
         """Return the payload, raising :class:`RpcError` on failure."""
@@ -133,8 +162,8 @@ class RpcResponse:
         return self.payload
 
 
-def _normalize_spec(spec: Any) -> tuple[str, tuple[str, ...] | None, dict | None]:
-    """One multi-get spec → ``(model, fields, query wire)``.
+def _normalize_spec(spec: Any) -> tuple[str, list[str] | None, dict | None]:
+    """One ``get`` spec → ``(model, fields, query wire)``.
 
     Accepts both the wire form (``{"model": ..., "fields": ..., "query":
     ...}``) and the in-process form (``(model, fields, query)`` with a
@@ -145,10 +174,10 @@ def _normalize_spec(spec: Any) -> tuple[str, tuple[str, ...] | None, dict | None
     else:
         model, fields, query = spec
     if not isinstance(model, str):
-        raise RpcError(f"multi_get spec needs a model name, got {model!r}")
+        raise RpcError(f"read spec needs a model name, got {model!r}")
     if isinstance(query, Query):
         query = query.to_wire()
-    return model, tuple(fields) if fields is not None else None, query
+    return model, list(fields) if fields is not None else None, query
 
 
 class ReadService:
@@ -157,43 +186,46 @@ class ReadService:
     def __init__(self, store: ObjectStore):
         self._api = ReadApi(store)
 
-    def dispatch(self, method: str, args: dict[str, Any]) -> Any:
+    def _get(self, spec: Any) -> list[dict[str, Any]]:
+        model, fields, query_wire = _normalize_spec(spec)
+        return self._api.get(model, fields, Query.from_wire(query_wire))
+
+    def dispatch(self, method: str, body: bytes) -> bytes:
+        """Serve ``method`` for one marshalled args body; the answer body."""
+        args = _decode_args(body)
         if method == "get":
-            return self._api.get(
-                args["model"],
-                args.get("fields"),
-                Query.from_wire(args.get("query")),
-            )
-        if method == "multi_get":
-            return [
-                self._api.get(model, fields, Query.from_wire(query))
-                for model, fields, query in map(_normalize_spec, args["specs"])
-            ]
-        if method == "count":
-            return self._api.count(args["model"], Query.from_wire(args.get("query")))
-        if method == "schema":
-            return self._api.schema()
-        raise RpcError(f"read service has no method {method!r}")
+            payload: Any = self._get(args)
+        elif method == "multi_get":
+            payload = [self._get(spec) for spec in args["specs"]]
+        elif method == "count":
+            model, _fields, query_wire = _normalize_spec(args)
+            payload = self._api.count(model, Query.from_wire(query_wire))
+        elif method == "schema":
+            payload = self._api.schema()
+        else:
+            raise RpcError(f"read service has no method {method!r}")
+        return encode_message(payload)
 
 
 @dataclass
 class _CacheEntry:
-    """One cached read result and the evidence needed to invalidate it."""
+    """One cached answer and the evidence needed to invalidate it."""
 
-    payload: Any
+    #: The answer as it goes on the wire (:func:`encode_message`'s bytes).
+    body: bytes
     #: Everything the fill read; a journal record invalidates the entry
     #: iff ``read_set.matches(record)``.
     read_set: ReadSet
-    #: Journal position observed when the fill started — the entry is
-    #: consistent with exactly this journal prefix.
-    position: int
 
 
 class ReadCache:
-    """A read-through cache over one store's read API (ROADMAP item 2).
+    """A read-through cache over one store's read API.
 
-    Keying: the canonical JSON of ``(method, model, fields, query
-    wire)`` — two requests that marshal identically share one entry.
+    Keying: ``(method, args body)`` — the canonical JSON a ``get`` or
+    ``count`` carries on the wire (:meth:`cache_key`), so a marshalled
+    request is looked up as it arrived.  An entry holds the marshalled
+    answer: a hit decodes and encodes nothing, and no caller is ever
+    handed an object the cache still holds.
 
     Invalidation is journal-driven and precise.  Each fill runs with
     read tracking *suspended and replaced* (the ambient read-set of any
@@ -221,7 +253,7 @@ class ReadCache:
         self.name = name
         #: The cursor: how much of the store's journal has been replayed.
         self._position = store.journal_position
-        self._entries: dict[str, _CacheEntry] = {}
+        self._entries: dict[tuple[str, bytes], _CacheEntry] = {}
         #: The entries' read-sets, inverted: journal record -> entry keys.
         self._read_sets = ReadSetIndex()
 
@@ -240,12 +272,13 @@ class ReadCache:
         model: str,
         fields: Sequence[str] | None,
         query_wire: dict | None,
-    ) -> str:
-        return json.dumps(
-            [method, model, list(fields) if fields is not None else None, query_wire],
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+    ) -> bytes:
+        """The args body :class:`~repro.fbnet.replication.FBNetClient`
+        sends for this ``get`` or ``count``, byte for byte."""
+        args: dict[str, Any] = {"model": model, "query": query_wire}
+        if method != "count":
+            args["fields"] = list(fields) if fields is not None else None
+        return encode_message(args)
 
     # -- invalidation --------------------------------------------------
 
@@ -278,10 +311,10 @@ class ReadCache:
         self,
         method: str,
         model: str,
-        fields: tuple[str, ...] | None,
+        fields: Sequence[str] | None,
         query_wire: dict | None,
-    ) -> tuple[Any, ReadSet]:
-        """Run one read against the store, capturing its read-set.
+    ) -> tuple[bytes, ReadSet]:
+        """Run one read against the store: its answer body and read-set.
 
         Tracking is suspended first: a fill inside a caller's
         ``track_reads`` block must not drag the cache's dependencies
@@ -289,36 +322,87 @@ class ReadCache:
         perform these reads — the cache did).
         """
         read_set = ReadSet()
-        with self._store._suspend_tracking():
-            with self._store.track_reads(read_set):
-                if method == "count":
-                    payload: Any = self._api.count(model, Query.from_wire(query_wire))
-                else:
-                    payload = self._api.get(model, fields, Query.from_wire(query_wire))
-        return payload, read_set
+        with self._store._suspend_tracking(), self._store.track_reads(read_set):
+            if method == "count":
+                payload: Any = self._api.count(model, Query.from_wire(query_wire))
+            else:
+                payload = self._api.get(model, fields, Query.from_wire(query_wire))
+        return encode_message(payload), read_set
 
     def _admit(
         self,
-        key: str,
-        payload: Any,
+        key: tuple[str, bytes],
+        body: bytes,
         read_set: ReadSet,
         position: int,
     ) -> bool:
         """Install a filled entry unless it is stale on arrival.
 
         Records committed after ``position`` (the fill's snapshot) that
-        match the fill's read-set mean the payload may predate the
+        match the fill's read-set mean the answer may predate the
         mutation: count a stale eviction and refuse the entry.
         """
         for record in self._store.journal_since(position):
             if read_set.matches(record):
                 obs.counter("rpc.cache.stale_evictions", cache=self.name).inc()
                 return False
-        self._entries[key] = _CacheEntry(payload, read_set, position)
+        self._entries[key] = _CacheEntry(body, read_set)
         self._read_sets.put(key, read_set)
         return True
 
+    def _answer(self, method: str, specs: Sequence[Any]) -> list[bytes]:
+        """One answer body per spec of a ``method`` batch, after an advance.
+
+        Hits and misses are classified up front (each request counts
+        once, so duplicate specs within one batch count one miss per
+        occurrence but share a single fill); unique misses then fill and
+        are admitted in first-request order.
+        """
+        normalized = [_normalize_spec(spec) for spec in specs]
+        keys = [(method, self.cache_key(method, *spec)) for spec in normalized]
+        body_by_key: dict[tuple[str, bytes], bytes] = {}
+        fills: dict[tuple[str, bytes], tuple] = {}
+        for key, spec in zip(keys, normalized):
+            entry = self._entries.get(key)
+            if entry is not None:
+                obs.counter("rpc.cache.hits", cache=self.name).inc()
+                body_by_key[key] = entry.body
+            else:
+                obs.counter("rpc.cache.misses", cache=self.name).inc()
+                fills.setdefault(key, spec)
+        for key, spec in fills.items():
+            for _ in range(2):
+                position = self._position
+                body, read_set = self._compute(method, *spec)
+                if self._admit(key, body, read_set, position):
+                    break
+                # Stale on arrival.  Twice over, mutations are landing faster
+                # than fills complete: serve the (fresh) last answer uncached.
+                self.advance()
+            body_by_key[key] = body
+        return [body_by_key[key] for key in keys]
+
     # -- the read-through API ------------------------------------------
+
+    def serve(self, method: str, args: bytes) -> bytes:
+        """The wire door: a marshalled ``get`` / ``count`` / ``multi_get``
+        args body in, the marshalled answer out.
+
+        A hit is one probe with the bytes as they arrived.  Only a miss
+        decodes them, and it then asks under the canonical spelling
+        (:meth:`cache_key`; a ``multi_get`` spec as the single ``get``
+        asking the same), so args that arrived with reordered keys or a
+        defaulted one left out still share the entry.
+        """
+        self.advance()
+        if method == "multi_get":
+            bodies = self._answer("get", _decode_args(args)["specs"])
+            return b"[" + b",".join(bodies) + b"]"
+        entry = self._entries.get((method, args))
+        if entry is None:
+            return self._answer(method, [_decode_args(args)])[0]
+        obs.counter("rpc.cache.hits", cache=self.name).inc()
+        return entry.body
 
     def get(
         self,
@@ -327,63 +411,18 @@ class ReadCache:
         query: Query | dict | None = None,
     ) -> list[dict[str, Any]]:
         """Read-through ``ReadApi.get``: serve the cache, fill on miss."""
-        return self._serve("get", *_normalize_spec((model, fields, query)))
+        self.advance()
+        return decode_message(self._answer("get", [(model, fields, query)])[0])
 
     def count(self, model: str, query: Query | dict | None = None) -> int:
         """Read-through ``ReadApi.count``."""
-        return self._serve("count", *_normalize_spec((model, None, query)))
-
-    def _serve(
-        self,
-        method: str,
-        model: str,
-        fields: tuple[str, ...] | None,
-        query_wire: dict | None,
-    ) -> Any:
         self.advance()
-        key = self.cache_key(method, model, fields, query_wire)
-        entry = self._entries.get(key)
-        if entry is not None:
-            obs.counter("rpc.cache.hits", cache=self.name).inc()
-            return entry.payload
-        obs.counter("rpc.cache.misses", cache=self.name).inc()
-        payload: Any = None
-        for _ in range(2):
-            position = self._position
-            payload, read_set = self._compute(method, model, fields, query_wire)
-            if self._admit(key, payload, read_set, position):
-                return payload
-            self.advance()
-        # Two consecutive stale fills: mutations are landing faster than
-        # fills complete — serve the (fresh) last computation uncached.
-        return payload
+        return decode_message(self._answer("count", [(model, None, query)])[0])
 
     def multi_get(self, specs: Sequence[Any]) -> list[Any]:
-        """Serve a batch of ``get`` specs, filling all misses together.
-
-        Hits and misses are classified up front against the advanced
-        cache (each request counts once, so duplicate specs within one
-        batch count one miss per occurrence but share a single fill);
-        unique misses then fill and are admitted in first-request order.
-        """
+        """Serve a batch of ``get`` specs, filling all misses together."""
         self.advance()
-        normalized = [_normalize_spec(spec) for spec in specs]
-        keys = [self.cache_key("get", *spec) for spec in normalized]
-        payload_by_key: dict[str, Any] = {}
-        fills: dict[str, tuple[str, tuple[str, ...] | None, dict | None]] = {}
-        for key, spec in zip(keys, normalized):
-            entry = self._entries.get(key)
-            if entry is not None:
-                obs.counter("rpc.cache.hits", cache=self.name).inc()
-                payload_by_key[key] = entry.payload
-            else:
-                obs.counter("rpc.cache.misses", cache=self.name).inc()
-                fills.setdefault(key, spec)
-        for key, spec in fills.items():
-            payload, read_set = self._compute("get", *spec)
-            self._admit(key, payload, read_set, self._position)
-            payload_by_key[key] = payload
-        return [payload_by_key[key] for key in keys]
+        return [decode_message(body) for body in self._answer("get", specs)]
 
     # -- introspection -------------------------------------------------
 
@@ -395,10 +434,6 @@ class ReadCache:
             out[event] = series.value if series is not None else 0.0
         out["entries"] = float(len(self._entries))
         return out
-
-    def positions(self) -> int:
-        """The journal position the cache has advanced to."""
-        return self._position
 
 
 class CachingReadService(ReadService):
@@ -414,16 +449,10 @@ class CachingReadService(ReadService):
             raise RpcError("cache is bound to a different store")
         self.cache = cache if cache is not None else ReadCache(store)
 
-    def dispatch(self, method: str, args: dict[str, Any]) -> Any:
-        if method == "get":
-            return self.cache.get(
-                args["model"], args.get("fields"), args.get("query")
-            )
-        if method == "multi_get":
-            return self.cache.multi_get(args["specs"])
-        if method == "count":
-            return self.cache.count(args["model"], args.get("query"))
-        return super().dispatch(method, args)
+    def dispatch(self, method: str, body: bytes) -> bytes:
+        if method in ("get", "count", "multi_get"):
+            return self.cache.serve(method, body)
+        return super().dispatch(method, body)
 
 
 class WriteService:
@@ -432,23 +461,26 @@ class WriteService:
     def __init__(self, store: ObjectStore):
         self._api = WriteApi(store)
 
-    def dispatch(self, method: str, args: dict[str, Any]) -> Any:
+    def dispatch(self, method: str, body: bytes) -> bytes:
+        args = _decode_args(body)
         if method == "create_objects":
             specs = [
                 (model_name, self._revive_refs(values))
                 for model_name, values in args["specs"]
             ]
-            return self._api.create_objects(specs)
-        if method == "update_objects":
+            payload: Any = self._api.create_objects(specs)
+        elif method == "update_objects":
             updates = [
                 (model_name, obj_id, values)
                 for model_name, obj_id, values in args["updates"]
             ]
-            return self._api.update_objects(updates)
-        if method == "delete_objects":
+            payload = self._api.update_objects(updates)
+        elif method == "delete_objects":
             targets = [(model_name, obj_id) for model_name, obj_id in args["targets"]]
-            return self._api.delete_objects(targets)
-        raise RpcError(f"write service has no method {method!r}")
+            payload = self._api.delete_objects(targets)
+        else:
+            raise RpcError(f"write service has no method {method!r}")
+        return encode_message(payload)
 
     @staticmethod
     def _revive_refs(values: dict[str, Any]) -> dict[str, Any]:
@@ -525,52 +557,42 @@ class ServiceReplica:
     def recover(self) -> None:
         self.healthy = True
 
+    def _failed(self, method: str, reason: str) -> None:
+        obs.counter(
+            "rpc.failure", service=self.kind, method=method, reason=reason
+        ).inc()
+
     def handle(self, wire_request: bytes) -> bytes:
         """Serve one marshalled request, returning a marshalled response."""
         if not self.healthy:
             obs.counter("rpc.refused", service=self.kind, region=self.region).inc()
             raise ReplicaUnavailable(f"replica {self.name} is down")
-        request = RpcRequest.from_wire(wire_request)
+        service, method, body = _parse_request(wire_request)
         if faults.should_inject(
-            "rpc.call",
-            service=self.kind,
-            method=request.method,
-            replica=self.name,
-            region=self.region,
+            "rpc.call", service=self.kind, method=method,
+            replica=self.name, region=self.region,
         ):
-            obs.counter(
-                "rpc.failure", service=self.kind, method=request.method,
-                reason="fault-injected",
-            ).inc()
+            self._failed(method, "fault-injected")
             raise ReplicaUnavailable(
                 f"replica {self.name}: injected transient RPC fault"
             )
-        if request.service != self.kind:
-            obs.counter(
-                "rpc.failure", service=self.kind, method=request.method,
-                reason="wrong-service",
-            ).inc()
+        if service != self.kind:
+            self._failed(method, "wrong-service")
             raise RpcError(
                 f"replica {self.name} is a {self.kind} service, "
-                f"got a {request.service} request"
+                f"got a {service} request"
             )
         self.served += 1
-        obs.counter("rpc.call", service=self.kind, method=request.method).inc()
-        with obs.timed("rpc.latency", service=self.kind, method=request.method):
+        obs.counter("rpc.call", service=self.kind, method=method).inc()
+        with obs.timed("rpc.latency", service=self.kind, method=method):
             try:
-                payload = self._service.dispatch(request.method, request.args)
+                answer = self._service.dispatch(method, body)
             except RpcError:
-                obs.counter(
-                    "rpc.failure", service=self.kind, method=request.method,
-                    reason="bad-request",
-                ).inc()
+                self._failed(method, "bad-request")
                 raise
             except Exception as exc:  # surfaced to the caller, not swallowed
-                obs.counter(
-                    "rpc.failure", service=self.kind, method=request.method,
-                    reason=type(exc).__name__,
-                ).inc()
+                self._failed(method, type(exc).__name__)
                 return RpcResponse(
                     ok=False, error=f"{type(exc).__name__}: {exc}"
                 ).to_wire()
-        return RpcResponse(ok=True, payload=payload).to_wire()
+        return _frame(_OK, answer)

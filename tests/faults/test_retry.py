@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.faults import CircuitBreaker, GiveUp, RetryPolicy
@@ -84,6 +86,26 @@ class TestRetryPolicy:
             max_attempts=5, base_delay=1.0, multiplier=1.0, jitter=0.5, jitter_seed=9
         )
         assert list(shifted.delays()) != first
+
+    def test_execute_sleeps_exactly_the_jittered_schedule(self):
+        # The RNG is seeded at the first backoff, not per call: what the
+        # sleeps are must not move, or every seeded chaos schedule does.
+        policy = RetryPolicy(
+            max_attempts=5, base_delay=1.0, multiplier=2.0, jitter=0.5, jitter_seed=7
+        )
+        rng = random.Random(7)
+        schedule = [
+            min(1.0 * 2.0**n, 30.0) * (1.0 + 0.5 * (2.0 * rng.random() - 1.0))
+            for n in range(4)
+        ]
+        assert list(policy.delays()) == schedule
+        for failures in (0, 2, 4, 9):  # each execute starts the schedule over
+            slept: list[float] = []
+            try:
+                policy.execute(Flaky(failures), sleep=slept.append)
+            except GiveUp:
+                assert failures > 4
+            assert slept == schedule[:failures]
 
     def test_on_retry_hook_sees_each_failure(self):
         policy = RetryPolicy(max_attempts=3, base_delay=0.0)

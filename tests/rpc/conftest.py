@@ -7,6 +7,7 @@ The ``cache-consistency`` CI matrix pins ``ROBOTRON_WORKERS`` and
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -14,8 +15,17 @@ import pytest
 from repro import seed_environment
 from repro.design.cluster import build_cluster
 from repro.fbnet.models import ClusterGeneration
+from repro.fbnet.rpc import RpcRequest, encode_message
 from repro.fbnet.sharding import ShardedObjectStore
 from repro.fbnet.store import ObjectStore
+
+
+def respelled(request: RpcRequest) -> bytes:
+    """``request`` on the wire with its args spelled another way (keys in
+    reverse order, indented): the same question in different bytes."""
+    body = json.dumps(dict(reversed(sorted(request.args.items()))), indent=1).encode()
+    head = request.to_wire()[: -len(encode_message(request.args)) - 4]
+    return head + len(body).to_bytes(4, "big") + body
 
 
 @pytest.fixture

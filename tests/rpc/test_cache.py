@@ -16,8 +16,10 @@ from repro.fbnet.rpc import (
     RpcRequest,
     RpcResponse,
     ServiceReplica,
+    decode_message,
 )
 from repro.fbnet.store import ObjectStore
+from tests.rpc.conftest import respelled
 
 pytestmark = pytest.mark.rpc
 
@@ -46,6 +48,41 @@ class TestHitMiss:
             "hits": 1.0, "misses": 1.0, "invalidations": 0.0,
             "stale_evictions": 0.0, "entries": 1.0,
         }
+
+    def test_however_the_args_are_spelled_they_share_one_entry(self, store, regions):
+        cache = ReadCache(store)
+        replica = ServiceReplica("r", "na-east", "read", store, cache=cache)
+        query = Expr("name", Op.EQUAL, "r1")
+        client_args = {"model": "Region", "fields": ["name"], "query": query.to_wire()}
+        # The key of the in-process form is the client's args body, byte for byte.
+        request = RpcRequest("read", "get", client_args)
+        key = ReadCache.cache_key("get", "Region", ("name",), query.to_wire())
+        assert request.to_wire().endswith(key) and not respelled(request).endswith(key)
+        assert ReadCache.cache_key("count", "Region", None, None) == (
+            b'{"model":"Region","query":null}'
+        )
+        answers = {replica.handle(request.to_wire()), replica.handle(respelled(request))}
+        assert cache.get("Region", ["name"], query) == [{"id": regions[1].id, "name": "r1"}]
+        assert len(answers) == 1
+        # A defaulted key left out is the same question too.
+        for args in ({"model": "Region"}, {"model": "Region", "query": None, "fields": None}):
+            replica.handle(RpcRequest("read", "count", args).to_wire())
+        assert cache.count("Region") == 3
+        stats = cache.stats()
+        assert (stats["misses"], stats["hits"], stats["entries"]) == (2, 4, 2)
+
+    def test_a_caller_cannot_corrupt_a_held_answer(self, store, regions):
+        # Reproduced at PR 23: get/multi_get handed out the cached list itself.
+        cache = ReadCache(store)
+        fresh = ReadApi(store).get("Region", ("name",), None)
+        answer = cache.get("Region", ["name"], None)
+        answer[0]["name"] = "x"
+        answer.append({"id": 99, "name": "intruder"})
+        batch = cache.multi_get([("Region", ["name"], None)])
+        batch[0].clear()
+        assert cache.get("Region", ["name"], None) == fresh
+        assert cache.multi_get([("Region", ["name"], None)]) == [fresh]
+        assert cache.stats()["misses"] == 1
 
     def test_distinct_projections_are_distinct_entries(self, store, regions):
         cache = ReadCache(store)
@@ -178,14 +215,14 @@ class TestInvalidation:
 class TestStaleOnArrival:
     def test_fill_racing_a_commit_is_not_admitted(self, store, regions):
         cache = ReadCache(store)
-        positions = cache.positions()
-        payload, read_set = cache._compute(
+        position = cache._position
+        body, read_set = cache._compute(
             "get", "Region", ("name",), Expr("name", Op.EQUAL, "r1").to_wire()
         )
         # A commit lands between the fill's position snapshot and its
-        # admission — the payload may predate the mutation.
+        # admission — the answer may predate the mutation.
         store.update(regions[1], name="r1-racing")
-        assert cache._admit("some-key", payload, read_set, positions) is False
+        assert cache._admit(("get", b"some-key"), body, read_set, position) is False
         assert cache.stats()["stale_evictions"] == 1
         assert len(cache) == 0
 
@@ -283,7 +320,9 @@ class TestServiceIntegration:
 
     def test_schema_passes_through_the_cache_service(self, store):
         service = CachingReadService(store)
-        assert service.dispatch("schema", {}) == ReadApi(store).schema()
+        body = service.dispatch("schema", b"{}")
+        assert decode_message(body) == ReadApi(store).schema()
+        assert len(service.cache) == 0
 
     def test_cache_must_match_store(self, store):
         other = ObjectStore(name="other")

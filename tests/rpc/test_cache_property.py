@@ -5,10 +5,17 @@ scans, counts, multi-get batches, and a two-model shape whose answer
 moves when a row it only *traverses* is renamed) and mutations (create /
 update / delete) against one store; every cache-served answer must equal
 a fresh uncached read taken at the same instant, and unrelated entries
-must survive (asserted via the hit counter, not just payloads).
+must survive (asserted via the hit counter, not just payloads).  Every
+read is asked a second time over the wire — in the client's spelling or
+a reordered one — where a cached replica must answer the very bytes an
+uncached replica over the same store does, and the whole history must
+leave the hit / miss / invalidation counts the cache kept before it held
+bytes (:class:`ParentAccounting`).
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -18,8 +25,10 @@ from repro import obs
 from repro.fbnet.api import ReadApi
 from repro.fbnet.models import NetworkDomain, Pop, Region
 from repro.fbnet.query import And, Expr, Op, Query
-from repro.fbnet.rpc import ReadCache
+from repro.fbnet.changelog import ReadSet
+from repro.fbnet.rpc import ReadCache, RpcRequest, RpcResponse, ServiceReplica
 from repro.fbnet.store import ObjectStore
+from tests.rpc.conftest import respelled
 
 pytestmark = pytest.mark.rpc
 
@@ -55,6 +64,42 @@ def _query(name: str | None) -> dict | None:
     return Expr("name", Op.EQUAL, name).to_wire() if name is not None else None
 
 
+SPEC = ("model", "fields", "query")
+
+
+class ParentAccounting:
+    """What the cache counted while it held decoded payloads under a JSON
+    string: one entry per question, the read-set of its own fill, evicted
+    by ``ReadSet.matches`` (the reference predicate) record by record."""
+
+    def __init__(self, store: ObjectStore):
+        self.store, self.api = store, ReadApi(store)
+        self.position = store.journal_position
+        self.entries: dict[str, ReadSet] = {}
+        self.counts = {"hits": 0, "misses": 0, "invalidations": 0}
+
+    def ask(self, method: str, specs: list[tuple]) -> None:
+        """One request: a ``get`` / ``count``, or a ``get`` batch."""
+        for record in self.store.journal_since(self.position):
+            stale = [k for k, held in self.entries.items() if held.matches(record)]
+            for key in stale:
+                del self.entries[key]
+            self.counts["invalidations"] += len(stale)
+        self.position = self.store.journal_position
+        keys = [json.dumps([method, *spec], sort_keys=True) for spec in specs]
+        for key in keys:  # classified up front, one count per occurrence
+            self.counts["hits" if key in self.entries else "misses"] += 1
+        for key, (model, fields, query) in zip(keys, specs):
+            if key not in self.entries:
+                read_set = ReadSet()
+                with self.store.track_reads(read_set):
+                    if method == "count":
+                        self.api.count(model, Query.from_wire(query))
+                    else:
+                        self.api.get(model, fields, Query.from_wire(query))
+                self.entries[key] = read_set
+
+
 class TestCacheEquivalenceProperty:
     @settings(
         max_examples=40,
@@ -69,14 +114,42 @@ class TestCacheEquivalenceProperty:
         store = ObjectStore()
         api = ReadApi(store)
         cache = ReadCache(store)
+        cached = ServiceReplica("cached", "na", "read", store, cache=cache)
+        uncached = ServiceReplica("uncached", "na", "read", store)
+        parent = ParentAccounting(store)
         live: dict[str, list] = {name: [] for name in NAMES}
         born: dict[str, int] = {}  # name -> id of the region last created under it
-        serial = 0
+        serial = asked = 0
+
+        def ask(method: str, specs: list[tuple]):
+            """One request, in-process and then over the wire; its answer."""
+            nonlocal asked
+            asked += 1
+            if method == "multi_get":
+                answer = cache.multi_get(specs)
+                args: dict = {"specs": [dict(zip(SPEC, spec)) for spec in specs]}
+            else:
+                [(model, fields, wire)] = specs
+                args = dict(zip(SPEC, specs[0]))
+                if method == "count":
+                    del args["fields"]
+                    answer = cache.count(model, wire)
+                else:
+                    answer = cache.get(model, fields, wire)
+            request = RpcRequest("read", method, args)
+            request = respelled(request) if asked % 3 == 0 else request.to_wire()
+            served = cached.handle(request)
+            assert served == uncached.handle(request)
+            assert RpcResponse.from_wire(served).result() == answer
+            for _ in range(2):  # the cache was asked twice
+                parent.ask("count" if method == "count" else "get", specs)
+            return answer
+
         for op in script:
             kind = op[0]
             if kind == "read":
                 wire = _query(op[1])
-                assert cache.get("Region", ["name"], wire) == api.get(
+                assert ask("get", [("Region", ["name"], wire)]) == api.get(
                     "Region", ("name",), Query.from_wire(wire)
                 )
             elif kind == "pops":
@@ -84,22 +157,20 @@ class TestCacheEquivalenceProperty:
                     Expr("region", Op.EQUAL, born.get(op[1], 0)),
                     Expr("region.name", Op.STARTSWITH, f"{op[1]}-"),
                 ).to_wire()
-                assert cache.get("Pop", ["name"], wire) == api.get(
+                assert ask("get", [("Pop", ["name"], wire)]) == api.get(
                     "Pop", ("name",), Query.from_wire(wire)
                 )
             elif kind == "count":
                 wire = _query(op[1])
-                assert cache.count("Region", wire) == store.count(
+                assert ask("count", [("Region", None, wire)]) == store.count(
                     Region, Query.from_wire(wire)
                 )
             elif kind == "batch":
-                specs = [("Region", ("name",), _query(name)) for name in op[1]]
-                got = cache.multi_get(specs)
-                want = [
+                specs = [("Region", ["name"], _query(name)) for name in op[1]]
+                assert ask("multi_get", specs) == [
                     api.get("Region", ("name",), Query.from_wire(_query(name)))
                     for name in op[1]
                 ]
-                assert got == want
             elif kind == "create":
                 # Unique index: suffix a serial so creates never collide,
                 # while the *queried* name prefix stays in the hot set.
@@ -122,6 +193,9 @@ class TestCacheEquivalenceProperty:
                     for pop in region.pops:  # PROTECT: the pops go first
                         store.delete(pop)
                     store.delete(region)
+        stats = cache.stats()
+        assert {event: stats[event] for event in parent.counts} == parent.counts
+        assert stats["stale_evictions"] == 0
 
     @settings(
         max_examples=25,
