@@ -33,9 +33,10 @@ def unified_diff(old: str, new: str, name: str = "config") -> str:
 def count_changed_lines(old: str, new: str, exclude_comments: bool = True) -> int:
     """Count updated lines between two configs (the Figure 16 metric).
 
-    A changed line (same position, different content) counts once, not
-    twice; pure additions and removals count one each.  Comment lines are
-    excluded by default, as in the paper.
+    Sums the ``difflib`` opcodes: a replaced line counts once, an added or
+    removed one once each.  That alignment is a heuristic, not a minimum
+    (lines ``x x`` -> ``y x`` count 2, where one replace would do).  Comment
+    lines are excluded by default, as in the paper.
     """
 
     def prepare(text: str) -> list[str]:

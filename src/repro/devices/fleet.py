@@ -240,12 +240,5 @@ class DeviceFleet:
                     return False
         return True
 
-    def session_states(self) -> dict[str, list[dict[str, Any]]]:
-        return {
-            name: device.bgp_summary()
-            for name, device in sorted(self.devices.items())
-            if device.alive
-        }
-
     def __len__(self) -> int:
         return len(self.devices)

@@ -98,42 +98,50 @@ class DerivedModelBackend(Backend):
             # Derived rows describe what monitoring *observed*, not what
             # the ambient change intended — a rollout baking while a
             # collection job fires must not claim these writes, so the
-            # change context is masked for the duration.
-            with flight.suppressed():
+            # change context is masked for the duration.  One payload is
+            # one observation: its rows commit together or not at all.
+            with flight.suppressed(), self._store.transaction():
                 handler(record["device"], record["payload"], timestamp)
 
-    def _find(self, model: type, **key: Any) -> Any:
-        """The ``model`` row holding these field values, if any."""
-        tests = [Expr(name, Op.EQUAL, value) for name, value in key.items()]
-        return self._store.first(model, tests[0] if len(tests) == 1 else And(*tests))
+    def _upsert(self, model: type, rows: list, timestamp: float, found: dict | None = None) -> None:
+        """Create or update, in order, the row each ``(key, values)`` of ``rows``
+        names.  ``key``, the row's ``unique_together`` values, is the lookup
+        *and* is written, so the two cannot drift apart.  ``found`` holds the
+        rows one read found by key (:meth:`_found`); a row made here joins it."""
+        names = model._meta.unique_together[0]
+        if found is None:
+            found = self._found(model, [key for key, _ in rows])
+        for key, values in rows:
+            values = {**dict(zip(names, key)), **values, "collected_at": timestamp}
+            if key in found:
+                self._store.update(found[key], **values)
+            else:
+                found[key] = self._store.create(model, **values)
 
-    def _upsert(self, model: type, key: dict, timestamp: float, **values: Any) -> None:
-        """Create or update the row ``key`` (field name to value) identifies:
-        ``key`` is the lookup *and* is written, so the two cannot drift apart."""
-        existing = self._find(model, **key)
-        values = {**key, **values, "collected_at": timestamp}
-        if existing is None:
-            self._store.create(model, **values)
-        else:
-            self._store.update(existing, **values)
+    def _found(self, model: type, keys: list[tuple]) -> dict[tuple, Any]:
+        """The ``model`` rows holding these keys, by key: one read, served by
+        the ``unique_together`` index (each combination of values is probed)."""
+        if not keys:
+            return {}
+        names = model._meta.unique_together[0]
+        query = And(*(Expr(n, Op.EQUAL, list(dict.fromkeys(c))) for n, c in zip(names, zip(*keys))))
+        rows = self._store.filter(model, query)
+        return {tuple(getattr(row, name) for name in names): row for row in rows}
 
     # -- per-data-type converters ---------------------------------------------
 
     def _store_system(self, device: str, payload: dict, timestamp: float) -> None:
-        self._upsert(
-            DerivedDevice, {"name": device}, timestamp,
-            uptime_seconds=payload["uptime"],
-            cpu_utilization=payload["cpu"],
-            memory_utilization=payload["memory"],
-        )
+        self._upsert(DerivedDevice, [((device,), {
+            "uptime_seconds": payload["uptime"],
+            "cpu_utilization": payload["cpu"],
+            "memory_utilization": payload["memory"],
+        })], timestamp)
 
     def _store_interfaces(self, device: str, payload: list, timestamp: float) -> None:
-        for row in payload:
-            self._upsert(
-                DerivedInterface, {"device_name": device, "name": row["name"]}, timestamp,
-                oper_status=OperStatus(row["oper_status"]),
-                admin_status=AdminStatus(row.get("admin_status", "enabled")),
-            )
+        self._upsert(DerivedInterface, [((device, row["name"]), {
+            "oper_status": OperStatus(row["oper_status"]),
+            "admin_status": AdminStatus(row.get("admin_status", "enabled")),
+        }) for row in payload], timestamp)
 
     def _store_lldp(self, device: str, payload: list, timestamp: float) -> None:
         """Create DerivedCircuits when both ends report each other.
@@ -141,33 +149,30 @@ class DerivedModelBackend(Backend):
         "A circuit object is created if the LLDP data from two devices
         shows that the physical interfaces connected to both ends are
         neighbors to each other" — we record each side's view and promote
-        to a circuit when the reverse view exists.
+        to a circuit when the reverse view exists.  One read finds every
+        side's own row and its mirror.
         """
-        for row in payload:
-            a_dev, a_if = device, row["local_interface"]
-            z_dev, z_if = row["neighbor_device"], row["neighbor_interface"]
-            mirror = self._find(DerivedCircuit, a_device_name=z_dev, a_interface_name=z_if)
-            if mirror and (mirror.z_device_name, mirror.z_interface_name) == (a_dev, a_if):
+        links = [((device, row["local_interface"]), (row["neighbor_device"],
+                  row["neighbor_interface"])) for row in payload]
+        found = self._found(DerivedCircuit, [end for link in links for end in link])
+        for a_end, (z_dev, z_if) in links:
+            mirror = found.get((z_dev, z_if))
+            if mirror and (mirror.z_device_name, mirror.z_interface_name) == a_end:
                 self._store.update(mirror, collected_at=timestamp)
                 continue
-            self._upsert(
-                DerivedCircuit, {"a_device_name": a_dev, "a_interface_name": a_if}, timestamp,
-                z_device_name=z_dev, z_interface_name=z_if,
-            )
+            rows = [(a_end, {"z_device_name": z_dev, "z_interface_name": z_if})]
+            self._upsert(DerivedCircuit, rows, timestamp, found)
 
     def _store_bgp(self, device: str, payload: list, timestamp: float) -> None:
-        for row in payload:
-            self._upsert(
-                DerivedBgpSession, {"device_name": device, "peer_ip": row["peer_ip"]}, timestamp,
-                state=row["state"],
-            )
+        self._upsert(DerivedBgpSession, [
+            ((device, row["peer_ip"]), {"state": row["state"]}) for row in payload
+        ], timestamp)
 
     def _store_running_config(self, device: str, payload: str, timestamp: float) -> None:
-        self._upsert(
-            DerivedRunningConfig, {"device_name": device}, timestamp,
-            config_hash=hashlib.sha256(payload.encode()).hexdigest(),
-            config_text=payload,
-        )
+        self._upsert(DerivedRunningConfig, [((device,), {
+            "config_hash": hashlib.sha256(payload.encode()).hexdigest(),
+            "config_text": payload,
+        })], timestamp)
 
 
 class ConfigBackupBackend(Backend):

@@ -33,6 +33,12 @@ class TestCountChangedLines:
     def test_uneven_replacement_counts_max(self):
         assert count_changed_lines("a\nx\n", "a\ny\nz\n") == 2
 
+    def test_counts_difflib_opcodes_not_a_minimum(self):
+        # difflib aligns the old first line with the new second: an insert
+        # plus a delete, where one replace would do.  Trimming the common
+        # suffix first would count 1 here, so it is not a drop-in speed-up.
+        assert count_changed_lines("x\nx\n", "y\nx\n") == 2
+
     def test_comments_excluded(self):
         old = "# generated header v1\nreal line\n"
         new = "# generated header v2\nreal line\n"

@@ -33,6 +33,7 @@ from repro.fbnet.models import (
     BgpV4Session,
     BgpV6Session,
     ClusterGeneration,
+    DerivedCircuit,
     DerivedInterface,
     Device,
     Linecard,
@@ -431,14 +432,28 @@ class TestTrafficShapes:
             assert assert_planner_is_scan(variants, model, query)
 
     def test_derived_upsert_and_is_index_served(self, variants):
-        payload = [{"name": "et1/1", "oper_status": "down"}]
-        for store in variants[1:]:
+        # A payload's one read must stay an index probe: a scan here is the
+        # quadratic upsert of ledger finding 1 come back.
+        ports = [{"name": f"et1/{i}", "oper_status": "up"} for i in range(3)]
+        lldp = [
+            {"local_interface": "et1/0", "neighbor_device": "psw02", "neighbor_interface": "et2/0"},
+            {"local_interface": "et1/1", "neighbor_device": "psw01", "neighbor_interface": "et1/2"},
+        ]
+        for shards in (1, 4):
+            store = ShardedObjectStore(shards=shards)
+            backend = DerivedModelBackend(store, EventScheduler().clock)
+            backend.store({"data_type": "interfaces", "device": "psw01", "payload": ports[:2]}, 1.0)
+            backend.store({"data_type": "lldp", "device": "psw02", "payload": [
+                {"local_interface": "et2/0", "neighbor_device": "psw01", "neighbor_interface": "et1/0"},
+            ]}, 1.0)
             obs.reset()
-            DerivedModelBackend(store, EventScheduler().clock).store(
-                {"data_type": "interfaces", "device": "psw01", "payload": payload}, 1.0
-            )
+            backend.store({"data_type": "interfaces", "device": "psw01", "payload": ports}, 2.0)
+            backend.store({"data_type": "lldp", "device": "psw01", "payload": lldp}, 2.0)
+            assert counter_sum("store.query", store) == 2
             assert counter_sum("store.planner.fanout", store) == 0
             assert counter_sum("store.planner.scan", store) == 0
+            assert store.count(DerivedInterface) == 3
+            assert store.count(DerivedCircuit) == 2  # psw02's mirror; et1/1 -> et1/2
         query = And(
             Expr("device_name", Op.EQUAL, "psw01"), Expr("name", Op.EQUAL, "et1/1")
         )
