@@ -50,6 +50,14 @@ def calls_per_call(layer: str, per: str):
     return lambda run: run["layers"]["calls"][layer] / run["layers"]["calls"][per]
 
 
+def edge_calls_per_call(caller: str, layers: tuple[str, ...]):
+    """Calls ``caller`` makes into ``layers`` for each call into ``caller``
+    (a count, so exact)."""
+    return lambda run: sum(
+        run["layers"]["edges"].get(f"{caller}>{layer}", (0, 0))[1] for layer in layers
+    ) / run["layers"]["calls"][caller]
+
+
 def rpc_calls_per_request(run: dict) -> float:
     """Traced ``fbnet.rpc`` entry points entered for each request a replica
     handled (a count, so exact)."""
@@ -128,6 +136,14 @@ GATES = [
     # decode or encode creeping back onto the hit path moves it.
     ("frontdoor", "fbnet.rpc calls a request off 4.7129",
      lambda run: abs(rpc_calls_per_request(run) - 4.7129), 1e-9),
+    # A derive reads an interface's prefixes and members once per model: 36.8
+    # store entries a derive while each aggregate made three reads of its own,
+    # 9.0 batched (ledger_pr26.txt).  A per-parent read coming back fails.
+    ("turnup", "configgen.derive store entries a derive",
+     edge_calls_per_call("configgen.derive", ("fbnet.store.read", "fbnet.sharding")), 10.0),
+    # Figure 16's count from a trimmed Myers diff: 0.153 s of deploy.deployer
+    # self time a round under difflib.SequenceMatcher, 0.027 (ledger_pr26.txt).
+    ("turnup", "deploy.deployer self s a round", self_s("deploy.deployer"), 0.08),
     ("turnup", "fbnet.durability share of the round", share("fbnet.durability"), 0.30),
     ("turnup", "WAL bytes a record", metric("fbnet.durability.bytes_per_record"), 270.0),
     # The two CPU-bound times no ledger workload restates, through the same

@@ -10,7 +10,6 @@ different reviewer; the full history and per-change diffs are retained.
 
 from __future__ import annotations
 
-import difflib
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -165,10 +164,11 @@ class Configerator:
 
     def diff(self, path: str, old_version: int, new_version: int) -> str:
         """Unified diff between two versions of ``path``."""
-        old = self.get(path, old_version).splitlines(keepends=True)
-        new = self.get(path, new_version).splitlines(keepends=True)
-        return "".join(
-            difflib.unified_diff(
-                old, new, fromfile=f"{path}@{old_version}", tofile=f"{path}@{new_version}"
-            )
+        from repro.deploy.diff import unified_diff
+
+        return unified_diff(
+            self.get(path, old_version),
+            self.get(path, new_version),
+            fromfile=f"{path}@{old_version}",
+            tofile=f"{path}@{new_version}",
         )

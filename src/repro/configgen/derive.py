@@ -61,25 +61,30 @@ def fetch_location_devices(store: ObjectStore, location: Model) -> list[Model]:
     return sorted(devices.values(), key=lambda d: d.name)
 
 
-def _agg_prefixes(store: ObjectStore, agg: Model) -> tuple[str | None, str | None]:
-    v4 = store.first(V4Prefix, Expr("interface", Op.EQUAL, agg.id))
-    v6 = store.first(V6Prefix, Expr("interface", Op.EQUAL, agg.id))
-    return (v4.prefix if v4 else None, v6.prefix if v6 else None)
-
-
 def _derive_aggs(store: ObjectStore, device: Model) -> list[dict[str, Any]]:
-    aggs = []
-    for agg in store.filter(AggregatedInterface, Expr("device", Op.EQUAL, device.id)):
-        v4_prefix, v6_prefix = _agg_prefixes(store, agg)
-        members = store.filter(
-            PhysicalInterface, Expr("agg_interface", Op.EQUAL, agg.id)
-        )
-        aggs.append(
+    """One IN read per model over the device's aggregate ids, not three reads
+    per aggregate; each records the read-set entries the per-aggregate reads
+    did, so dirty tracking marks the same devices."""
+    aggs = store.filter(AggregatedInterface, Expr("device", Op.EQUAL, device.id))
+    if not aggs:
+        return []
+    ids = [agg.id for agg in aggs]
+    v4: dict[int, str] = {}
+    v6: dict[int, str] = {}
+    for model, prefixes in ((V4Prefix, v4), (V6Prefix, v6)):
+        # Ascending ids: the first row per interface is what ``first`` returned.
+        for row in store.filter(model, Expr("interface", Op.EQUAL, ids)):
+            prefixes.setdefault(row.interface_id, row.prefix)
+    members: dict[int, list[Model]] = {agg.id: [] for agg in aggs}
+    for pif in store.filter(PhysicalInterface, Expr("agg_interface", Op.EQUAL, ids)):
+        members[pif.agg_interface_id].append(pif)
+    return sorted(
+        (
             {
                 "name": agg.name,
                 "number": agg.number,
-                "v4_prefix": v4_prefix,
-                "v6_prefix": v6_prefix,
+                "v4_prefix": v4.get(agg.id),
+                "v6_prefix": v6.get(agg.id),
                 "mtu": agg.mtu,
                 "description": agg.description,
                 "lacp_fast": agg.lacp_fast,
@@ -89,11 +94,13 @@ def _derive_aggs(store: ObjectStore, device: Model) -> list[dict[str, Any]]:
                         "description": pif.description,
                         "speed_mbps": pif.speed_mbps,
                     }
-                    for pif in sorted(members, key=lambda p: p.name)
+                    for pif in sorted(members[agg.id], key=lambda p: p.name)
                 ],
             }
-        )
-    return sorted(aggs, key=lambda a: a["number"])
+            for agg in aggs
+        ),
+        key=lambda a: a["number"],
+    )
 
 
 def _derive_acls(store: ObjectStore, device: Model) -> list[dict[str, Any]]:

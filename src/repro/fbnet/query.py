@@ -43,7 +43,6 @@ __all__ = [
     "fold_equalities",
     "path_plan",
     "plan",
-    "resolve_path",
 ]
 
 
@@ -65,73 +64,6 @@ class Op(Enum):
 _ORDERED_OPS = {
     Op.GT: operator.gt, Op.GTE: operator.ge, Op.LT: operator.lt, Op.LTE: operator.le,
 }
-
-
-def resolve_path(obj: Model, path: str) -> list[Any]:
-    """Resolve a dotted field ``path`` from ``obj`` to its leaf values.
-
-    Forward FK hops yield at most one next object; reverse-relation hops
-    fan out.  Missing links (null FKs) contribute no leaves.  The final
-    segment must be a value field (or ``id``); enum values are unwrapped
-    to their raw ``.value`` for comparison.
-
-    This is the *reference*, with no caller under ``src/``: reads go through
-    :func:`path_plan`, which the tests hold to this walk, errors included.
-    """
-    parts = path.split(".")
-    current: list[Model] = [obj]
-    for index, part in enumerate(parts):
-        is_last = index == len(parts) - 1
-        id_follows = parts[index + 1 :] == ["id"]
-        next_objects: list[Model] = []
-        next_ids: list[int] = []
-        leaves: list[Any] = []
-        for node in current:
-            meta = type(node)._meta
-            if part == "id":
-                leaves.append(node.id)
-                continue
-            field = meta.fields.get(part)
-            if isinstance(field, ForeignKey):
-                # A terminal FK segment, or an FK followed only by ``id``,
-                # asks for the id the row itself holds: the target is not
-                # resolved through the store just to read it back.
-                raw = node.__dict__.get(part)
-                if raw is None:
-                    continue
-                if is_last:
-                    leaves.append(raw)
-                elif id_follows:
-                    next_ids.append(raw)
-                else:
-                    next_objects.append(node.related(part))
-                continue
-            if field is not None:
-                value = node.__dict__.get(part)
-                if isinstance(value, Enum):
-                    value = value.value
-                leaves.append(value)
-                continue
-            reverse = model_registry.reverse_relations(type(node))
-            if part in reverse:
-                next_objects.extend(node.__getattr__(part))
-                continue
-            raise QueryError(
-                f"unknown field {part!r} in path {path!r} on {type(node).__name__}"
-            )
-        if is_last:
-            if next_objects and not leaves:
-                raise QueryError(
-                    f"path {path!r} ends on a relationship; "
-                    "append a value field (e.g. '.name')"
-                )
-            return leaves
-        if next_ids:
-            return next_ids
-        current = next_objects
-        if not current:
-            return []
-    return []
 
 
 #: What one path segment names on one concrete model (:func:`_hop`).
@@ -158,9 +90,10 @@ def _hop(model: type[Model], part: str) -> tuple[str | None, type[Model] | None]
 
 
 def _walk(parts: tuple[str, ...], path: str, obj: Model) -> list[Any]:
-    """:func:`resolve_path`'s leaves, errors and store reads (hops go through
-    ``Model.related`` and the reverse accessor), level by level as there,
-    each node's segment looked up (:func:`_hop`) instead of derived."""
+    """A path's leaves, errors and store reads (hops go through
+    ``Model.related`` and the reverse accessor), level by level, each node's
+    segment looked up (:func:`_hop`) instead of derived; the tests hold it
+    to a per-call reference walk (``tests/fbnet/test_query.py``)."""
     last = len(parts) - 1
     current = [obj]
     for depth, part in enumerate(parts):
@@ -199,7 +132,7 @@ def _walk(parts: tuple[str, ...], path: str, obj: Model) -> list[Any]:
 class PathPlan(NamedTuple):
     """A dotted path as the rows of one model see it (:func:`path_plan`)."""
 
-    #: ``row -> leaf values``, as :func:`resolve_path` answers.
+    #: ``row -> leaf values`` (:func:`_walk`).
     leaves: Callable[[Model], list[Any]]
     #: ``row -> value`` when the path is one field of the row itself (``id``,
     #: a value, an enum unwrapped, an FK's raw id), else ``None``.

@@ -1,9 +1,11 @@
 """Tests for config diffing and the Figure 16 changed-line metric."""
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.deploy.diff import count_changed_lines, is_comment, unified_diff
+from repro.deploy.diff import _changes, count_changed_lines, is_comment, unified_diff
 
 
 class TestUnifiedDiff:
@@ -33,11 +35,10 @@ class TestCountChangedLines:
     def test_uneven_replacement_counts_max(self):
         assert count_changed_lines("a\nx\n", "a\ny\nz\n") == 2
 
-    def test_counts_difflib_opcodes_not_a_minimum(self):
-        # difflib aligns the old first line with the new second: an insert
-        # plus a delete, where one replace would do.  Trimming the common
-        # suffix first would count 1 here, so it is not a drop-in speed-up.
-        assert count_changed_lines("x\nx\n", "y\nx\n") == 2
+    def test_counts_a_minimal_diff(self):
+        # The first line changed, the second did not: one replace, where a
+        # heuristic alignment of old line 1 with new line 2 would count two.
+        assert count_changed_lines("x\nx\n", "y\nx\n") == 1
 
     def test_comments_excluded(self):
         old = "# generated header v1\nreal line\n"
@@ -95,3 +96,76 @@ class TestDiffProperties:
         old, new = "\n".join(a), "\n".join(b)
         changed = count_changed_lines(old, new, exclude_comments=False)
         assert (changed == 0) == (old.splitlines() == new.splitlines())
+
+
+def lcs_length(a: list[str], b: list[str]) -> int:
+    """The longest common subsequence, by the textbook dynamic program."""
+    row = [0] * (len(b) + 1)
+    for x in a:
+        diagonal, row[0] = 0, 0
+        for j, y in enumerate(b, 1):
+            diagonal, row[j] = row[j], diagonal + 1 if x == y else max(row[j], row[j - 1])
+    return row[-1]
+
+
+def apply_unified(old: list[str], diff: str) -> list[str]:
+    """Patch ``old`` with a unified diff, checking every context and removed
+    line against it."""
+    out, at, lines = [], 0, diff.splitlines(keepends=True)[2:]
+    for line in lines:
+        header = re.match(r"@@ -(\d+)(?:,(\d+))? ", line)
+        if header:
+            start = int(header[1]) - (header[2] != "0")
+            out.extend(old[at:start])
+            at = start
+        elif line[0] == "+":
+            out.append(line[1:])
+        else:
+            assert old[at] == line[1:], (old[at], line)
+            at += 1
+            if line[0] == " ":
+                out.append(line[1:])
+    return out + old[at:]
+
+
+def rendered_changes(diff: str) -> list[tuple[int, int]]:
+    """(removed, added) for each run of ``-``/``+`` lines between context
+    lines or hunk headers: the changes a reviewer reads."""
+    runs: list[list[int]] = []
+    open_run = False
+    for line in diff.splitlines()[2:]:
+        if line[:1] in "-+":
+            if not open_run:
+                runs.append([0, 0])
+                open_run = True
+            runs[-1][line[0] == "+"] += 1
+        else:
+            open_run = False
+    return [tuple(run) for run in runs]
+
+
+class TestMinimalDiff:
+    """The metric's definition: a shortest edit script, and the rendered diff
+    is that same script."""
+
+    lines = st.lists(st.sampled_from("abc"), max_size=10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=lines, b=lines)
+    def test_edit_script_is_minimal(self, a, b):
+        edits = sum(i2 - i1 + j2 - j1 for i1, i2, j1, j2 in _changes(a, b))
+        assert edits == len(a) + len(b) - 2 * lcs_length(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=lines, b=lines)
+    def test_rendered_diff_applies(self, a, b):
+        old = [line + "\n" for line in a]
+        new = [line + "\n" for line in b]
+        assert apply_unified(old, unified_diff("".join(old), "".join(new))) == new
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=lines, b=lines)
+    def test_count_is_the_rendered_changes(self, a, b):
+        old, new = "".join(x + "\n" for x in a), "".join(x + "\n" for x in b)
+        shown = sum(max(run) for run in rendered_changes(unified_diff(old, new)))
+        assert count_changed_lines(old, new, exclude_comments=False) == shown

@@ -1,8 +1,13 @@
 """Tests for the query language: operators, paths, composition, wire format."""
 
+from enum import Enum
+from typing import Any
+
 import pytest
 
 from repro.common.errors import QueryError
+from repro.fbnet.base import Model, model_registry
+from repro.fbnet.fields import ForeignKey
 from repro.fbnet.models import (
     AggregatedInterface,
     Circuit,
@@ -15,7 +20,74 @@ from repro.fbnet.models import (
     Region,
     V6Prefix,
 )
-from repro.fbnet.query import And, Expr, Not, Op, Or, Query, resolve_path
+from repro.fbnet.query import And, Expr, Not, Op, Or, Query
+
+
+def resolve_path(obj: Model, path: str) -> list[Any]:
+    """Resolve a dotted field ``path`` from ``obj`` to its leaf values.
+
+    Forward FK hops yield at most one next object; reverse-relation hops
+    fan out.  Missing links (null FKs) contribute no leaves.  The final
+    segment must be a value field (or ``id``); enum values are unwrapped
+    to their raw ``.value`` for comparison.
+
+    The per-call reference walk: reads go through ``query.path_plan``,
+    which the tests hold to this walk, errors included.
+    """
+    parts = path.split(".")
+    current: list[Model] = [obj]
+    for index, part in enumerate(parts):
+        is_last = index == len(parts) - 1
+        id_follows = parts[index + 1 :] == ["id"]
+        next_objects: list[Model] = []
+        next_ids: list[int] = []
+        leaves: list[Any] = []
+        for node in current:
+            meta = type(node)._meta
+            if part == "id":
+                leaves.append(node.id)
+                continue
+            field = meta.fields.get(part)
+            if isinstance(field, ForeignKey):
+                # A terminal FK segment, or an FK followed only by ``id``,
+                # asks for the id the row itself holds: the target is not
+                # resolved through the store just to read it back.
+                raw = node.__dict__.get(part)
+                if raw is None:
+                    continue
+                if is_last:
+                    leaves.append(raw)
+                elif id_follows:
+                    next_ids.append(raw)
+                else:
+                    next_objects.append(node.related(part))
+                continue
+            if field is not None:
+                value = node.__dict__.get(part)
+                if isinstance(value, Enum):
+                    value = value.value
+                leaves.append(value)
+                continue
+            reverse = model_registry.reverse_relations(type(node))
+            if part in reverse:
+                next_objects.extend(node.__getattr__(part))
+                continue
+            raise QueryError(
+                f"unknown field {part!r} in path {path!r} on {type(node).__name__}"
+            )
+        if is_last:
+            if next_objects and not leaves:
+                raise QueryError(
+                    f"path {path!r} ends on a relationship; "
+                    "append a value field (e.g. '.name')"
+                )
+            return leaves
+        if next_ids:
+            return next_ids
+        current = next_objects
+        if not current:
+            return []
+    return []
 
 
 @pytest.fixture

@@ -44,11 +44,12 @@ from repro.fbnet.models import (
     Pop,
     Region,
 )
-from repro.fbnet.query import And, Expr, Not, Op, Or, plan, resolve_path
+from repro.fbnet.query import And, Expr, Not, Op, Or, plan
 from repro.fbnet.sharding import ShardedObjectStore
 from repro.fbnet.store import ObjectStore
 from repro.monitoring.backends import DerivedModelBackend
 from repro.simulation.clock import EventScheduler
+from tests.fbnet.test_query import resolve_path
 
 pytestmark = pytest.mark.sharding
 
