@@ -25,7 +25,6 @@ devices.
 """
 
 import json
-import os
 import time
 
 from conftest import RESULTS_DIR, publish_report, reference_seconds
@@ -35,7 +34,7 @@ from repro.common.util import format_table
 from repro.design.fleet import FLEET_2K, build_fleet
 from repro.fbnet.models import PhysicalInterface
 
-SHARDS = int(os.environ.get("FBNET_SHARDS", "4"))
+SHARDS = 4
 
 
 def test_bench_shard(benchmark):

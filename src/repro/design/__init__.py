@@ -40,7 +40,6 @@ from repro.design.topology import (
     four_post_pop_template,
 )
 from repro.design.validation import DEFAULT_RULES, validate
-from repro.design.workload import ReadSpec, ZipfReadWorkload
 
 __all__ = [
     "BackboneDesignTool",
@@ -56,9 +55,7 @@ __all__ = [
     "PortAllocator",
     "PortmapChangePlan",
     "PortmapSpec",
-    "ReadSpec",
     "TopologyTemplate",
-    "ZipfReadWorkload",
     "build_cluster",
     "decommission_cluster",
     "four_post_pop_template",

@@ -288,7 +288,7 @@ class EmulatedDevice:
     def rollback(self, steps: int = 1) -> None:
         """Revert to a previous committed config."""
         self._require_alive()
-        if steps < 1 or steps >= len(self.config_history) + 1:
+        if steps < 1 or steps >= len(self.config_history):
             available = max(len(self.config_history) - 1, 0)
             raise CommitError(
                 f"{self.name}: cannot roll back {steps} step(s); "

@@ -514,10 +514,6 @@ def recover_store(
             detail=f"{path.name} truncated to {valid_end} bytes",
         )
 
-    # Transaction ids restart above anything recovered.
-    tail_txn = store._journal[-1].txn_id if store._journal else 0
-    store._next_txn_id = max(store._next_txn_id, tail_txn + 1)
-
     obs.counter("store.recovery.runs", store=store.name).inc()
     obs.counter("store.recovery.records", store=store.name).inc(
         store.journal_position

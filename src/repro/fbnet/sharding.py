@@ -166,9 +166,9 @@ class ShardedObjectStore(ObjectStore):
         self.assignment = ShardAssignment(shards)
         self.shards = [Shard(name, index) for index in range(shards)]
         #: object id -> index of the shard it was placed on.  Placement is
-        #: for good (ids are never reused), so the entry outlives the row:
-        #: an undone delete returns the row to the shard it left, and the
-        #: WAL can name the home of every journal record.
+        #: for good (a journaled id is never reused), so the entry outlives
+        #: the row: an undone delete returns the row to the shard it left,
+        #: and the WAL can name the home of every journal record.
         self._placed: dict[int, int] = {}
         #: ``_placed`` restricted to live rows.
         self._home: dict[int, int] = {}
@@ -229,8 +229,13 @@ class ShardedObjectStore(ObjectStore):
             self._token_cache.clear()
 
     def _rollback(self) -> None:
+        created = [e.obj_id for e in self._undo_log if e.op is ChangeOp.CREATE]
         super()._rollback()
         self._token_cache.clear()  # whatever it walked through is undone
+        # No journal will name these ids, so a master promoted elsewhere
+        # may hand them out again: this store must place them afresh.
+        for obj_id in created:
+            self._placed.pop(obj_id, None)
 
     def shard_of(self, obj: Model) -> str:
         """The shard key (``"s00"``…) ``obj`` is placed on."""

@@ -126,8 +126,8 @@ class ObjectStore:
         # model lands in, resolved on the model's first write (_slots).
         self._model_slots: dict[type[Model], _Slots] = {}
         self._next_id = 1
-        # Plain int (not itertools.count) so recovery can restart it above
-        # the log's tail.
+        # Plain int (not itertools.count) so apply_record can keep it above
+        # every applied transaction.
         self._next_txn_id = 1
         self._journal: list[ChangeRecord] = []
         # Durability sidecar (see repro.fbnet.durability); None = volatile.
@@ -824,6 +824,9 @@ class ObjectStore:
             self._unindex(obj)
             obj.id = None
             obj._store = None
+        # Transaction ids likewise: a promoted replica or a recovered store
+        # numbers its next transaction above every one it applied.
+        self._next_txn_id = max(self._next_txn_id, record.txn_id + 1)
         if self._durability is not None:
             self._durability.log_applied(record)
         self._journal.append(record)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro import Robotron, faults, obs, seed_environment
@@ -24,6 +26,14 @@ def _reset_faults():
     faults.uninstall()
     yield
     faults.uninstall()
+
+
+@pytest.fixture(scope="session")
+def chaos_seed() -> int:
+    """The seed of every seeded suite: ``CHAOS_SEED`` (default 1337), so
+    CI replays them under fixed seeds and a failure reproduces
+    byte-for-byte (``CHAOS_SEED=20160816 pytest -m faults``)."""
+    return int(os.environ.get("CHAOS_SEED", "1337"))
 
 
 @pytest.fixture

@@ -55,6 +55,17 @@ class TestConfirmTimerEdges:
         assert device.running_config == CONFIG_B
 
 
+class TestRollbackBounds:
+    def test_rollback_past_the_oldest_commit_is_a_commit_error(self, device):
+        device.commit(CONFIG_A)
+        device.commit(CONFIG_B)
+        with pytest.raises(CommitError, match="1 available"):
+            device.rollback(2)
+        assert device.running_config == CONFIG_B
+        device.rollback(1)
+        assert device.running_config == CONFIG_A
+
+
 class TestSyslogEdges:
     def test_identical_commit_emits_no_config_change(self, device):
         events = []

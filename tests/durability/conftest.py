@@ -1,16 +1,6 @@
-"""Durability-suite fixtures.
-
-The chaos seed comes from the environment so CI can replay the whole
-crash matrix under fixed seeds (``CHAOS_SEED=20160816 pytest -m
-durability``); ``CRASH_POINT`` optionally narrows the parametrized
-crash-point tests to a single WAL fault point.
-"""
+"""Durability-suite fixtures: the stores under test and the crash points."""
 
 from __future__ import annotations
-
-import os
-
-import pytest
 
 from repro.fbnet.sharding import ShardedObjectStore
 from repro.fbnet.store import ObjectStore
@@ -22,19 +12,5 @@ STORES = {
     "sharded": lambda: ShardedObjectStore(shards=4, name="main"),
 }
 
-#: The two WAL crash points the chaos matrix sweeps.
-CRASH_POINTS = ("wal.append_torn", "wal.append_crash")
-
-
-@pytest.fixture
-def chaos_seed() -> int:
-    return int(os.environ.get("CHAOS_SEED", "1337"))
-
-
-def crash_point_params() -> list[str]:
-    chosen = os.environ.get("CRASH_POINT")
-    if chosen:
-        if chosen not in CRASH_POINTS:
-            raise ValueError(f"unknown CRASH_POINT {chosen!r}")
-        return [chosen]
-    return list(CRASH_POINTS)
+#: The two WAL crash points: a torn frame, and death after a whole one.
+WAL_CRASHES = ("wal.append_torn", "wal.append_crash")

@@ -8,7 +8,7 @@ cycle, remediation) resumes on top of the recovered store.
 
 Determinism: the workload is the seeded environment + cluster builder
 (both deterministic), the crash position is drawn from
-``random.Random(CHAOS_SEED)``, and "bit-identical" is asserted over the
+``random.Random(chaos_seed)``, and "bit-identical" is asserted over the
 canonical wire encoding (journal) and :func:`store_digest` (tables,
 indexes, id allocator).
 
@@ -38,7 +38,8 @@ from repro.fbnet.models import (
 )
 from repro.fbnet.store import ObjectStore
 
-from tests.durability.conftest import STORES, crash_point_params
+from tests.durability.conftest import STORES, WAL_CRASHES
+from tests.invariants import replay
 
 pytestmark = pytest.mark.durability
 
@@ -50,7 +51,7 @@ def store_crash_cases() -> list:
     return [
         pytest.param(kind, point, id=point if kind == "plain" else f"{kind}-{point}")
         for kind in STORES
-        for point in crash_point_params()
+        for point in WAL_CRASHES
     ]
 
 
@@ -84,16 +85,6 @@ def oracle(tmp_path_factory):
     }
 
 
-def replay_prefix_digest(oracle, count: int) -> str:
-    """Digest of a fresh store holding exactly the first ``count`` records."""
-    fresh = ObjectStore(name="main")
-    for record in oracle["records"][:count]:
-        fresh.apply_record(record)
-    last_txn = fresh._journal[-1].txn_id if fresh._journal else 0
-    fresh._next_txn_id = max(fresh._next_txn_id, last_txn + 1)
-    return store_digest(fresh)
-
-
 @pytest.mark.parametrize("store_kind, crash_point", store_crash_cases())
 def test_seeded_crash_recovers_bit_identical(
     tmp_path, chaos_seed, store_kind, crash_point, oracle
@@ -125,7 +116,7 @@ def test_seeded_crash_recovers_bit_identical(
 
     # Tables + indexes + id allocator match a store that replayed exactly
     # that prefix — i.e. the crash-free state at the last durable commit.
-    assert store_digest(recovered) == replay_prefix_digest(oracle, position)
+    assert store_digest(recovered) == store_digest(replay(oracle["records"][:position]))
 
     # Crash-point-specific positioning:
     if crash_point == "wal.append_torn":
@@ -141,7 +132,7 @@ def test_seeded_crash_recovers_bit_identical(
 
 
 @pytest.mark.parametrize("store_kind", list(STORES))
-@pytest.mark.parametrize("crash_point", ["wal.append_torn", "wal.append_crash"])
+@pytest.mark.parametrize("crash_point", WAL_CRASHES)
 def test_multi_shard_transaction_recovers_whole_or_not_at_all(
     tmp_path, store_kind, crash_point
 ):

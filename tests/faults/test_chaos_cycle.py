@@ -4,23 +4,39 @@ One run takes the paper's running example — design a POP cluster,
 generate configs, provision the fleet, attach monitoring — through a
 multi-region FBNet deployment while the fault plan injects failures at
 three distinct points (``rpc.call``, ``deploy.push``,
-``monitoring.collect``).  Retry policies absorb the transient faults;
-the phased-deploy circuit breaker contains the persistent ones; and the
-whole run is reproducible bit-for-bit from the seed.
+``monitoring.collect``), then an interface is recabled and an
+incremental cycle propagates it.  Retry policies absorb the transient
+faults; the phased-deploy circuit breaker contains the persistent ones;
+and the whole run is reproducible bit-for-bit from the seed — at any
+worker count and on any store kind, where everything but the per-shard
+metric labels equals the serial run on plain stores.
 """
 
 from __future__ import annotations
 
+import json
+from hashlib import sha256
+
 import pytest
 
-from repro import Robotron, faults, obs, seed_environment
+from repro import Robotron, faults, obs, parallel, seed_environment
 from repro.common.errors import ReplicationError
 from repro.deploy.phases import PhaseSpec
 from repro.faults import FaultPlan, RetryPolicy
-from repro.fbnet.models import ClusterGeneration, Device
+from repro.fbnet.durability import store_digest
+from repro.fbnet.models import Circuit, ClusterGeneration, Device, PhysicalInterface
 from repro.fbnet.replication import ReplicatedFBNet
+from repro.fbnet.sharding import ShardedObjectStore
+from repro.obs import flight
 
 pytestmark = pytest.mark.faults
+
+#: The store each region of the chaos run keeps: ``None`` is the plain one.
+STORE_KINDS = {
+    "plain": None,
+    "1-shard": lambda name: ShardedObjectStore(shards=1, name=name),
+    "4-shard": lambda name: ShardedObjectStore(shards=4, name=name),
+}
 
 COUNTERS = (
     "faults.injected",
@@ -59,7 +75,7 @@ def build_plan(seed: int) -> FaultPlan:
     return plan
 
 
-def run_cycle(seed: int) -> dict:
+def run_cycle(seed: int, store_factory=None) -> dict:
     """One full chaos run; returns a comparable fingerprint of everything."""
     obs.reset()
     faults.uninstall()
@@ -68,6 +84,7 @@ def run_cycle(seed: int) -> dict:
         "na-west",
         replication_lag=0.5,
         retry_policy=RetryPolicy(max_attempts=3, base_delay=0.5),
+        store_factory=store_factory,
     )
     robotron = Robotron(
         store=repl.master.store,
@@ -88,8 +105,6 @@ def run_cycle(seed: int) -> dict:
         robotron.run(5.0)  # let replication ship the design to the replicas
 
         # Remote-region clients read the design through faulty RPC.
-        from repro.fbnet.models import Circuit
-
         expected_circuits = robotron.store.count(Circuit)
         client = repl.client("eu-west")
         reads: list[int] = []
@@ -112,8 +127,13 @@ def run_cycle(seed: int) -> dict:
             [PhaseSpec(name="canary", percentage=100)],
             max_failure_ratio=0.25,
         )
+
+        pif = robotron.store.all(PhysicalInterface)[0]
+        robotron.store.update(pif, description="chaos recable")
+        cycle = robotron.incremental_cycle()
     finally:
         faults.uninstall()
+    golden = "".join(config.text for _, config in sorted(robotron.generator.golden.items()))
     return {
         "injections": list(plan.injections),
         "counters": {name: counter_total(name) for name in COUNTERS},
@@ -128,7 +148,14 @@ def run_cycle(seed: int) -> dict:
             name: region.store.journal_position
             for name, region in repl.regions.items()
         },
+        "cycle_deploy": [sorted(getattr(cycle.deploy, kind)) for kind in ("succeeded", "skipped", "failed")],
+        "regenerated": sorted(cycle.generation.regenerated),
+        "discrepancies": sorted(d.device for d in cycle.discrepancies),
         "clock": repl.scheduler.clock.now,
+        "golden": sha256(golden.encode()).hexdigest(),
+        "digest": store_digest(robotron.store),
+        "flight": json.dumps(flight.deterministic_dump(), sort_keys=True),
+        "metrics": json.dumps(obs.deterministic_dump(), sort_keys=True),
     }
 
 
@@ -163,3 +190,36 @@ class TestChaosCycle:
 
     def test_different_seeds_diverge(self):
         assert run_cycle(11)["injections"] != run_cycle(12)["injections"]
+
+
+#: Worker count x store kind; the serial plain cell is what each is held to.
+CELLS = [
+    (workers, kind)
+    for kind, counts in (("plain", (2, 4, 8)), ("1-shard", (1, 4)), ("4-shard", (1, 4)))
+    for workers in counts
+]
+
+
+@pytest.fixture(scope="module")
+def serial(chaos_seed):
+    """The serial run of a store kind, made once per module."""
+    runs = {}
+
+    def run(kind: str) -> dict:
+        if kind not in runs:
+            with parallel.workers(1):
+                runs[kind] = run_cycle(chaos_seed, STORE_KINDS[kind])
+        return runs[kind]
+
+    return run
+
+
+@pytest.mark.parametrize("workers, kind", CELLS, ids=[f"w{w}-{k}" for w, k in CELLS])
+def test_every_cell_is_the_serial_plain_run(serial, chaos_seed, workers, kind):
+    """Fingerprint, golden configs, ``store_digest`` and flight log equal
+    the serial plain run's; the metric dump, which labels series by
+    shard, equals the serial run's on the same store kind."""
+    with parallel.workers(workers):
+        cell = run_cycle(chaos_seed, STORE_KINDS[kind])
+    assert cell.pop("metrics") == serial(kind)["metrics"]
+    assert cell == {k: v for k, v in serial("plain").items() if k != "metrics"}

@@ -1,73 +1,18 @@
 """Cross-module property-based invariants (hypothesis).
 
 These pin down the contracts the subsystems rely on from each other:
-store index consistency under arbitrary op sequences, portmap plan
-reversibility, template-engine identity on literal text, and config
-schema round-trips for generated devices.
+portmap plan reversibility, template-engine identity on literal text,
+and config schema round-trips for generated devices.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.configgen.engine import Template
 from repro.core.seeds import seed_environment
 from repro.design.portmap import PortmapChangePlan, PortmapSpec, execute_change_plan
-from repro.fbnet.models import NetworkSwitch, Region
-from repro.fbnet.query import Expr, Op
+from repro.fbnet.models import NetworkSwitch
 from repro.fbnet.store import ObjectStore
-
-
-class TestStoreIndexConsistency:
-    """The reverse/unique indexes must agree with brute-force scans after
-    any sequence of create/update/delete/rollback operations."""
-
-    ops = st.lists(
-        st.tuples(
-            st.sampled_from(["create", "rename", "delete", "rollback"]),
-            st.integers(0, 9),
-        ),
-        min_size=1,
-        max_size=40,
-    )
-
-    @settings(max_examples=40, deadline=None)
-    @given(ops=ops)
-    def test_name_index_matches_scan(self, ops):
-        store = ObjectStore()
-        alive: dict[int, object] = {}
-        for op, slot in ops:
-            name = f"region-{slot}"
-            if op == "create":
-                if slot not in alive and not store.exists(
-                    Region, Expr("name", Op.EQUAL, name)
-                ):
-                    alive[slot] = store.create(Region, name=name)
-            elif op == "rename" and slot in alive:
-                target = f"renamed-{slot}"
-                if not store.exists(Region, Expr("name", Op.EQUAL, target)):
-                    store.update(alive[slot], name=target)
-            elif op == "delete" and slot in alive:
-                store.delete(alive.pop(slot))
-            elif op == "rollback":
-                try:
-                    with store.transaction():
-                        tmp_name = f"tmp-{slot}"
-                        if not store.exists(
-                            Region, Expr("name", Op.EQUAL, tmp_name)
-                        ):
-                            store.create(Region, name=tmp_name)
-                        raise RuntimeError("abort")
-                except RuntimeError:
-                    pass
-        # Index-served uniqueness agrees with reality: re-creating any
-        # live name fails, re-creating any dead name succeeds.
-        names = {obj.name for obj in store.all(Region)}
-        assert len(names) == store.count(Region)
-        for obj in store.all(Region):
-            with pytest.raises(Exception):
-                store.create(Region, name=obj.name)
-        assert store.count(Region) == len(names)  # failed creates left nothing
 
 
 class TestPortmapReversibility:

@@ -12,7 +12,6 @@ worker count, with or without a seeded fault plan in the way.
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -24,8 +23,6 @@ from repro.obs import flight
 from repro.obs.flight import PHASES
 
 pytestmark = pytest.mark.obs
-
-CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "1337"))
 
 ROLLOUT_PHASES = [
     PhaseSpec(name="canary", percentage=25),
@@ -159,10 +156,10 @@ class TestDeterminism:
         assert id_w1 == id_w4
         assert dump_w1 == dump_w4
 
-    def test_chaos_dump_byte_identical_across_worker_counts(self):
+    def test_chaos_dump_byte_identical_across_worker_counts(self, chaos_seed):
         dumps = {}
         for worker_count in (1, 4):
-            run_chaos_rollout(worker_count, CHAOS_SEED)
+            run_chaos_rollout(worker_count, chaos_seed)
             dumps[worker_count] = json.dumps(
                 flight.deterministic_dump(), sort_keys=True
             )
@@ -170,8 +167,8 @@ class TestDeterminism:
 
 
 class TestRollbackAttribution:
-    def test_rollback_chain_lands_under_the_rollout_change(self):
-        change_id = run_chaos_rollout(1, CHAOS_SEED)
+    def test_rollback_chain_lands_under_the_rollout_change(self, chaos_seed):
+        change_id = run_chaos_rollout(1, chaos_seed)
         lineage = flight.for_change(change_id)
         kinds = [e.kind for e in lineage]
 
@@ -195,8 +192,8 @@ class TestRollbackAttribution:
         assert outcomes[0] == "started" and outcomes[-1] == "rolled_back"
         assert kinds.index("deploy.breaker") < kinds.index("deploy.lkg_restore")
 
-    def test_fault_noise_does_not_leak_into_other_changes(self):
-        change_id = run_chaos_rollout(1, CHAOS_SEED)
+    def test_fault_noise_does_not_leak_into_other_changes(self, chaos_seed):
+        change_id = run_chaos_rollout(1, chaos_seed)
         # Everything the chaos run recorded belongs to the rollout: the
         # seeded collection noise fires outside any change context and the
         # derived-model writes are suppressed, so neither fabricates

@@ -1,23 +1,10 @@
-"""Remediation-suite fixtures.
-
-The chaos seed comes from the environment so CI's chaos matrix can run
-the whole suite under several fixed seeds (and several worker counts)
-and every failure reproduces byte-for-byte:
-``CHAOS_SEED=20160816 ROBOTRON_WORKERS=4 pytest -m remediation``.
-"""
+"""Remediation-suite fixtures."""
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
 from repro.fbnet.models import ClusterGeneration
-
-
-@pytest.fixture
-def chaos_seed() -> int:
-    return int(os.environ.get("CHAOS_SEED", "1337"))
 
 
 def manual_change(device) -> str:

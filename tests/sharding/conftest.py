@@ -1,13 +1,7 @@
-"""Sharding-suite fixtures.
-
-The CI shard matrix pins three environment knobs — ``FBNET_SHARDS``,
-``ROBOTRON_WORKERS``, ``CHAOS_SEED`` — and reruns this suite per cell;
-locally the fixtures default to 4 shards and seed 1337.
-"""
+"""Sharding-suite fixtures.  A test that needs another shard count builds
+its stores at 1 and 4 shards in-process."""
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -15,16 +9,6 @@ from repro.fbnet.sharding import ShardedObjectStore
 
 
 @pytest.fixture
-def chaos_seed() -> int:
-    return int(os.environ.get("CHAOS_SEED", "1337"))
-
-
-@pytest.fixture
-def shard_count() -> int:
-    return int(os.environ.get("FBNET_SHARDS", "4"))
-
-
-@pytest.fixture
-def sharded(shard_count) -> ShardedObjectStore:
-    """An empty sharded store at the matrix's shard count."""
-    return ShardedObjectStore(shards=shard_count)
+def sharded() -> ShardedObjectStore:
+    """An empty 4-shard store."""
+    return ShardedObjectStore(shards=4)

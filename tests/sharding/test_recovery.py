@@ -32,15 +32,15 @@ def spread_regions(store, count=12):
 
 
 class TestDurableLayout:
-    def test_shard_count_mismatch_refuses_attach(self, tmp_path, sharded, shard_count):
+    def test_shard_count_mismatch_refuses_attach(self, tmp_path, sharded):
         # A root is adopted by recovering it, which builds a store with
         # the shard count the root names; no other store may attach.
         sharded.attach_durability(tmp_path)
-        other = ShardedObjectStore(shards=shard_count + 1)
+        other = ShardedObjectStore(shards=5)
         with pytest.raises(DurabilityError, match="already holds"):
             other.attach_durability(tmp_path)
         recovered = ShardedObjectStore.recover(tmp_path, attach=False)
-        assert recovered.shard_count == shard_count
+        assert recovered.shard_count == 4
 
     def test_plain_recover_refuses_sharded_root(self, tmp_path, sharded):
         sharded.attach_durability(tmp_path)
@@ -114,20 +114,19 @@ class TestTornShard:
 
 
 class TestFacadeDispatch:
-    def test_robotron_recover_rebuilds_a_sharded_store(
-        self, tmp_path, shard_count
-    ):
-        robotron = Robotron(shards=shard_count)
-        robotron.attach_durability(tmp_path)
-        env = seed_environment(robotron.store)
-        robotron.build_cluster(
-            "pop01.c01", env.pops["pop01"], ClusterGeneration.POP_GEN2
-        )
+    def test_robotron_recover_rebuilds_a_sharded_store(self, tmp_path):
+        for shards in (1, 4):
+            robotron = Robotron(shards=shards)
+            robotron.attach_durability(tmp_path / str(shards))
+            env = seed_environment(robotron.store)
+            robotron.build_cluster(
+                "pop01.c01", env.pops["pop01"], ClusterGeneration.POP_GEN2
+            )
 
-        revived = Robotron.recover(tmp_path)
-        assert isinstance(revived.store, ShardedObjectStore)
-        assert len(revived.store.shards) == shard_count
-        assert store_digest(revived.store) == store_digest(robotron.store)
+            revived = Robotron.recover(tmp_path / str(shards))
+            assert isinstance(revived.store, ShardedObjectStore)
+            assert len(revived.store.shards) == shards
+            assert store_digest(revived.store) == store_digest(robotron.store)
 
     def test_robotron_recover_still_handles_plain_roots(self, tmp_path):
         robotron = Robotron()
@@ -137,26 +136,23 @@ class TestFacadeDispatch:
         assert not isinstance(revived.store, ShardedObjectStore)
         assert store_digest(revived.store) == store_digest(robotron.store)
 
-    def test_recover_master_rebuilds_a_sharded_master(
-        self, tmp_path, shard_count
-    ):
-        cluster = ReplicatedFBNet(
-            ["na-east", "na-west"],
-            "na-east",
-            EventScheduler(),
-            store_factory=lambda name: ShardedObjectStore(
-                shards=shard_count, name=name
-            ),
-        )
-        assert isinstance(cluster.master.store, ShardedObjectStore)
-        cluster.master.store.attach_durability(tmp_path)
-        client = cluster.client("na-east")
-        client.create_objects([("Region", {"name": f"region-{i:02d}"}) for i in range(6)])
-        cluster.scheduler.run_for(1.0)
-        before = store_digest(cluster.master.store)
+    def test_recover_master_rebuilds_a_sharded_master(self, tmp_path):
+        for shards in (1, 4):
+            cluster = ReplicatedFBNet(
+                ["na-east", "na-west"],
+                "na-east",
+                EventScheduler(),
+                store_factory=lambda name, n=shards: ShardedObjectStore(shards=n, name=name),
+            )
+            assert isinstance(cluster.master.store, ShardedObjectStore)
+            cluster.master.store.attach_durability(tmp_path / str(shards))
+            client = cluster.client("na-east")
+            client.create_objects([("Region", {"name": f"region-{i:02d}"}) for i in range(6)])
+            cluster.scheduler.run_for(1.0)
+            before = store_digest(cluster.master.store)
 
-        recovered = cluster.recover_master(tmp_path)
-        assert isinstance(recovered, ShardedObjectStore)
-        assert store_digest(recovered) == before
-        west = cluster.regions["na-west"]
-        assert store_digest(west.store) == before
+            recovered = cluster.recover_master(tmp_path / str(shards))
+            assert isinstance(recovered, ShardedObjectStore)
+            assert store_digest(recovered) == before
+            west = cluster.regions["na-west"]
+            assert store_digest(west.store) == before
