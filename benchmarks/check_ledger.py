@@ -144,6 +144,10 @@ GATES = [
     # Figure 16's count from a trimmed Myers diff: 0.153 s of deploy.deployer
     # self time a round under difflib.SequenceMatcher, 0.027 (ledger_pr26.txt).
     ("turnup", "deploy.deployer self s a round", self_s("deploy.deployer"), 0.08),
+    # A section render runs the template compiled once to closures: 49-59 us of
+    # self time a call while a tree-walking interpreter re-split every dotted
+    # path on each evaluation, 24-31 compiled (ledger_pr29.txt).
+    ("turnup", "configgen.engine us a call", us_per_call("configgen.engine"), 40.0),
     ("turnup", "fbnet.durability share of the round", share("fbnet.durability"), 0.30),
     ("turnup", "WAL bytes a record", metric("fbnet.durability.bytes_per_record"), 270.0),
     # The two CPU-bound times no ledger workload restates, through the same

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.common.errors import ConfigGenerationError
+from repro.configgen.engine import Template
 
 __all__ = ["Configerator", "PendingChange", "TemplateVersion"]
 
@@ -93,7 +94,10 @@ class Configerator:
         return change
 
     def approve(self, change_id: int, reviewer: str) -> TemplateVersion:
-        """Land a pending change.  The reviewer must differ from the author."""
+        """Land a pending change.  The reviewer must differ from the author,
+        and a template (a ``*.tmpl`` path) must compile: a template that
+        cannot would fail every generation that reads it until fixed.
+        Either refusal leaves the change pending."""
         change = self._pending.get(change_id)
         if change is None or change.rejected:
             raise ConfigGenerationError(f"no pending change {change_id}")
@@ -102,6 +106,8 @@ class Configerator:
                 f"change {change_id}: author {change.author!r} cannot review "
                 "their own change"
             )
+        if change.path.endswith(".tmpl"):
+            Template(change.content, name=change.path)
         del self._pending[change_id]
         return self._land(
             change.path, change.content, change.author, reviewer, change.note

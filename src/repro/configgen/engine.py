@@ -3,382 +3,233 @@
 The paper renders vendor templates with Django's template language:
 dynamic variables in ``{{ }}``, control flow in ``{% %}``, and static
 content as plain text.  This is a from-scratch implementation of the
-subset those templates use, plus the conveniences config authors expect:
+subset the shipped templates use:
 
 * variables with dotted lookups — ``{{ agg.v6_prefix }}`` — resolving
-  dict keys, object attributes, and list indices;
-* filters — ``{{ pif.name|upper }}``, ``{{ peers|join:", " }}``,
-  ``{{ mtu|default:9192 }}``;
+  dict keys, object attributes, and list indices; anything missing
+  renders empty;
+* string, integer and ``True`` / ``False`` / ``None`` literals;
 * ``{% if %}`` / ``{% elif %}`` / ``{% else %}`` / ``{% endif %}`` with
   truthiness, comparisons (``==``, ``!=``), and ``not``;
 * ``{% for x in seq %}`` / ``{% endfor %}`` with the ``forloop`` context
-  (``counter``, ``counter0``, ``first``, ``last``);
+  (``counter``, ``counter0``, ``first``, ``last``, ``length``,
+  ``parentloop``);
 * ``{# comments #}``.
 
-Rendering never mutates the context.  Parse and render errors raise
-:class:`~repro.common.errors.TemplateError` with a line number.
+There are no filters and no other tags.  ``Template(source)`` compiles
+the source once into nested closures — every dotted path split, every
+literal coerced, every branch and loop body built — so a malformed
+template is refused when it is built, never halfway through a render.
+Rendering never mutates the context.  Errors raise
+:class:`~repro.common.errors.TemplateError` with the line of the tag.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator
 from typing import Any
 
 from repro.common.errors import TemplateError
 
-__all__ = ["Template", "register_filter"]
+__all__ = ["Template"]
 
 _TOKEN_RE = re.compile(r"({{.*?}}|{%.*?%}|{#.*?#})", re.DOTALL)
-
-
-# ---------------------------------------------------------------------------
-# Filters
-# ---------------------------------------------------------------------------
-
-_FILTERS: dict[str, Callable[..., Any]] = {}
-
-
-def register_filter(name: str, fn: Callable[..., Any] | None = None):
-    """Register a template filter; usable as a decorator."""
-
-    def add(inner: Callable[..., Any]) -> Callable[..., Any]:
-        _FILTERS[name] = inner
-        return inner
-
-    if fn is not None:
-        return add(fn)
-    return add
-
-
-register_filter("upper", lambda value: str(value).upper())
-register_filter("lower", lambda value: str(value).lower())
-register_filter("length", lambda value: len(value))
-register_filter("first", lambda value: value[0] if value else "")
-register_filter("last", lambda value: value[-1] if value else "")
-
-
-@register_filter("default")
-def _filter_default(value: Any, fallback: Any = "") -> Any:
-    return fallback if value in (None, "") else value
-
-
-@register_filter("join")
-def _filter_join(value: Any, sep: str = ", ") -> str:
-    return str(sep).join(str(item) for item in value)
-
-
-@register_filter("ip_addr")
-def _filter_ip_addr(value: Any) -> str:
-    """Strip the prefix length: ``10.0.0.1/31`` → ``10.0.0.1``."""
-    return str(value).split("/", 1)[0]
-
-
-@register_filter("prefixlen")
-def _filter_prefixlen(value: Any) -> str:
-    """Extract the prefix length: ``10.0.0.1/31`` → ``31``."""
-    text = str(value)
-    return text.split("/", 1)[1] if "/" in text else ""
-
-
-# ---------------------------------------------------------------------------
-# Expression evaluation
-# ---------------------------------------------------------------------------
-
 _LITERAL_RE = re.compile(
     r"""^(?P<str>'[^']*'|"[^"]*")$|^(?P<int>-?\d+)$|^(?P<bool>True|False|None)$"""
 )
+_CONSTANTS = {"True": True, "False": False, "None": None}
+_CMP_RE = re.compile(r"^(.*?)\s*(==|!=)\s*(.*)$")
+_FOR_RE = re.compile(r"^(\w+)\s+in\s+(.+)$")
+
+#: A compiled expression: its value in a context.
+_Value = Callable[[dict[str, Any]], Any]
+#: A compiled piece of template: appends its output for a context to ``out``.
+_Emit = Callable[[dict[str, Any], list[str]], None]
+#: The tokens still to compile: (kind, content, line).
+_Tokens = Iterator[tuple[str, str, int]]
 
 
-class _Expression:
-    """A variable path with optional filters, e.g. ``agg.pifs|length``."""
-
-    def __init__(self, text: str, line: int):
-        self.text = text.strip()
-        self.line = line
-        parts = self._split_filters(self.text)
-        self.path = parts[0].strip()
-        self.filters: list[tuple[str, str | None]] = []
-        for raw in parts[1:]:
-            name, _, arg = raw.partition(":")
-            name = name.strip()
-            if name not in _FILTERS:
-                raise TemplateError(f"unknown filter {name!r}", line=line)
-            self.filters.append((name, arg.strip() or None))
-
-    @staticmethod
-    def _split_filters(text: str) -> list[str]:
-        # Split on | outside quotes.
-        parts, buf, quote = [], [], ""
-        for ch in text:
-            if quote:
-                buf.append(ch)
-                if ch == quote:
-                    quote = ""
-            elif ch in "'\"":
-                quote = ch
-                buf.append(ch)
-            elif ch == "|":
-                parts.append("".join(buf))
-                buf = []
-            else:
-                buf.append(ch)
-        parts.append("".join(buf))
-        return parts
-
-    def evaluate(self, context: dict[str, Any]) -> Any:
-        value = _resolve(self.path, context, self.line)
-        for name, arg in self.filters:
-            fn = _FILTERS[name]
-            try:
-                if arg is None:
-                    value = fn(value)
-                else:
-                    value = fn(value, _coerce_literal(arg))
-            except TemplateError:
-                raise
-            except Exception as exc:
-                raise TemplateError(
-                    f"filter {name!r} failed on {self.text!r}: {exc}", line=self.line
-                ) from None
-        return value
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    line = 1
+    for chunk in _TOKEN_RE.split(source):
+        if not chunk:
+            continue
+        if chunk.startswith("{{") and chunk.endswith("}}"):
+            tokens.append(("var", chunk[2:-2].strip(), line))
+        elif chunk.startswith("{%") and chunk.endswith("%}"):
+            tokens.append(("tag", chunk[2:-2].strip(), line))
+        elif not (chunk.startswith("{#") and chunk.endswith("#}")):
+            tokens.append(("text", chunk, line))  # comments disappear entirely
+        line += chunk.count("\n")
+    return tokens
 
 
-def _coerce_literal(text: str) -> Any:
-    match = _LITERAL_RE.match(text.strip())
-    if match is None:
-        return text
-    if match.group("str") is not None:
-        return match.group("str")[1:-1]
-    if match.group("int") is not None:
-        return int(match.group("int"))
-    return {"True": True, "False": False, "None": None}[match.group("bool")]
-
-
-def _resolve(path: str, context: dict[str, Any], line: int) -> Any:
-    """Resolve a dotted path against the context; missing → None.
-
-    Matches Django's forgiving lookup: a missing variable renders as
-    empty rather than crashing a whole device config render.
-    """
-    literal = _LITERAL_RE.match(path)
+def _value(text: str, line: int) -> _Value:
+    """Compile a literal or a dotted path.  As in Django, a missing step
+    resolves to None, so it renders empty rather than failing a render."""
+    text = text.strip()
+    if "|" in text:
+        raise TemplateError(f"filters are not supported: {text!r}", line=line)
+    literal = _LITERAL_RE.match(text)
     if literal is not None:
-        return _coerce_literal(path)
-    parts = path.split(".")
-    if not parts or not parts[0]:
-        raise TemplateError(f"empty variable name in {path!r}", line=line)
-    current: Any = context
-    for part in parts:
-        if current is None:
-            return None
-        if isinstance(current, dict):
-            current = current.get(part)
-            continue
-        if part.isdigit() and isinstance(current, (list, tuple)):
-            index = int(part)
-            current = current[index] if index < len(current) else None
-            continue
-        current = getattr(current, part, None)
-    return current
-
-
-class _Condition:
-    """The boolean expression of an ``{% if %}``/``{% elif %}`` tag."""
-
-    _CMP_RE = re.compile(r"^(.*?)\s*(==|!=)\s*(.*)$")
-
-    def __init__(self, text: str, line: int):
-        self.line = line
-        text = text.strip()
-        self.negated = False
-        if text.startswith("not "):
-            self.negated = True
-            text = text[4:].strip()
-        match = self._CMP_RE.match(text)
-        if match:
-            self.left = _Expression(match.group(1), line)
-            self.op: str | None = match.group(2)
-            self.right = _Expression(match.group(3), line)
+        if literal["str"] is not None:
+            constant: Any = literal["str"][1:-1]
         else:
-            self.left = _Expression(text, line)
-            self.op = None
-            self.right = None
+            constant = _CONSTANTS[text] if literal["bool"] else int(text)
+        return lambda context: constant
+    head, *rest = text.split(".")
+    if not head:
+        raise TemplateError(f"empty variable name in {text!r}", line=line)
+    if not rest:
+        return lambda context: context.get(head)
+    steps = tuple((part, int(part) if part.isdecimal() else None) for part in rest)
 
-    def evaluate(self, context: dict[str, Any]) -> bool:
-        left = self.left.evaluate(context)
-        if self.op is None:
-            result = bool(left)
+    def lookup(context: dict[str, Any]) -> Any:
+        current = context.get(head)
+        for part, index in steps:
+            if current is None:
+                return None
+            if isinstance(current, dict):
+                current = current.get(part)
+            elif index is not None and isinstance(current, (list, tuple)):
+                current = current[index] if index < len(current) else None
+            else:
+                current = getattr(current, part, None)
+        return current
+
+    return lookup
+
+
+def _test(text: str, line: int) -> _Value:
+    """Compile the condition of an ``{% if %}`` / ``{% elif %}`` tag."""
+    text = text.strip()
+    negated = text.startswith("not ")
+    if negated:
+        text = text[4:].strip()
+    match = _CMP_RE.match(text)
+    if match is None:
+        test = _value(text, line)
+    else:
+        left, right = _value(match[1], line), _value(match[3], line)
+        if match[2] == "==":
+            test = lambda context: left(context) == right(context)  # noqa: E731
         else:
-            right = self.right.evaluate(context)  # type: ignore[union-attr]
-            result = (left == right) if self.op == "==" else (left != right)
-        return not result if self.negated else result
+            test = lambda context: left(context) != right(context)  # noqa: E731
+    if negated:
+        return lambda context: not test(context)
+    return test
 
 
-# ---------------------------------------------------------------------------
-# Nodes
-# ---------------------------------------------------------------------------
+def _block(
+    tokens: _Tokens, ends: tuple[str, ...] = (), opened: int | None = None
+) -> tuple[_Emit, str, int]:
+    """Compile tokens up to one of the ``ends`` tags (or the end of a
+    top-level template); returns the body, the ending tag and its line.
+
+    ``opened`` is the line of the tag whose block this is, named when the
+    template ends before the block does.
+    """
+    parts: list[_Emit] = []
+    for kind, content, line in tokens:
+        if kind == "text":
+            parts.append(lambda context, out, text=content: out.append(text))
+        elif kind == "var":
+            parts.append(_var(_value(content, line)))
+        else:
+            keyword = content.split(None, 1)[0] if content else ""
+            if keyword in ends:
+                return _sequence(parts), content, line
+            if keyword == "if":
+                parts.append(_if(tokens, content[2:], line))
+            elif keyword == "for":
+                parts.append(_for(tokens, content[3:].strip(), line))
+            else:
+                raise TemplateError(f"unknown tag {{% {content} %}}", line=line)
+    if ends:
+        raise TemplateError(
+            f"unexpected end of template; expected one of {list(ends)}", line=opened
+        )
+    return _sequence(parts), "", 0
 
 
-class _Node:
-    def render(self, context: dict[str, Any], out: list[str]) -> None:
-        raise NotImplementedError
+def _sequence(parts: list[_Emit]) -> _Emit:
+    if len(parts) == 1:
+        return parts[0]
+
+    def emit(context: dict[str, Any], out: list[str]) -> None:
+        for part in parts:
+            part(context, out)
+
+    return emit
 
 
-class _TextNode(_Node):
-    def __init__(self, text: str):
-        self.text = text
+def _var(value: _Value) -> _Emit:
+    def emit(context: dict[str, Any], out: list[str]) -> None:
+        result = value(context)
+        out.append("" if result is None else str(result))
 
-    def render(self, context: dict[str, Any], out: list[str]) -> None:
-        out.append(self.text)
-
-
-class _VarNode(_Node):
-    def __init__(self, expression: _Expression):
-        self.expression = expression
-
-    def render(self, context: dict[str, Any], out: list[str]) -> None:
-        value = self.expression.evaluate(context)
-        out.append("" if value is None else str(value))
+    return emit
 
 
-class _IfNode(_Node):
-    def __init__(
-        self,
-        branches: list[tuple[_Condition | None, list[_Node]]],
-    ):
-        #: (condition, body) pairs; a None condition is the else branch.
-        self.branches = branches
+def _if(tokens: _Tokens, condition: str, line: int) -> _Emit:
+    #: (test, body) pairs in order; a None test is the else branch.
+    branches: list[tuple[_Value | None, _Emit]] = []
+    test: _Value | None = _test(condition, line)
+    opened, ends = line, ("elif", "else", "endif")
+    while ends:
+        body, tag, line = _block(tokens, ends, opened)
+        branches.append((test, body))
+        keyword = tag.split(None, 1)[0]
+        if keyword == "elif":
+            test = _test(tag[4:], line)
+        elif keyword == "else":
+            test, ends = None, ("endif",)
+        else:
+            ends = ()
 
-    def render(self, context: dict[str, Any], out: list[str]) -> None:
-        for condition, body in self.branches:
-            if condition is None or condition.evaluate(context):
-                for node in body:
-                    node.render(context, out)
+    def emit(context: dict[str, Any], out: list[str]) -> None:
+        for branch_test, branch_body in branches:
+            if branch_test is None or branch_test(context):
+                branch_body(context, out)
                 return
 
+    return emit
 
-class _ForNode(_Node):
-    def __init__(self, var_name: str, iterable: _Expression, body: list[_Node], line: int):
-        self.var_name = var_name
-        self.iterable = iterable
-        self.body = body
-        self.line = line
 
-    def render(self, context: dict[str, Any], out: list[str]) -> None:
-        raw = self.iterable.evaluate(context)
+def _for(tokens: _Tokens, spec: str, line: int) -> _Emit:
+    match = _FOR_RE.match(spec)
+    if match is None:
+        raise TemplateError(f"malformed for tag: {spec!r}", line=line)
+    name, source = match[1], match[2].strip()
+    iterable = _value(source, line)
+    body, _tag, _line = _block(tokens, ("endfor",), line)
+
+    def emit(context: dict[str, Any], out: list[str]) -> None:
+        raw = iterable(context)
         if raw is None:
             return
-        if isinstance(raw, (str, bytes)) or not isinstance(raw, Sequence):
-            try:
-                items = list(raw)  # other iterables (dict views, generators)
-            except TypeError:
-                raise TemplateError(
-                    f"{self.iterable.text!r} is not iterable", line=self.line
-                ) from None
-        else:
+        try:
             items = list(raw)
+        except TypeError:
+            raise TemplateError(f"{source!r} is not iterable", line=line) from None
         total = len(items)
-        parent_forloop = context.get("forloop")
+        parent = context.get("forloop")
+        inner = dict(context)
         for index, item in enumerate(items):
-            inner = dict(context)
-            inner[self.var_name] = item
+            inner[name] = item
             inner["forloop"] = {
                 "counter": index + 1,
                 "counter0": index,
                 "first": index == 0,
                 "last": index == total - 1,
                 "length": total,
-                "parentloop": parent_forloop,
+                "parentloop": parent,
             }
-            for node in self.body:
-                node.render(inner, out)
+            body(inner, out)
 
-
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
-
-
-class _Parser:
-    def __init__(self, source: str):
-        self.tokens = self._tokenize(source)
-        self.position = 0
-
-    @staticmethod
-    def _tokenize(source: str) -> list[tuple[str, str, int]]:
-        tokens = []
-        line = 1
-        for chunk in _TOKEN_RE.split(source):
-            if not chunk:
-                continue
-            if chunk.startswith("{{") and chunk.endswith("}}"):
-                tokens.append(("var", chunk[2:-2].strip(), line))
-            elif chunk.startswith("{%") and chunk.endswith("%}"):
-                tokens.append(("tag", chunk[2:-2].strip(), line))
-            elif chunk.startswith("{#") and chunk.endswith("#}"):
-                pass  # comments disappear entirely
-            else:
-                tokens.append(("text", chunk, line))
-            line += chunk.count("\n")
-        return tokens
-
-    def parse(self, until: tuple[str, ...] = ()) -> tuple[list[_Node], str | None]:
-        """Parse nodes until one of the ``until`` tags (or EOF)."""
-        nodes: list[_Node] = []
-        while self.position < len(self.tokens):
-            kind, content, line = self.tokens[self.position]
-            if kind == "text":
-                self.position += 1
-                nodes.append(_TextNode(content))
-            elif kind == "var":
-                self.position += 1
-                nodes.append(_VarNode(_Expression(content, line)))
-            else:  # tag
-                keyword = content.split(None, 1)[0] if content else ""
-                if keyword in until:
-                    return nodes, content
-                self.position += 1
-                if keyword == "if":
-                    nodes.append(self._parse_if(content[2:].strip(), line))
-                elif keyword == "for":
-                    nodes.append(self._parse_for(content[3:].strip(), line))
-                else:
-                    raise TemplateError(f"unknown tag {{% {content} %}}", line=line)
-        if until:
-            raise TemplateError(
-                f"unexpected end of template; expected one of {list(until)}"
-            )
-        return nodes, None
-
-    def _parse_if(self, condition_text: str, line: int) -> _IfNode:
-        branches: list[tuple[_Condition | None, list[_Node]]] = []
-        condition: _Condition | None = _Condition(condition_text, line)
-        while True:
-            body, terminator = self.parse(until=("elif", "else", "endif"))
-            branches.append((condition, body))
-            assert terminator is not None
-            keyword = terminator.split(None, 1)[0]
-            self.position += 1  # consume the terminator tag
-            if keyword == "elif":
-                condition = _Condition(terminator[4:].strip(), line)
-            elif keyword == "else":
-                condition = None
-                body, terminator = self.parse(until=("endif",))
-                branches.append((None, body))
-                self.position += 1
-                return _IfNode(branches)
-            else:  # endif
-                return _IfNode(branches)
-
-    _FOR_RE = re.compile(r"^(\w+)\s+in\s+(.+)$")
-
-    def _parse_for(self, spec: str, line: int) -> _ForNode:
-        match = self._FOR_RE.match(spec)
-        if match is None:
-            raise TemplateError(f"malformed for tag: {spec!r}", line=line)
-        body, _terminator = self.parse(until=("endfor",))
-        self.position += 1  # consume endfor
-        return _ForNode(match.group(1), _Expression(match.group(2), line), body, line)
+    return emit
 
 
 class Template:
@@ -391,14 +242,12 @@ class Template:
     def __init__(self, source: str, name: str = "<template>"):
         self.source = source
         self.name = name
-        parser = _Parser(source)
         try:
-            self._nodes, _ = parser.parse()
+            self._emit, _tag, _line = _block(iter(_tokenize(source)))
         except TemplateError as exc:
             raise TemplateError(f"{name}: {exc}") from None
 
     def render(self, context: dict[str, Any] | None = None) -> str:
         out: list[str] = []
-        for node in self._nodes:
-            node.render(dict(context or {}), out)
+        self._emit(dict(context or {}), out)
         return "".join(out)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import ConfigGenerationError
+from repro.common.errors import ConfigGenerationError, TemplateError
 from repro.configgen.configerator import Configerator
 
 
@@ -48,6 +48,14 @@ class TestReviewWorkflow:
         with pytest.raises(ConfigGenerationError, match="no pending"):
             repo.approve(change.change_id, reviewer="bob")
         assert repo.current_version("vendor1/system.tmpl") == 1
+
+    def test_template_that_cannot_compile_does_not_land(self, repo):
+        path = "vendor1/system.tmpl"
+        change = repo.propose(path, repo.get(path) + "{% if x %}", author="alice")
+        with pytest.raises(TemplateError, match="unexpected end"):
+            repo.approve(change.change_id, reviewer="bob")
+        assert repo.current_version(path) == 1
+        assert repo.pending() == [change]
 
     def test_author_required(self, repo):
         with pytest.raises(ConfigGenerationError, match="author"):

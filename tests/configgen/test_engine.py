@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import TemplateError
-from repro.configgen.engine import Template, register_filter
+from repro.configgen.engine import Template
 
 
 def render(source, **context):
@@ -38,39 +38,6 @@ class TestVariables:
 
     def test_whitespace_tolerant(self):
         assert render("{{name}} {{  name  }}", name="x") == "x x"
-
-
-class TestFilters:
-    def test_upper_lower(self):
-        assert render("{{ x|upper }}/{{ x|lower }}", x="Ab") == "AB/ab"
-
-    def test_default(self):
-        assert render("{{ x|default:'fallback' }}") == "fallback"
-        assert render("{{ x|default:'fallback' }}", x="real") == "real"
-
-    def test_default_numeric(self):
-        assert render("{{ mtu|default:9192 }}") == "9192"
-
-    def test_join(self):
-        assert render("{{ xs|join:', ' }}", xs=[1, 2, 3]) == "1, 2, 3"
-
-    def test_length_first_last(self):
-        assert render("{{ xs|length }}{{ xs|first }}{{ xs|last }}", xs="abc") == "3ac"
-
-    def test_ip_addr_and_prefixlen(self):
-        assert render("{{ p|ip_addr }}", p="2401:db00::1/127") == "2401:db00::1"
-        assert render("{{ p|prefixlen }}", p="10.0.0.1/31") == "31"
-
-    def test_chained(self):
-        assert render("{{ xs|first|upper }}", xs=["ab"]) == "AB"
-
-    def test_unknown_filter(self):
-        with pytest.raises(TemplateError, match="unknown filter"):
-            Template("{{ x|bogus }}")
-
-    def test_custom_filter_registration(self):
-        register_filter("reverse_test_only", lambda v: str(v)[::-1])
-        assert render("{{ x|reverse_test_only }}", x="abc") == "cba"
 
 
 class TestIf:
@@ -111,6 +78,13 @@ class TestIf:
     def test_unterminated(self):
         with pytest.raises(TemplateError, match="unexpected end"):
             Template("{% if x %}oops")
+
+    @pytest.mark.parametrize(
+        "source", ["a\n{% if x %}oops", "a\n{% for x in xs %}{% if x %}{% endif %}"]
+    )
+    def test_unterminated_names_the_opening_line(self, source):
+        with pytest.raises(TemplateError, match="line 2: unexpected end"):
+            Template(source)
 
 
 class TestFor:
@@ -164,6 +138,21 @@ class TestMisc:
         with pytest.raises(TemplateError, match="line 3"):
             Template("a\nb\n{% bogus %}")
 
+    @pytest.mark.parametrize(
+        ("source", "line"),
+        [
+            ("{{ }}", 1),
+            ("a\n{% if .x %}y{% endif %}", 2),
+            ("{% if a %}\n\n{% elif .x %}y{% endif %}", 3),
+            ("\n{% for x in .y %}{% endfor %}", 2),
+            ("a\nb\n\n{{ x|upper }}", 4),
+        ],
+    )
+    def test_malformed_expression_refused_at_build(self, source, line):
+        # Refused whatever the data, even in a branch no render would reach.
+        with pytest.raises(TemplateError, match=f"line {line}: "):
+            Template(source)
+
     def test_render_does_not_mutate_context(self):
         context = {"xs": [1]}
         Template("{% for x in xs %}{{ x }}{% endfor %}").render(context)
@@ -200,11 +189,3 @@ class TestConditionsBothSidesVariables:
         source = "{% if a.x == b.y %}same{% else %}diff{% endif %}"
         assert render(source, a={"x": 5}, b={"y": 5}) == "same"
         assert render(source, a={"x": 5}, b={"y": 6}) == "diff"
-
-    def test_filtered_condition(self):
-        source = "{% if xs|length == 2 %}pair{% endif %}"
-        assert render(source, xs=[1, 2]) == "pair"
-        assert render(source, xs=[1]) == ""
-
-    def test_quoted_pipe_in_filter_argument(self):
-        assert render("{{ xs|join:'|' }}", xs=["a", "b"]) == "a|b"
