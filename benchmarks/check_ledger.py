@@ -116,12 +116,13 @@ GATES = [
     # rescanned its own tail (ledger_pr15.txt).
     ("churn", "journal records scanned a cycle",
      metric("configgen.generator.records_scanned_per_cycle"), 100.0),
-    # One boundary between derive and render: dumps + loads, each one
-    # validate.  12.1 % and 5 calls a render when both sides also re-checked
-    # the other's work (ledger_pr20.txt).
+    # One check where derive hands the struct to render: 5 calls a derive
+    # when both sides re-checked each other's work (12.1 % of the round,
+    # ledger_pr20.txt), 4 through a dumps -> loads round trip, 1 validate
+    # (ledger_pr30.txt).  An exact count: a second check coming back fails.
     ("churn", "configgen.schema share of the round", share("configgen.schema"), 0.10),
     ("churn", "configgen.schema calls a derive",
-     calls_per_call("configgen.schema", "configgen.derive"), 4.0),
+     calls_per_call("configgen.schema", "configgen.derive"), 1.0),
     # What the retired cache and WAL benches gated that is machine-neutral
     # (ledger_pr23.txt): 0.2289 misses a read, an exact count unchanged since
     # PR 11; the WAL at 18-21 % of a durable turn-up and 255.9 B a record.
@@ -148,6 +149,10 @@ GATES = [
     # self time a call while a tree-walking interpreter re-split every dotted
     # path on each evaluation, 24-31 compiled (ledger_pr29.txt).
     ("turnup", "configgen.engine us a call", us_per_call("configgen.engine"), 40.0),
+    # 0.068-0.094 s of configgen.schema self time a traced round while each
+    # struct made a dumps -> loads round trip, 0.020-0.022 checked once
+    # (ledger_pr30.txt); 1.5 x that.
+    ("turnup", "configgen.schema self s a round", self_s("configgen.schema"), 0.032),
     ("turnup", "fbnet.durability share of the round", share("fbnet.durability"), 0.30),
     ("turnup", "WAL bytes a record", metric("fbnet.durability.bytes_per_record"), 270.0),
     # The two CPU-bound times no ledger workload restates, through the same

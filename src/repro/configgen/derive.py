@@ -5,8 +5,8 @@ for each device it derives the device-specific data — "data for a device
 interface depends on the FBNet circuit object the interface connects to"
 — and stores it as a Thrift object.  This module performs that derivation
 into Figure 8's ``Device`` struct; the producer does not grade its own
-work — the struct is checked where it crosses to the renderer
-(``ConfigGenerator._render``).
+work — the struct is checked once, where ``ConfigGenerator._render`` hands
+it to the templates.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """The config generation pipeline: fetch → derive → render (paper Figure 10).
 
 For each device the generator derives the vendor-agnostic data struct from
-FBNet, picks the device's vendor template set from Configerator, renders
-each section, and concatenates them into a full device config.  The
+FBNet, checks it once against the config schema, picks the device's vendor
+template set from Configerator, renders each section from the checked
+struct, and concatenates them into a full device config.  The
 generated ("golden") configs are registered so the config monitor can
 detect drift (section 5.4.3), and every generation records which FBNet
 design state it came from.
@@ -233,12 +234,12 @@ class ConfigGenerator:
         if device.id is not None:
             read_set.add_object(type(device).__name__, device.id)
         with self._store.track_reads(read_set):
-            data = derive_device_data(self._store, device)
-        # The one boundary of the pipeline: the struct crosses from the
-        # derivation to the rendering stage as wire bytes, checked against
-        # the schema on each side; ``data`` is from here what the reader saw.
-        wire = CONFIG_SCHEMA.dumps("Device", data)
-        data = CONFIG_SCHEMA.loads("Device", wire)
+            built = derive_device_data(self._store, device)
+        # The one check of the pipeline, where derive hands the struct to
+        # render: ``data`` is from here what the reader saw (fresh dicts and
+        # lists, defaults filled), and a struct the schema refuses renders
+        # nothing.
+        data = CONFIG_SCHEMA.validate("Device", built)
         vendor = data["vendor"]
         parts = []
         template_versions: dict[str, int] = {}
@@ -258,11 +259,6 @@ class ConfigGenerator:
             template_versions=template_versions,
         )
         obs.counter("configgen.render", vendor=vendor).inc()
-        # Against a sharded store, also attribute the render to the
-        # device's partition — imbalance here mirrors store imbalance.
-        shard_of = getattr(self._store, "shard_of", None)
-        if shard_of is not None:
-            obs.counter("configgen.render.shard", shard=shard_of(device)).inc()
         if started is not None:
             obs.histogram("configgen.render.latency", vendor=vendor).observe(
                 perf_counter() - started

@@ -10,17 +10,19 @@ BGP, MPLS, and system sections real configs need).
 
 The rules are walked by one traversal: every type has a ``check(value)``
 that validates *and* returns the value as a reader sees it (absent and
-``None`` optionals take their default).  The wire is the stand-in the RPC
-layer already uses for Thrift — canonical JSON keyed by field name
-(:func:`repro.fbnet.rpc.encode_message`'s spelling) — and the struct is
-checked wherever it crosses it: :meth:`SchemaRegistry.dumps` on the way
-out, :meth:`SchemaRegistry.loads` on the way in.
+``None`` optionals take their default).  A field names a struct by name and
+holds that struct from its definition on, so a check never looks one up.
+The wire is the stand-in the RPC layer already uses for Thrift — canonical,
+strict JSON keyed by field name (:func:`repro.fbnet.rpc.encode_message`'s
+spelling): :meth:`SchemaRegistry.dumps` is the check then the JSON,
+:meth:`SchemaRegistry.loads` the JSON then the check.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.common.errors import ConfigGenerationError
@@ -36,7 +38,6 @@ __all__ = [
     "TI64",
     "TList",
     "TString",
-    "TStructRef",
 ]
 
 
@@ -57,19 +58,21 @@ class TType:
     """A scalar type: a value must be an instance of one of ``admits`` (a
     ``bool`` only ever of ``bool``) and a reader sees it as the first of
     them, so a double given as an ``int`` arrives a ``float``; ``bits``
-    bounds a signed integer."""
+    bounds a signed integer, and a float must be finite, as JSON's are."""
 
     def __init__(self, name: str, admits: tuple[type, ...], bits: int = 0):
         self.name = name
         self.admits = admits
         self.bits = bits
 
-    def check(self, value: Any, registry: SchemaRegistry) -> Any:
+    def check(self, value: Any) -> Any:
         kind = self.admits[0]
         if not isinstance(value, self.admits) or isinstance(value, bool) is not (kind is bool):
             raise _Wrong(f"expected {self.name}, got {type(value).__name__}")
         if self.bits and not -(1 << self.bits - 1) <= value < 1 << self.bits - 1:
             raise _Wrong(f"{value} out of {self.name} range")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise _Wrong(f"{value} is not a finite {self.name}")
         return value if isinstance(value, kind) else kind(value)
 
 
@@ -83,40 +86,31 @@ TString = TType("string", (str,))
 class TList:
     """A homogeneous list of another schema type."""
 
-    def __init__(self, element: TType | TList | TStructRef):
+    def __init__(self, element: SchemaType):
         self.element = element
 
-    def check(self, value: Any, registry: SchemaRegistry) -> list[Any]:
+    def check(self, value: Any) -> list[Any]:
         if not isinstance(value, list):
             raise _Wrong(f"expected list, got {type(value).__name__}")
         check = self.element.check
         items = []
         try:
             for index, item in enumerate(value):
-                items.append(check(item, registry))
+                items.append(check(item))
         except _Wrong as wrong:
             wrong.path = f"[{index}]{wrong.path}"
             raise
         return items
 
 
-class TStructRef:
-    """A reference to a named struct in the registry (allows recursion)."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def check(self, value: Any, registry: SchemaRegistry) -> dict[str, Any]:
-        return registry.get(self.name).check(value, registry)
-
-
 @dataclass(frozen=True)
 class FieldDef:
-    """One numbered struct field (``1: string name``)."""
+    """One numbered struct field (``1: string name``); a struct-typed field
+    is written with the struct's name and holds the struct once defined."""
 
     id: int
     name: str
-    type: TType | TList | TStructRef
+    type: SchemaType
     required: bool = False
     default: Any = None
 
@@ -140,7 +134,7 @@ class StructDef:
         self.fields = sorted(fields, key=lambda f: f.id)
         self._names = frozenset(names)
 
-    def check(self, value: Any, registry: SchemaRegistry) -> dict[str, Any]:
+    def check(self, value: Any) -> dict[str, Any]:
         """``value`` with every field present, in field-id order."""
         if not isinstance(value, dict):
             raise _Wrong(f"expected {self.name} struct (dict), got {type(value).__name__}")
@@ -152,7 +146,7 @@ class StructDef:
             for field in self.fields:
                 item = value.get(field.name)
                 if item is not None:
-                    seen[field.name] = field.type.check(item, registry)
+                    seen[field.name] = field.type.check(item)
                 elif field.required:
                     raise _Wrong("required field missing")
                 else:
@@ -165,6 +159,10 @@ class StructDef:
         return seen
 
 
+#: A field's type as written: a scalar, a list, a struct, or a struct's name.
+SchemaType = TType | TList | StructDef | str
+
+
 class SchemaRegistry:
     """Named structs plus serialization entry points."""
 
@@ -172,11 +170,22 @@ class SchemaRegistry:
         self._by_name: dict[str, StructDef] = {}
 
     def define(self, name: str, fields: list[FieldDef]) -> StructDef:
+        """Define struct ``name``; a struct its fields name must be defined."""
         if name in self._by_name:
             raise ValueError(f"struct {name} already defined")
+        fields = [replace(f, type=self._resolve(name, f.type)) for f in fields]
         struct_def = StructDef(name, fields)
         self._by_name[name] = struct_def
         return struct_def
+
+    def _resolve(self, name: str, schema_type: SchemaType) -> TType | TList | StructDef:
+        if isinstance(schema_type, TList):
+            return TList(self._resolve(name, schema_type.element))
+        if not isinstance(schema_type, str):
+            return schema_type
+        if schema_type not in self._by_name:
+            raise ValueError(f"struct {name}: unknown struct {schema_type!r}")
+        return self._by_name[schema_type]
 
     def get(self, name: str) -> StructDef:
         try:
@@ -187,7 +196,7 @@ class SchemaRegistry:
     def validate(self, struct_name: str, value: dict[str, Any]) -> dict[str, Any]:
         """Check ``value`` against ``struct_name``; returns it as a reader sees it."""
         try:
-            return self.get(struct_name).check(value, self)
+            return self.get(struct_name).check(value)
         except _Wrong as wrong:
             raise ConfigGenerationError(f"{struct_name}{wrong.path}: {wrong}") from None
 
@@ -197,12 +206,27 @@ class SchemaRegistry:
         return json.dumps(checked, separators=(",", ":"), sort_keys=True).encode()
 
     def loads(self, struct_name: str, wire: bytes) -> dict[str, Any]:
-        """Deserialize from the wire; what arrives is checked like any value."""
+        """Deserialize strict JSON (no repeated key, no ``NaN``) from the
+        wire; what arrives is checked like any value."""
         try:
-            value = json.loads(wire.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            value = json.loads(
+                wire.decode(), object_pairs_hook=_unique_keys, parse_constant=_no_constant
+            )
+        except ValueError as exc:  # undecodable, not JSON, or not strict JSON
             raise ConfigGenerationError(f"struct {struct_name}: malformed wire: {exc}") from None
         return self.validate(struct_name, value)
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    value = dict(pairs)
+    if len(value) < len(pairs):
+        keys = [key for key, _item in pairs]
+        raise ValueError(f"duplicate key {max(keys, key=keys.count)!r}")
+    return value
+
+
+def _no_constant(literal: str) -> Any:
+    raise ValueError(f"{literal} is not JSON")
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +251,7 @@ CONFIG_SCHEMA.define(
         FieldDef(2, "number", TI32, required=True),
         FieldDef(3, "v4_prefix", TString),
         FieldDef(4, "v6_prefix", TString),
-        FieldDef(5, "pifs", TList(TStructRef("PhysicalInterface")), default=[]),
+        FieldDef(5, "pifs", TList("PhysicalInterface"), default=[]),
         FieldDef(6, "mtu", TI32, default=9192),
         FieldDef(7, "description", TString, default=""),
         FieldDef(8, "lacp_fast", TBool, default=True),
@@ -278,7 +302,7 @@ CONFIG_SCHEMA.define(
     "AclPolicy",
     [
         FieldDef(1, "name", TString, required=True),
-        FieldDef(2, "entries", TList(TStructRef("AclEntry")), default=[]),
+        FieldDef(2, "entries", TList("AclEntry"), default=[]),
     ],
 )
 
@@ -287,7 +311,7 @@ CONFIG_SCHEMA.define(
     [
         FieldDef(1, "local_asn", TI64, required=True),
         FieldDef(2, "router_id", TString, default=""),
-        FieldDef(3, "neighbors", TList(TStructRef("BgpNeighbor")), default=[]),
+        FieldDef(3, "neighbors", TList("BgpNeighbor"), default=[]),
     ],
 )
 
@@ -314,14 +338,14 @@ CONFIG_SCHEMA.define(
 CONFIG_SCHEMA.define(
     "Device",
     [
-        FieldDef(1, "aggs", TList(TStructRef("AggregatedInterface")), default=[]),
+        FieldDef(1, "aggs", TList("AggregatedInterface"), default=[]),
         FieldDef(2, "name", TString, required=True),
         FieldDef(3, "vendor", TString, required=True),
         FieldDef(4, "role", TString, default=""),
-        FieldDef(5, "system", TStructRef("SystemConfig"), required=True),
-        FieldDef(6, "bgp", TStructRef("BgpConfig")),
-        FieldDef(7, "tunnels", TList(TStructRef("MplsTunnelConfig")), default=[]),
-        FieldDef(8, "acls", TList(TStructRef("AclPolicy")), default=[]),
-        FieldDef(9, "route_policies", TList(TStructRef("RoutePolicyConfig")), default=[]),
+        FieldDef(5, "system", "SystemConfig", required=True),
+        FieldDef(6, "bgp", "BgpConfig"),
+        FieldDef(7, "tunnels", TList("MplsTunnelConfig"), default=[]),
+        FieldDef(8, "acls", TList("AclPolicy"), default=[]),
+        FieldDef(9, "route_policies", TList("RoutePolicyConfig"), default=[]),
     ],
 )

@@ -102,30 +102,23 @@ class BackboneDesignTool:
         prefix = allocator.assign_host(loopback)
         self._store.update(device, loopback_v6=prefix.prefix.split("/")[0])
 
-    def delete_router(self, name: str) -> dict[str, int]:
+    def delete_router(self, name: str) -> None:
         """The paper's ``delete`` command: remove a router and everything on it.
 
         Tears down every bundle terminating at the router, removes its
         iBGP mesh sessions and MPLS tunnels, then deletes the router
-        object (cascading its linecards, interfaces, and loopbacks).
+        object (cascading its linecards, interfaces, and loopbacks).  What
+        it deleted is in the journal (``summarize_journal``).
         """
         router = self._router(name)
-        deleted: dict[str, int] = {}
-
-        def merge(counts: dict[str, int]) -> None:
-            for key, value in counts.items():
-                deleted[key] = deleted.get(key, 0) + value
-
         with self._store.transaction():
             if self._is_edge_node(router):
-                merge(self.leave_mesh(router))
+                self.leave_mesh(router)
             for bundle in self._bundles_of(router):
-                merge(teardown_bundle(self._store, bundle))
+                teardown_bundle(self._store, bundle)
             # Cascade removes linecards, loopbacks, physical interfaces,
             # aggregated interfaces, and their prefixes.
             self._store.delete(router)
-            deleted[type(router).__name__] = deleted.get(type(router).__name__, 0) + 1
-        return deleted
 
     def _router(self, name: str) -> Model:
         router = self._store.first(Device, Expr("name", Op.EQUAL, name))
@@ -312,7 +305,7 @@ class BackboneDesignTool:
     def _is_edge_node(self, device: Model) -> bool:
         return isinstance(device, (PeeringRouter, DatacenterRouter))
 
-    def join_mesh(self, device: Model) -> dict[str, int]:
+    def join_mesh(self, device: Model) -> None:
         """Add a node to the iBGP full mesh and the MPLS-TE tunnel mesh.
 
         Creates an iBGP session object and a pair of directional tunnels
@@ -323,7 +316,6 @@ class BackboneDesignTool:
             raise DesignValidationError(
                 f"{device.name} needs a loopback before joining the mesh"
             )
-        created = {"BgpV6Session": 0, "MplsTunnel": 0}
         with self._store.transaction():
             for other in self.edge_nodes():
                 if other.id == device.id:
@@ -340,7 +332,6 @@ class BackboneDesignTool:
                         peer_ip=other.loopback_v6,
                         description=f"ibgp {device.name} <-> {other.name}",
                     )
-                    created["BgpV6Session"] += 1
                 for head, tail in ((device, other), (other, device)):
                     name = f"te-{head.name}--{tail.name}"
                     if self._store.exists(MplsTunnel, Expr("name", Op.EQUAL, name)):
@@ -351,12 +342,9 @@ class BackboneDesignTool:
                         head_device=head,
                         tail_device=tail,
                     )
-                    created["MplsTunnel"] += 1
-        return created
 
-    def leave_mesh(self, device: Model) -> dict[str, int]:
+    def leave_mesh(self, device: Model) -> None:
         """Remove a node's iBGP sessions and tunnels from the mesh."""
-        deleted = {"BgpV6Session": 0, "MplsTunnel": 0}
         with self._store.transaction():
             sessions = self._store.filter(
                 BgpV6Session,
@@ -368,7 +356,6 @@ class BackboneDesignTool:
             for session in sessions:
                 if session.session_type is BgpSessionType.IBGP:
                     self._store.delete(session)
-                    deleted["BgpV6Session"] += 1
             tunnels = self._store.filter(
                 MplsTunnel,
                 Or(
@@ -378,8 +365,6 @@ class BackboneDesignTool:
             )
             for tunnel in tunnels:
                 self._store.delete(tunnel)
-                deleted["MplsTunnel"] += 1
-        return deleted
 
     def _mesh_session(self, a: Model, b: Model) -> Model | None:
         for device, peer in ((a, b), (b, a)):

@@ -184,20 +184,15 @@ def find_bundle(store: ObjectStore, a_dev: Model, z_dev: Model) -> Model | None:
     return None
 
 
-def teardown_bundle(store: ObjectStore, link_group: Model) -> dict[str, int]:
+def teardown_bundle(store: ObjectStore, link_group: Model) -> None:
     """Delete a bundle and everything hanging off it, dependency-first.
 
     Follows relationships the way the paper describes circuit deletion
     (section 5.1.2): BGP sessions and prefixes on the bundle's aggregated
     interfaces go first, then member circuits and their physical
     interfaces, then the aggregated interfaces and the link group itself.
-    Returns a per-type count of deleted objects.
+    What it deleted is in the journal (``summarize_journal``).
     """
-    deleted: dict[str, int] = {}
-
-    def note(obj: Model) -> None:
-        deleted[type(obj).__name__] = deleted.get(type(obj).__name__, 0) + 1
-
     a_agg = link_group.related("a_agg_interface")
     z_agg = link_group.related("z_agg_interface")
     assert a_agg is not None and z_agg is not None
@@ -226,10 +221,8 @@ def teardown_bundle(store: ObjectStore, link_group: Model) -> dict[str, int]:
                     ),
                 )
                 for session in sessions:
-                    note(session)
                     store.delete(session)
         for prefix in bundle_prefixes:
-            note(prefix)
             store.delete(prefix)
 
         # Member circuits and their endpoint physical interfaces.
@@ -239,16 +232,11 @@ def teardown_bundle(store: ObjectStore, link_group: Model) -> dict[str, int]:
                 pif = circuit.related(side)
                 if pif is not None:
                     member_pifs.append(pif)
-            note(circuit)
             store.delete(circuit)
         for pif in member_pifs:
-            note(pif)
             store.delete(pif)
 
         # The aggregated interfaces and the link group.
-        note(link_group)
         store.delete(link_group)
         for agg in (a_agg, z_agg):
-            note(agg)
             store.delete(agg)
-    return deleted

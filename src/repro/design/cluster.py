@@ -160,18 +160,14 @@ def build_cluster(
     return result
 
 
-def decommission_cluster(store: ObjectStore, cluster: Cluster) -> dict[str, int]:
+def decommission_cluster(store: ObjectStore, cluster: Cluster) -> None:
     """Tear down a cluster: bundles first, then devices, then the cluster.
 
     This is how DC architecture shifts retire previous generations
     (Figure 12) — and the end of a DC cluster's life cycle due to
-    space/power shifts or hardware refreshes.
+    space/power shifts or hardware refreshes.  What it deleted, cascades
+    included, is in the journal (``summarize_journal``).
     """
-    deleted: dict[str, int] = {}
-
-    def note(obj: Model) -> None:
-        deleted[type(obj).__name__] = deleted.get(type(obj).__name__, 0) + 1
-
     with store.transaction():
         devices = _cluster_devices(store, cluster)
         device_ids = [d.id for d in devices]
@@ -183,14 +179,10 @@ def decommission_cluster(store: ObjectStore, cluster: Cluster) -> dict[str, int]
             ),
         ) if device_ids else []
         for bundle in bundles:
-            for model_name, count in teardown_bundle(store, bundle).items():
-                deleted[model_name] = deleted.get(model_name, 0) + count
+            teardown_bundle(store, bundle)
         for device in devices:
-            note(device)
             store.delete(device)
-        note(cluster)
         store.delete(cluster)
-    return deleted
 
 
 def _cluster_devices(store: ObjectStore, cluster: Cluster) -> list[Model]:

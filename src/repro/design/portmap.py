@@ -138,8 +138,8 @@ def _delete(store: ObjectStore, spec: PortmapSpec) -> dict:
             f"no portmap between {spec.a_device} and {spec.z_device}"
         )
     name = bundle.name
-    deleted = teardown_bundle(store, bundle)
-    return {"operation": "delete", "link_group": name, "deleted": deleted}
+    teardown_bundle(store, bundle)
+    return {"operation": "delete", "link_group": name}
 
 
 def _update(store: ObjectStore, old: PortmapSpec, new: PortmapSpec) -> dict:

@@ -10,7 +10,7 @@ from repro.configgen import derive
 from repro.configgen.configerator import Configerator
 from repro.configgen.derive import derive_device_data, fetch_location_devices
 from repro.configgen.generator import ConfigGenerator
-from repro.configgen.schema import CONFIG_SCHEMA
+from repro.configgen.schema import CONFIG_SCHEMA, SchemaRegistry
 from repro.design.cluster import build_cluster
 from repro.fbnet.models import (
     AggregatedInterface,
@@ -74,11 +74,23 @@ class TestDerivation:
 class TestTheOneBoundary:
     def test_a_config_carries_what_the_reader_saw(self, store, env, pop_cluster, generator):
         """derive hands over what it built; the struct on a golden config is
-        that, as the schema shows it to the render side of the wire."""
+        that, as the schema's one check shows it to the templates."""
         configs = generator.generate_location(env.pops["pop01"])
         for device in fetch_location_devices(store, env.pops["pop01"]):
             built = derive_device_data(store, device)
             assert configs[device.name].data == CONFIG_SCHEMA.validate("Device", built)
+
+    def test_a_render_checks_its_struct_once(self, pop_cluster, generator, monkeypatch):
+        checks = []
+        validate = SchemaRegistry.validate
+
+        def counted(registry, struct_name, value):
+            checks.append(struct_name)
+            return validate(registry, struct_name, value)
+
+        monkeypatch.setattr(SchemaRegistry, "validate", counted)
+        generator.generate_device(pop_cluster.devices["PR"][0])
+        assert checks == ["Device"]
 
     def test_the_producer_does_not_grade_its_own_work(self):
         assert "configgen.schema" not in Path(derive.__file__).read_text()

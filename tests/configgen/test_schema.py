@@ -9,13 +9,13 @@ from repro.configgen.schema import (
     CONFIG_SCHEMA,
     FieldDef,
     SchemaRegistry,
+    StructDef,
     TBool,
     TDouble,
     TI32,
     TI64,
     TList,
     TString,
-    TStructRef,
 )
 
 
@@ -180,6 +180,23 @@ class TestWire:
         assert list(forward) != list(backward)
         assert CONFIG_SCHEMA.dumps("Device", forward) == CONFIG_SCHEMA.dumps("Device", backward)
 
+    @pytest.mark.parametrize(
+        "send, refusal",
+        [
+            (lambda s: s.dumps("S", {"x": float("inf")}), "S.x: inf is not a finite double"),
+            (lambda s: s.loads("S", b'{"x":NaN}'), "malformed wire: NaN is not JSON"),
+            (lambda s: CONFIG_SCHEMA.loads(
+                "Device", b'{"name":"a","name":"b","vendor":"v","system":{"hostname":"a"}}'
+            ), "malformed wire: duplicate key 'name'"),
+        ],
+        ids=["infinity out", "nan in", "duplicate key in"],
+    )
+    def test_the_wire_is_strict_json(self, send, refusal):
+        doubles = SchemaRegistry()
+        doubles.define("S", [FieldDef(1, "x", TDouble)])
+        with pytest.raises(ConfigGenerationError, match=refusal):
+            send(doubles)
+
     def test_unicode_strings(self):
         device = minimal_device(role="日本語-ascii-mix")
         revived = CONFIG_SCHEMA.loads("Device", CONFIG_SCHEMA.dumps("Device", device))
@@ -199,6 +216,17 @@ class TestRegistryDefinition:
         registry.define("S", [FieldDef(1, "a", TString)])
         with pytest.raises(ValueError, match="already defined"):
             registry.define("S", [FieldDef(1, "a", TString)])
+
+    def test_a_field_holds_the_struct_it_names(self):
+        system = DEVICE.fields[4]
+        assert system.name == "system" and system.type is CONFIG_SCHEMA.get("SystemConfig")
+        assert DEVICE.fields[0].type.element is CONFIG_SCHEMA.get("AggregatedInterface")
+        registry = SchemaRegistry()
+        with pytest.raises(ValueError, match="struct S: unknown struct 'T'"):
+            registry.define("S", [FieldDef(1, "ts", TList("T"))])
+        registry.define("T", [FieldDef(1, "a", TString)])
+        assert registry.define("S", [FieldDef(1, "ts", TList("T"))]).fields[0].type.element \
+            is registry.get("T")
 
     def test_i64_for_asns(self):
         registry = SchemaRegistry()
@@ -232,59 +260,59 @@ _MISFIT = {"string": 42, "bool": "yes", "i32": "1", "i64": 1.5, "list": "ab", "s
 def _kind(schema_type) -> str:
     if isinstance(schema_type, TList):
         return "list"
-    return "struct" if isinstance(schema_type, TStructRef) else schema_type.name
+    return "struct" if isinstance(schema_type, StructDef) else schema_type.name
 
 
 def _values(schema_type):
     if isinstance(schema_type, TList):
         return st.lists(_values(schema_type.element), max_size=3)
-    if isinstance(schema_type, TStructRef):
-        return _structs(schema_type.name)
+    if isinstance(schema_type, StructDef):
+        return _structs(schema_type)
     return _SCALARS[schema_type.name]
 
 
-def _structs(struct_name):
-    """Valid values of ``struct_name``: optionals present, ``None`` or absent."""
-    fields = CONFIG_SCHEMA.get(struct_name).fields
+def _structs(struct):
+    """Valid values of ``struct``: optionals present, ``None`` or absent."""
     return st.fixed_dictionaries(
-        {f.name: _values(f.type) for f in fields if f.required},
-        optional={f.name: st.none() | _values(f.type) for f in fields if not f.required},
+        {f.name: _values(f.type) for f in struct.fields if f.required},
+        optional={f.name: st.none() | _values(f.type) for f in struct.fields if not f.required},
     )
 
 
-def _struct_nodes(struct_name, value, path):
-    """Every ``(struct name, dict, path to it)`` inside a valid struct value."""
-    yield struct_name, value, path
-    for field in CONFIG_SCHEMA.get(struct_name).fields:
+def _struct_nodes(struct, value, path):
+    """Every ``(struct, dict, path to it)`` inside a valid struct value."""
+    yield struct, value, path
+    for field in struct.fields:
         item, inner = value.get(field.name), field.type
         if item is None:
             continue
-        if isinstance(inner, TStructRef):
-            yield from _struct_nodes(inner.name, item, f"{path}.{field.name}")
-        elif isinstance(inner, TList) and isinstance(inner.element, TStructRef):
+        if isinstance(inner, StructDef):
+            yield from _struct_nodes(inner, item, f"{path}.{field.name}")
+        elif isinstance(inner, TList) and isinstance(inner.element, StructDef):
             for index, element in enumerate(item):
-                yield from _struct_nodes(
-                    inner.element.name, element, f"{path}.{field.name}[{index}]"
-                )
+                yield from _struct_nodes(inner.element, element, f"{path}.{field.name}[{index}]")
+
+
+DEVICE = CONFIG_SCHEMA.get("Device")
 
 
 class TestSchemaProperties:
     @settings(max_examples=60, deadline=None)
-    @given(device=_structs("Device"))
+    @given(device=_structs(DEVICE))
     def test_one_traversal_both_sides_of_the_wire(self, device):
         seen = CONFIG_SCHEMA.validate("Device", device)
         assert CONFIG_SCHEMA.loads("Device", CONFIG_SCHEMA.dumps("Device", device)) == seen
         assert CONFIG_SCHEMA.validate("Device", seen) == seen
-        assert list(seen) == [f.name for f in CONFIG_SCHEMA.get("Device").fields]
+        assert list(seen) == [f.name for f in DEVICE.fields]
 
     @settings(max_examples=120, deadline=None)
-    @given(device=_structs("Device"), data=st.data())
+    @given(device=_structs(DEVICE), data=st.data())
     def test_a_wrong_value_is_named_by_its_path(self, device, data):
         """Break one thing at a random depth: ``validate`` and ``dumps``
         both refuse it, naming the same place."""
-        nodes = list(_struct_nodes("Device", device, "Device"))
-        struct_name, node, path = data.draw(st.sampled_from(nodes))
-        fields = CONFIG_SCHEMA.get(struct_name).fields
+        nodes = list(_struct_nodes(DEVICE, device, "Device"))
+        struct, node, path = data.draw(st.sampled_from(nodes))
+        fields = struct.fields
         bounded = [f for f in fields if getattr(f.type, "bits", 0)]
         breakage = data.draw(
             st.sampled_from(
@@ -294,7 +322,7 @@ class TestSchemaProperties:
         )
         if breakage == "unknown key":
             node["bogus"] = 1
-            expected = f"{path}: unknown field(s) ['bogus'] for struct {struct_name}"
+            expected = f"{path}: unknown field(s) ['bogus'] for struct {struct.name}"
         elif breakage == "missing required":
             field = data.draw(st.sampled_from([f for f in fields if f.required]))
             del node[field.name]

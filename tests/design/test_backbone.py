@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import DesignValidationError
 from repro.design.backbone import BackboneDesignTool
+from repro.design.changes import summarize_journal
 from repro.design.validation import validate
 from repro.fbnet.models import (
     BackboneRouter,
@@ -64,8 +65,15 @@ class TestRouters:
 
     def test_delete_router_cleans_everything(self, store, tool, routers):
         tool.add_circuit("bb1.bbs01", "bb2.bbs01")
-        deleted = tool.delete_router("bb1.bbs01")
-        assert deleted.get("BackboneRouter") == 1
+        tool.add_circuit("bb1.bbs01", "bb2.bbs01")
+        start = store.journal_position
+        tool.delete_router("bb1.bbs01")
+        # The journal counts what the cascade took too: the router's linecard
+        # and loopback, and the loopback's address beside the bundle's two.
+        assert summarize_journal(store.journal_since(start)).deleted == {
+            "BackboneRouter": 1, "Linecard": 1, "LoopbackInterface": 1, "V6Prefix": 3,
+            "LinkGroup": 1, "AggregatedInterface": 2, "Circuit": 2, "PhysicalInterface": 4,
+        }
         assert store.count(BackboneRouter) == 2
         # Its bundle, circuits, interfaces, prefixes are gone too.
         assert store.count(LinkGroup) == 0
@@ -181,9 +189,10 @@ class TestMesh:
         nodes = [make_edge(store, env, tool, f"pr{i}.pop01") for i in range(4)]
         for node in nodes:
             tool.join_mesh(node)
-        deleted = tool.leave_mesh(nodes[0])
-        assert deleted["BgpV6Session"] == 3
-        assert deleted["MplsTunnel"] == 6
+        start = store.journal_position
+        tool.leave_mesh(nodes[0])
+        summary = summarize_journal(store.journal_since(start))
+        assert summary.deleted == {"BgpV6Session": 3, "MplsTunnel": 6}
         # Closure over the remaining nodes: nodes[0] still has a loopback
         # so it still counts as an edge node; remove its loopback marker.
         store.update(nodes[0], loopback_v6=None)
