@@ -94,6 +94,11 @@ GATES = [
     # row re-split and re-walked the query's path, 52-64 with the query
     # compiled to one predicate per table (ledger_pr22.txt).
     ("frontdoor", "fbnet.store.read us a call", us_per_call("fbnet.store.read"), 100.0),
+    # IPAM in integers: 115 us of self time a call on the 256-device front
+    # door while every allocator re-parsed its pool and every candidate
+    # block through ipaddress, 12.5-13.0 with (start, end) intervals and one
+    # format per address (ledger_pr38.txt).
+    ("frontdoor", "design.ipam us a call", us_per_call("design.ipam"), 35.0),
     # Placement may not move unnoticed: the largest shard's object count over
     # the mean, a function of the journal alone (ledger_pr21.txt).
     ("turnup", "fbnet.sharding.imbalance off 2.7685",
@@ -112,10 +117,12 @@ GATES = [
     # fails.  The batched read enters through ShardedObjectStore.filter, so
     # monitoring.backends.store_reads_per_record reads 0 by routing alone.
     ("monitor", "fbnet.store.read calls a round", calls("fbnet.store.read"), 2590 * 1.05),
-    # 17.6 with one cursor over the journal, 10,682 when every device
-    # rescanned its own tail (ledger_pr15.txt).
+    # 10,682 when every device rescanned its own tail (ledger_pr15.txt), 17.6
+    # with one cursor over the journal while the first cycle after a turn-up
+    # followed every build record, 1.94 with the cursor starting at the
+    # oldest golden config (ledger_pr38.txt).  An exact count.
     ("churn", "journal records scanned a cycle",
-     metric("configgen.generator.records_scanned_per_cycle"), 100.0),
+     metric("configgen.generator.records_scanned_per_cycle"), 3.0),
     # One check where derive hands the struct to render: 5 calls a derive
     # when both sides re-checked each other's work (12.1 % of the round,
     # ledger_pr20.txt), 4 through a dumps -> loads round trip, 1 validate
@@ -159,8 +166,10 @@ GATES = [
     # clock, read straight off the bench's results JSON: 1.5 x the median of
     # five runs at PR 23 (ledger_pr23.txt).
     ("BENCH_remediation", "storm convergence, reference s", itemgetter("convergence_ref_s"), 0.30),
-    ("BENCH_shard", "fleet_2k build, reference s", itemgetter("build_ref_s"), 47.0),
-    ("BENCH_shard", "fleet_2k provision, reference s", itemgetter("provision_ref_s"), 22.0),
+    # fleet_2k: build 27.6 reference s while IPAM re-parsed each pool through
+    # ipaddress, 8.8 in integers; provision 6.4 (ledger_pr38.txt); 1.5 x each.
+    ("BENCH_shard", "fleet_2k build, reference s", itemgetter("build_ref_s"), 13.2),
+    ("BENCH_shard", "fleet_2k provision, reference s", itemgetter("provision_ref_s"), 9.6),
 ]
 
 

@@ -417,8 +417,15 @@ class ConfigGenerator:
         the cursor already incorporates the records before it).  Marks
         outlive the pass — a subset pass or a failed batch leaves them
         for the next one — and go when the device is adopted or retired.
-        Returns the number of records followed.
+        Returns the number of records followed.  No record before the
+        oldest golden (the journal's end with none) can mark, so the first
+        pass after a turn-up follows what changed since provisioning.
         """
+        oldest = min(
+            (c.design_position for c in self.golden.values()),
+            default=self._store.journal_position,
+        )
+        self._cursor = max(self._cursor, oldest)
         records = self._store.journal_since(self._cursor)
         for position, record in enumerate(records, self._cursor):
             for name in self._read_sets.affected(record):

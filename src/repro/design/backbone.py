@@ -32,7 +32,6 @@ from repro.fbnet.models import (
     LoopbackInterface,
     MplsTunnel,
     PeeringRouter,
-    PrefixPool,
 )
 from repro.fbnet.query import Expr, Op, Or
 from repro.fbnet.store import ObjectStore
@@ -395,17 +394,7 @@ class BackboneDesignTool:
     def _p2p_allocator(self, version: int) -> IpAllocator:
         name = self.p2p_v6_pool if version == 6 else self.p2p_v4_pool
         assert name is not None
-        pool = self._store.first(PrefixPool, Expr("name", Op.EQUAL, name))
-        if pool is None:
-            raise DesignValidationError(f"no prefix pool named {name!r}")
-        return IpAllocator(self._store, pool)
+        return IpAllocator.named(self._store, name)
 
     def _loopback_allocator(self) -> IpAllocator:
-        pool = self._store.first(
-            PrefixPool, Expr("name", Op.EQUAL, self.loopback_v6_pool)
-        )
-        if pool is None:
-            raise DesignValidationError(
-                f"no prefix pool named {self.loopback_v6_pool!r}"
-            )
-        return IpAllocator(self._store, pool)
+        return IpAllocator.named(self._store, self.loopback_v6_pool)

@@ -10,7 +10,6 @@ this module, so the dependency-following logic exists exactly once.
 
 from __future__ import annotations
 
-import ipaddress
 from dataclasses import dataclass, field
 
 from repro.common.errors import DesignValidationError
@@ -23,7 +22,6 @@ from repro.fbnet.models import (
     Circuit,
     CircuitStatus,
     LinkGroup,
-    PhysicalInterface,
     V4Prefix,
     V6Prefix,
 )
@@ -34,7 +32,9 @@ __all__ = ["BundleResult", "build_bundle", "find_bundle", "teardown_bundle"]
 
 
 def _host_ip(prefix: str) -> str:
-    return str(ipaddress.ip_interface(prefix).ip)
+    # A stored prefix is canonical ``str(ip_interface)``: its address part
+    # is the canonical address.
+    return prefix.partition("/")[0]
 
 
 @dataclass

@@ -9,23 +9,66 @@ object, making conflicts structurally impossible.
 Point-to-point links get a /31 (IPv4) or /127 (IPv6); the two usable host
 addresses are assigned to the two endpoint interfaces.  Loopbacks get a
 /32 or /128.  Rack allocations carve larger blocks.
+
+FBNet is the source of truth, and ``IpAllocator.allocated_subnets`` its one
+reader of a pool.  Allocation is integer arithmetic: a pool is an address
+interval, each block taken from it a ``(start, end)`` interval read from a
+stored prefix with ``inet_pton`` (exact: the prefix field stores canonical
+``str(ip_interface)``), and each granted address is formatted once.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import socket
+import struct
+from bisect import insort
 
 from repro.common.errors import DesignValidationError
 from repro.fbnet.models import PrefixPool, V4Prefix, V6Prefix
 from repro.fbnet.query import Expr, Op
 from repro.fbnet.store import ObjectStore
 
-__all__ = ["IpAllocator", "P2P_PLEN", "p2p_pair"]
+__all__ = ["IpAllocator", "P2P_PLEN", "format_address", "p2p_pair"]
 
 #: Point-to-point prefix length per IP version.
 P2P_PLEN = {4: 31, 6: 127}
 #: Host (loopback) prefix length per IP version.
 HOST_PLEN = {4: 32, 6: 128}
+
+_FAMILY = {4: socket.AF_INET, 6: socket.AF_INET6}
+_NETWORK = {4: ipaddress.IPv4Network, 6: ipaddress.IPv6Network}
+_HEXTETS = struct.Struct(">8H")
+#: Runs of two or more zero hextets in ``:%x:...:%x:`` text, longest first.
+_ZERO_RUNS = tuple(":0" * n + ":" for n in range(8, 1, -1))
+
+
+def format_address(value: int, version: int) -> str:
+    """``str(ipaddress.ip_address(value))`` for an address of ``version``.
+
+    >>> format_address(0x24010DB0000000000000000000000001, 6)
+    '2401:db0::1'
+    """
+    if version == 4:
+        return socket.inet_ntoa(value.to_bytes(4, "big"))
+    text = "%x:%x:%x:%x:%x:%x:%x:%x" % _HEXTETS.unpack(value.to_bytes(16, "big"))
+    # RFC 5952, as ipaddress does it: the longest run of zero hextets (the
+    # leftmost of equal runs, which is what find returns) becomes "::".
+    padded = f":{text}:"
+    for run in _ZERO_RUNS:
+        at = padded.find(run)
+        if at >= 0:
+            return f"{padded[1:at]}::{padded[at + len(run):-1]}"
+    return text
+
+
+def _pair(first: int, version: int) -> tuple[str, str]:
+    """The two interface prefixes of the point-to-point block at ``first``."""
+    plen = P2P_PLEN[version]
+    return (
+        f"{format_address(first, version)}/{plen}",
+        f"{format_address(first + 1, version)}/{plen}",
+    )
 
 
 def p2p_pair(subnet: str) -> tuple[str, str]:
@@ -36,119 +79,111 @@ def p2p_pair(subnet: str) -> tuple[str, str]:
     >>> p2p_pair("2401:db00::/127")
     ('2401:db00::/127', '2401:db00::1/127')
     """
-    network = ipaddress.ip_network(subnet)
+    try:
+        network = ipaddress.ip_network(subnet)
+    except ValueError as exc:
+        raise DesignValidationError(f"{subnet!r} is not a subnet: {exc}") from None
     expected = P2P_PLEN[network.version]
     if network.prefixlen != expected:
         raise DesignValidationError(
             f"{subnet} is not a point-to-point /{expected}"
         )
-    first = network.network_address
-    second = first + 1
-    return (f"{first}/{expected}", f"{second}/{expected}")
+    return _pair(int(network.network_address), network.version)
 
 
 class IpAllocator:
     """Sequential-fit subnet allocator over one :class:`PrefixPool`.
 
     Already-assigned prefixes are discovered from the store (the Desired
-    ``V4Prefix``/``V6Prefix`` objects linked to the pool), so allocators
-    can be re-instantiated at any time without external bookkeeping —
-    FBNet remains the single source of truth.
+    ``V4Prefix``/``V6Prefix`` objects linked to the pool, whoever created
+    them), so allocators can be re-instantiated at any time without
+    external bookkeeping — FBNet remains the single source of truth.
     """
 
     def __init__(self, store: ObjectStore, pool: PrefixPool):
         self._store = store
         self.pool = pool
-        self._network = ipaddress.ip_network(pool.prefix)
-        if self._network.version != pool.version:
+        try:
+            network = ipaddress.ip_network(pool.prefix)
+        except ValueError as exc:
+            raise DesignValidationError(f"pool {pool.name}: {exc}") from None
+        if network.version != pool.version:
             raise DesignValidationError(
                 f"pool {pool.name}: prefix {pool.prefix} does not match "
                 f"version {pool.version}"
             )
-        # Allocation cache: loaded lazily from the store, then maintained
-        # incrementally so bulk materialization stays linear.
-        self._taken: list | None = None
-        # Highest broadcast address in ``_taken`` (-1 when empty), kept
-        # beside it so the sequential-fit start is not a rescan per call.
-        self._max_broadcast = -1
+        self.version = network.version
+        self._model = V4Prefix if self.version == 4 else V6Prefix
+        self._label = f"pool {pool.name} ({network})"
+        self._prefixlen, self._width = network.prefixlen, network.max_prefixlen
+        self._base, self._last = int(network.network_address), int(network.broadcast_address)
+        # Taken blocks as sorted (start, end) intervals, loaded lazily from the
+        # store and then kept up to date so bulk materialization stays linear;
+        # the highest end (-1 when none) spares the sequential fit a rescan.
+        self._taken: list[tuple[int, int]] | None = None
+        self._max_end = -1
 
-    @property
-    def version(self) -> int:
-        return self._network.version
+    @classmethod
+    def named(cls, store: ObjectStore, name: str) -> IpAllocator:
+        """The allocator over the pool called ``name``."""
+        pool = store.first(PrefixPool, Expr("name", Op.EQUAL, name))
+        if pool is None:
+            raise DesignValidationError(f"no prefix pool named {name!r}")
+        return cls(store, pool)
 
-    def _prefix_model(self) -> type:
-        return V4Prefix if self.version == 4 else V6Prefix
-
-    def allocated_subnets(self) -> list[ipaddress._BaseNetwork]:
-        """Subnets already carved from this pool, from Desired state.
-
-        The two endpoint objects of a p2p pair share one subnet; the
-        result is deduplicated accordingly.
+    def allocated_subnets(self) -> list[tuple[int, int]]:
+        """Blocks already carved from this pool, from Desired state, as
+        ``(first, last)`` address intervals, one per block (the two
+        endpoint objects of a p2p pair share one).
         """
-        taken: dict[str, ipaddress._BaseNetwork] = {}
+        family, width = _FAMILY[self.version], self._width
+        sizes: dict[str, int] = {}  # block size by prefix length, as written
+        taken: dict[tuple[int, int], None] = {}
         in_pool = Expr("pool", Op.EQUAL, self.pool.id)  # the reverse-FK index
-        for obj in self._store.filter(self._prefix_model(), in_pool):
-            network = ipaddress.ip_interface(obj.prefix).network
-            taken[str(network)] = network
-        return list(taken.values())
+        for obj in self._store.filter(self._model, in_pool):
+            address, _, length = obj.prefix.partition("/")
+            size = sizes.get(length)
+            if size is None:
+                size = sizes[length] = 1 << (width - int(length))
+            start = int.from_bytes(socket.inet_pton(family, address), "big") & -size
+            taken[start, start + size - 1] = None
+        return list(taken)
 
     def allocate_subnet(self, prefixlen: int) -> ipaddress._BaseNetwork:
         """Find the first free subnet of ``prefixlen`` within the pool.
 
-        Raises :class:`DesignValidationError` when the pool is exhausted.
-        The returned subnet is *not* yet recorded — callers record it by
-        creating prefix objects (see :meth:`assign_p2p`).
+        Raises :class:`DesignValidationError` when the pool is exhausted
+        or ``prefixlen`` does not fit it.  The returned subnet is *not*
+        yet recorded — callers record it by creating prefix objects (see
+        :meth:`assign_p2p`).
         """
-        if prefixlen < self._network.prefixlen:
+        if prefixlen < self._prefixlen:
+            raise DesignValidationError(f"/{prefixlen} is larger than {self._label}")
+        if prefixlen > self._width:
             raise DesignValidationError(
-                f"/{prefixlen} is larger than pool {self.pool.name} "
-                f"({self._network})"
+                f"/{prefixlen} is longer than an IPv{self.version} address ({self._label})"
             )
         if self._taken is None:
-            self._taken = []
-            for subnet in self.allocated_subnets():
-                self._take(subnet)
-        taken = self._taken
-        # Start past the highest allocated block (sequential-fit fast path);
-        # fall back to a scan from the pool base if that lands out of range.
-        max_broadcast = self._max_broadcast
-        start = max(int(self._network.network_address), max_broadcast + 1)
-        block = 2 ** (self._network.max_prefixlen - prefixlen)
-        if start % block:
-            start += block - (start % block)
-        wrapped = False
-        if start + block - 1 > int(self._network.broadcast_address):
-            start = int(self._network.network_address)
-            wrapped = True
-        candidate = ipaddress.ip_network(
-            f"{ipaddress.ip_address(start)}/{prefixlen}"
-        )
-        if not wrapped and int(candidate.network_address) > max_broadcast:
-            # Beyond every existing block: no overlap scan needed.
-            self._take(candidate)
-            return candidate
-        while True:
-            if not candidate.subnet_of(self._network):
-                raise DesignValidationError(
-                    f"pool {self.pool.name} ({self._network}) is exhausted"
-                )
-            if not any(candidate.overlaps(existing) for existing in taken):
-                self._take(candidate)
-                return candidate
-            # Jump past the end of this candidate block.
-            next_address = int(candidate.broadcast_address) + 1
-            max_address = int(self._network.broadcast_address)
-            if next_address > max_address:
-                raise DesignValidationError(
-                    f"pool {self.pool.name} ({self._network}) is exhausted"
-                )
-            candidate = ipaddress.ip_network(
-                f"{ipaddress.ip_address(next_address)}/{prefixlen}"
-            )
-
-    def _take(self, subnet: ipaddress._BaseNetwork) -> None:
-        self._taken.append(subnet)
-        self._max_broadcast = max(self._max_broadcast, int(subnet.broadcast_address))
+            self._taken = sorted(self.allocated_subnets())
+            self._max_end = max([end for _start, end in self._taken], default=-1)
+        size = 1 << (self._width - prefixlen)
+        # Sequential fit: the first aligned block past the highest taken
+        # one; scan from the pool base if that lands out of range.
+        start = -(-max(self._base, self._max_end + 1) // size) * size
+        if start + size - 1 > self._last:
+            # First fit from the pool base, in one pass over the sorted
+            # intervals: every aligned block up to an overlapped end overlaps.
+            start = self._base
+            for low, high in self._taken:
+                if low > start + size - 1:
+                    break
+                if high >= start:
+                    start = (high // size + 1) * size
+            if start + size - 1 > self._last:
+                raise DesignValidationError(f"{self._label} is exhausted")
+        insort(self._taken, (start, start + size - 1))
+        self._max_end = max(self._max_end, start + size - 1)
+        return _NETWORK[self.version]((start, prefixlen))
 
     def assign_p2p(self, a_interface, z_interface) -> tuple:
         """Allocate a point-to-point subnet and assign both endpoint addresses.
@@ -159,25 +194,20 @@ class IpAllocator:
         Returns the two created prefix objects ``(a, z)``.
         """
         subnet = self.allocate_subnet(P2P_PLEN[self.version])
-        a_addr, z_addr = p2p_pair(str(subnet))
-        model = self._prefix_model()
-        a = self._store.create(model, prefix=a_addr, interface=a_interface, pool=self.pool)
-        z = self._store.create(model, prefix=z_addr, interface=z_interface, pool=self.pool)
+        a_addr, z_addr = _pair(int(subnet.network_address), self.version)
+        create = self._store.create
+        a = create(self._model, prefix=a_addr, interface=a_interface, pool=self.pool)
+        z = create(self._model, prefix=z_addr, interface=z_interface, pool=self.pool)
         return a, z
 
     def assign_host(self, interface) -> object:
         """Allocate a single host address (/32 or /128) to ``interface``."""
         subnet = self.allocate_subnet(HOST_PLEN[self.version])
-        model = self._prefix_model()
-        return self._store.create(
-            model,
-            prefix=f"{subnet.network_address}/{subnet.prefixlen}",
-            interface=interface,
-            pool=self.pool,
-        )
+        address = format_address(int(subnet.network_address), self.version)
+        prefix = f"{address}/{subnet.prefixlen}"
+        return self._store.create(self._model, prefix=prefix, interface=interface, pool=self.pool)
 
     def utilization(self) -> float:
         """Fraction of the pool's address space already allocated."""
-        total = self._network.num_addresses
-        used = sum(subnet.num_addresses for subnet in self.allocated_subnets())
-        return used / total
+        used = sum(end - start + 1 for start, end in self.allocated_subnets())
+        return used / (self._last - self._base + 1)

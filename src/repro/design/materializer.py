@@ -25,7 +25,6 @@ from repro.fbnet.models import (
     Linecard,
     PhysicalInterface,
     Pop,
-    PrefixPool,
 )
 from repro.fbnet.query import Expr, Op
 from repro.fbnet.store import ObjectStore
@@ -161,16 +160,10 @@ def materialize_cluster(
             **cluster_kwargs,
         )
 
-        v6_pool = store.first(PrefixPool, Expr("name", Op.EQUAL, scheme.v6_pool))
-        if v6_pool is None:
-            raise DesignValidationError(f"no prefix pool named {scheme.v6_pool!r}")
-        v6_alloc = IpAllocator(store, v6_pool)
+        v6_alloc = IpAllocator.named(store, scheme.v6_pool)
         v4_alloc = None
         if scheme.v4_pool is not None:
-            v4_pool = store.first(PrefixPool, Expr("name", Op.EQUAL, scheme.v4_pool))
-            if v4_pool is None:
-                raise DesignValidationError(f"no prefix pool named {scheme.v4_pool!r}")
-            v4_alloc = IpAllocator(store, v4_pool)
+            v4_alloc = IpAllocator.named(store, scheme.v4_pool)
 
         result = MaterializedCluster(cluster=cluster)
 

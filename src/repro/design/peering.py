@@ -29,7 +29,6 @@ from repro.fbnet.models import (
     PeeringLink,
     PeeringRouter,
     Pop,
-    PrefixPool,
     RoutePolicy,
 )
 from repro.fbnet.query import Expr, Op
@@ -122,13 +121,7 @@ class PeeringDesignTool:
             raise DesignValidationError(f"kind must be peering/transit, not {kind!r}")
         pop = router.related("pop")
         assert isinstance(pop, Pop)
-        pool = self._store.first(
-            PrefixPool, Expr("name", Op.EQUAL, self.interconnect_pool)
-        )
-        if pool is None:
-            raise DesignValidationError(
-                f"no prefix pool named {self.interconnect_pool!r}"
-            )
+        allocator = IpAllocator.named(self._store, self.interconnect_pool)
 
         with self._store.transaction():
             asn = self._store.first(
@@ -155,14 +148,13 @@ class PeeringDesignTool:
             ports.create_interface(
                 100_000, description=f"{kind} to {isp_name}", agg_interface=agg
             )
-            allocator = IpAllocator(self._store, pool)
             subnet = allocator.allocate_subnet(127)
             our_ip = str(subnet.network_address)
             their_ip = str(subnet.network_address + 1)
             from repro.fbnet.models import V6Prefix
 
             self._store.create(
-                V6Prefix, prefix=f"{our_ip}/127", interface=agg, pool=pool
+                V6Prefix, prefix=f"{our_ip}/127", interface=agg, pool=allocator.pool
             )
 
             session = self._store.create(

@@ -28,8 +28,6 @@ from repro.fbnet.models import (
     Circuit,
     CircuitStatus,
     Device,
-    PhysicalInterface,
-    PrefixPool,
 )
 from repro.fbnet.query import Expr, Op
 from repro.fbnet.store import ObjectStore
@@ -94,13 +92,6 @@ def _device(store: ObjectStore, name: str) -> Model:
     return device
 
 
-def _allocator(store: ObjectStore, pool_name: str) -> IpAllocator:
-    pool = store.first(PrefixPool, Expr("name", Op.EQUAL, pool_name))
-    if pool is None:
-        raise DesignValidationError(f"no prefix pool named {pool_name!r}")
-    return IpAllocator(store, pool)
-
-
 def _create(store: ObjectStore, spec: PortmapSpec) -> dict:
     a_dev = _device(store, spec.a_device)
     z_dev = _device(store, spec.z_device)
@@ -116,8 +107,8 @@ def _create(store: ObjectStore, spec: PortmapSpec) -> dict:
         z_ports=PortAllocator(store, z_dev),
         circuits=spec.circuits,
         speed_mbps=spec.speed_mbps,
-        v6_alloc=_allocator(store, spec.v6_pool),
-        v4_alloc=_allocator(store, spec.v4_pool) if spec.v4_pool else None,
+        v6_alloc=IpAllocator.named(store, spec.v6_pool),
+        v4_alloc=IpAllocator.named(store, spec.v4_pool) if spec.v4_pool else None,
         bgp=spec.bgp,
         local_asn=spec.local_asn,
         peer_asn=spec.peer_asn,

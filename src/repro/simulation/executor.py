@@ -132,7 +132,7 @@ class WorkloadExecutor:
         from repro.design.bundles import build_bundle
         from repro.design.ipam import IpAllocator
         from repro.design.materializer import PortAllocator
-        from repro.fbnet.models import NetworkSwitch, PrefixPool, RackSwitch
+        from repro.fbnet.models import NetworkSwitch, RackSwitch
 
         clusters = [
             cluster
@@ -161,10 +161,7 @@ class WorkloadExecutor:
         )
         if not psws:
             raise DesignValidationError(f"cluster {cluster.name} has no PSWs")
-        v6_pool = self._store.first(
-            PrefixPool, Expr("name", Op.EQUAL, "dc-p2p-v6")
-        )
-        v6_alloc = IpAllocator(self._store, v6_pool)
+        v6_alloc = IpAllocator.named(self._store, "dc-p2p-v6")
         tor_ports = PortAllocator(self._store, tor)
         touched = [tor.name]
         for psw in psws[: min(2, len(psws))]:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import DesignValidationError
-from repro.design.ipam import IpAllocator, p2p_pair
+from repro.design.ipam import IpAllocator, format_address, p2p_pair
 from repro.fbnet.models import (
     AggregatedInterface,
     NetworkSwitch,
@@ -15,8 +15,10 @@ from repro.fbnet.models import (
     V4Prefix,
     V6Prefix,
 )
+from repro.fbnet.query import Expr, Op
 from repro.fbnet.store import ObjectStore
 from repro.core.seeds import seed_environment
+from tests.design import ipam_reference
 
 
 @pytest.fixture
@@ -99,6 +101,28 @@ class TestAllocator:
         with pytest.raises(DesignValidationError, match="larger than pool"):
             allocator.allocate_subnet(8)
 
+    @pytest.mark.parametrize(
+        ("call", "match"),
+        [
+            pytest.param(
+                lambda env, store: IpAllocator(store, env.pools["dc-p2p-v4"]).allocate_subnet(33),
+                "dc-p2p-v4", id="v4-/33",
+            ),
+            pytest.param(
+                lambda env, store: IpAllocator(store, env.pools["dc-p2p-v6"]).allocate_subnet(129),
+                "dc-p2p-v6", id="v6-/129",
+            ),
+            pytest.param(lambda env, store: p2p_pair("10.0.0.1/31"), "host bits", id="v4-host-bits"),
+            pytest.param(
+                lambda env, store: p2p_pair("2401:db00::1/127"), "host bits", id="v6-host-bits"
+            ),
+            pytest.param(lambda env, store: p2p_pair("garbage"), "garbage", id="garbage"),
+        ],
+    )
+    def test_bad_input_is_a_design_error(self, store, env, call, match):
+        with pytest.raises(DesignValidationError, match=match):
+            call(env, store)
+
     def test_allocated_subnets_reads_desired_models(self, store, env, aggs):
         allocator = IpAllocator(store, env.pools["pop-p2p-v6"])
         allocator.assign_p2p(aggs[0], aggs[1])
@@ -129,3 +153,103 @@ class TestAllocatorProperties:
         # ...and every pair shares a subnet with only its partner.
         networks = [ipaddress.ip_interface(p).network for p in prefixes]
         assert len(set(networks)) == pairs
+
+
+#: Small pools, so a sequence reaches exhaustion and the wrap to the base.
+EQUIVALENCE_POOLS = {4: "10.9.0.0/28", 6: "2401:db00:ff::/124"}
+
+
+class _Side:
+    """One store and the live allocator of one implementation."""
+
+    def __init__(self, allocator_class, version: int):
+        self.store = ObjectStore()
+        env = seed_environment(self.store)
+        device = self.store.create(
+            NetworkSwitch, name="psw1", hardware_profile=env.profiles["Switch_Vendor2"]
+        )
+        self.interface = self.store.create(
+            AggregatedInterface, name="ae0", device=device, number=0
+        )
+        self.pool = self.store.create(
+            PrefixPool, name="prop", prefix=EQUIVALENCE_POOLS[version], version=version
+        )
+        self.model = V4Prefix if version == 4 else V6Prefix
+        self.open = lambda: allocator_class(self.store, self.pool)
+        self.allocator = self.open()
+
+    def rows(self) -> list:
+        in_pool = Expr("pool", Op.EQUAL, self.pool.id)
+        return sorted(self.store.filter(self.model, in_pool), key=lambda row: row.id)
+
+    def step(self, op: tuple):
+        kind = op[0]
+        if kind == "fresh":
+            self.allocator = self.open()
+            return None
+        if kind == "delete":
+            # Behind the allocator's back: a live one keeps the block, a
+            # fresh one may hand it out again.
+            rows = self.rows()
+            if rows:
+                self.store.delete(rows[op[1] % len(rows)])
+            return None
+        try:
+            if kind == "p2p":
+                a, z = self.allocator.assign_p2p(self.interface, self.interface)
+                return a.prefix, z.prefix
+            if kind == "host":
+                return self.allocator.assign_host(self.interface).prefix
+            subnet = self.allocator.allocate_subnet(op[1])
+            self.store.create(self.model, prefix=str(subnet), interface=self.interface, pool=self.pool)
+            return str(subnet)
+        except DesignValidationError as exc:
+            assert "exhausted" in str(exc)
+            return "exhausted"
+
+
+def _ops(version: int):
+    base = 28 if version == 4 else 124
+    return st.lists(
+        st.one_of(
+            st.just(("p2p",)),
+            st.just(("host",)),
+            st.tuples(st.just("block"), st.integers(base, base + 4)),
+            st.tuples(st.just("delete"), st.integers(0, 1000)),
+            st.just(("fresh",)),
+        ),
+        max_size=40,
+    )
+
+
+def _hextets():
+    """Addresses with runs of zero hextets as likely as not."""
+    return st.lists(
+        st.one_of(st.just(0), st.integers(0, 0xFFFF)), min_size=8, max_size=8
+    ).map(lambda words: sum(word << (16 * (7 - i)) for i, word in enumerate(words)))
+
+
+class TestIntegerAllocatorEqualsIpaddress:
+    """The integer allocator against the ``ipaddress`` one it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), version=st.sampled_from([4, 6]))
+    def test_same_blocks_in_the_same_order(self, data, version):
+        ops = data.draw(_ops(version))
+        ours = _Side(IpAllocator, version)
+        theirs = _Side(ipam_reference.ReferenceAllocator, version)
+        for op in ops:
+            assert ours.step(op) == theirs.step(op), op
+        assert [row.prefix for row in ours.rows()] == [row.prefix for row in theirs.rows()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.one_of(st.integers(0, 2**128 - 1), _hextets()))
+    def test_formatted_strings_equal_ipaddress(self, value):
+        assert format_address(value, 6) == str(ipaddress.IPv6Address(value))
+        v4 = value & 0xFFFFFFFF
+        assert format_address(v4, 4) == str(ipaddress.IPv4Address(v4))
+        for subnet in (
+            str(ipaddress.IPv6Network((value & ~1, 127))),
+            str(ipaddress.IPv4Network((v4 & ~1, 31))),
+        ):
+            assert p2p_pair(subnet) == ipam_reference.p2p_pair(subnet)

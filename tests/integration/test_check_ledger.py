@@ -16,7 +16,7 @@ BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 TRACED = BENCHMARKS / "ledger" / "baseline" / "traced"
 BENCHES = {
     "BENCH_remediation": {"convergence_ref_s": 0.2},
-    "BENCH_shard": {"build_ref_s": 30.0, "provision_ref_s": 14.0},
+    "BENCH_shard": {"build_ref_s": 9.0, "provision_ref_s": 7.0},
 }
 
 

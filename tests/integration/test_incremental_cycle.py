@@ -11,6 +11,7 @@ import pytest
 from repro import obs
 from repro.fbnet.models import (
     AggregatedInterface,
+    ClusterGeneration,
     Device,
     DrainState,
     PhysicalInterface,
@@ -25,6 +26,24 @@ def fleet_versions(robotron):
 
 
 class TestIncrementalCycle:
+    def test_first_cycle_follows_only_records_since_provisioning(self, robotron):
+        """The generator is built on an empty journal; the build's records
+        predate every golden config and can mark none of them."""
+        cluster = robotron.build_cluster(
+            "pop01.c01", robotron.env.pops["pop01"], ClusterGeneration.POP_GEN2
+        )
+        robotron.boot_fleet()
+        assert robotron.provision_cluster(cluster).ok
+        provisioned = robotron.store.journal_position
+        device = cluster.devices["PR"][0]
+        robotron.store.update(device, drain_state=DrainState.DRAINING)
+        robotron.store.create(Region, name="antarctica")
+        report = robotron.incremental_cycle()
+        assert report.generation.records_scanned == 2
+        assert robotron.store.journal_position == provisioned + 2
+        assert set(report.generation.regenerated) == {device.name}
+        assert robotron.incremental_cycle().generation.records_scanned == 0
+
     def test_noop_cycle_changes_nothing(self, pop_network):
         robotron = pop_network
         versions = fleet_versions(robotron)
