@@ -38,11 +38,7 @@ from repro.fbnet.base import Model
 from repro.fbnet.models import ClusterGeneration, DeviceStatus, DrainState
 from repro.fbnet.store import ObjectStore
 from repro.monitoring.audit import AuditReport, run_audit
-from repro.monitoring.backends import (
-    ConfigBackupBackend,
-    DerivedModelBackend,
-    TimeSeriesBackend,
-)
+from repro.monitoring.backends import DerivedModelBackend, TimeSeriesBackend
 from repro.monitoring.classifier import Classifier, default_rule_table
 from repro.monitoring.confmon import ConfigDiscrepancy, ConfigMonitor
 from repro.monitoring.jobs import JobManager, JobSpec

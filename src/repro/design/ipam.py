@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import ipaddress
 import socket
-import struct
 from bisect import insort
 
 from repro.common.errors import DesignValidationError
+from repro.fbnet.fields import format_address
 from repro.fbnet.models import PrefixPool, V4Prefix, V6Prefix
 from repro.fbnet.query import Expr, Op
 from repro.fbnet.store import ObjectStore
@@ -38,28 +38,6 @@ HOST_PLEN = {4: 32, 6: 128}
 
 _FAMILY = {4: socket.AF_INET, 6: socket.AF_INET6}
 _NETWORK = {4: ipaddress.IPv4Network, 6: ipaddress.IPv6Network}
-_HEXTETS = struct.Struct(">8H")
-#: Runs of two or more zero hextets in ``:%x:...:%x:`` text, longest first.
-_ZERO_RUNS = tuple(":0" * n + ":" for n in range(8, 1, -1))
-
-
-def format_address(value: int, version: int) -> str:
-    """``str(ipaddress.ip_address(value))`` for an address of ``version``.
-
-    >>> format_address(0x24010DB0000000000000000000000001, 6)
-    '2401:db0::1'
-    """
-    if version == 4:
-        return socket.inet_ntoa(value.to_bytes(4, "big"))
-    text = "%x:%x:%x:%x:%x:%x:%x:%x" % _HEXTETS.unpack(value.to_bytes(16, "big"))
-    # RFC 5952, as ipaddress does it: the longest run of zero hextets (the
-    # leftmost of equal runs, which is what find returns) becomes "::".
-    padded = f":{text}:"
-    for run in _ZERO_RUNS:
-        at = padded.find(run)
-        if at >= 0:
-            return f"{padded[1:at]}::{padded[at + len(run):-1]}"
-    return text
 
 
 def _pair(first: int, version: int) -> tuple[str, str]:

@@ -17,7 +17,6 @@ import ipaddress
 from collections import Counter
 
 from repro.fbnet.models import (
-    AggregatedInterface,
     BgpSessionType,
     BgpV4Session,
     BgpV6Session,

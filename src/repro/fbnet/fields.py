@@ -5,14 +5,23 @@ Each field type validates and normalizes assigned values via
 paper's Figure 6 (e.g. ``V6PrefixField`` rejects anything that is not a
 valid IPv6 prefix).  Fields are descriptors: model instances store the
 prepared value in ``instance.__dict__`` under the field name.
+
+The address fields store ``ipaddress``'s canonical text.  A string that
+already is that text (one ``inet_pton``, then :func:`format_address`
+spells it back the same) is kept as it is; anything else is normalised,
+or refused, by ``ipaddress`` — so the stored value and every error are
+what ``ipaddress`` alone would give.
 """
 
 from __future__ import annotations
 
 import ipaddress
 import re
+import socket
+import struct
 from collections.abc import Callable, Sequence
 from enum import Enum
+from functools import cache
 from typing import Any
 
 from repro.common.errors import ValidationError
@@ -34,6 +43,7 @@ __all__ = [
     "V4PrefixField",
     "V6AddressField",
     "V6PrefixField",
+    "format_address",
 ]
 
 #: Sentinel distinguishing "no default was given" from "default is None".
@@ -255,6 +265,45 @@ class MACAddressField(Field):
         return normalized
 
 
+_FAMILY = {4: socket.AF_INET, 6: socket.AF_INET6}
+_HEXTETS = struct.Struct(">8H")
+#: Runs of two or more zero hextets in ``:%x:...:%x:`` text, longest first.
+_ZERO_RUNS = tuple(":0" * n + ":" for n in range(8, 1, -1))
+
+
+def format_address(value: int, version: int) -> str:
+    """``str(ipaddress.ip_address(value))`` for an address of ``version``.
+
+    >>> format_address(0x24010DB0000000000000000000000001, 6)
+    '2401:db0::1'
+    """
+    if version == 4:
+        return socket.inet_ntoa(value.to_bytes(4, "big"))
+    text = "%x:%x:%x:%x:%x:%x:%x:%x" % _HEXTETS.unpack(value.to_bytes(16, "big"))
+    # RFC 5952, as ipaddress does it: the longest run of zero hextets (the
+    # leftmost of equal runs, which is what find returns) becomes "::".
+    padded = f":{text}:"
+    for run in _ZERO_RUNS:
+        at = padded.find(run)
+        if at >= 0:
+            return f"{padded[1:at]}::{padded[at + len(run):-1]}"
+    return text
+
+
+def _is_canonical(address: str, version: int) -> bool:
+    """Whether ``address`` is ``str(ipaddress.ip_address(address))`` for an
+    address of ``version``: it parses, and it is the one spelling
+    :func:`format_address` gives its value.  Python 3.13 spells an
+    IPv4-mapped address dotted, so those are left to ``ipaddress``."""
+    try:
+        packed = socket.inet_pton(_FAMILY[version], address)
+    except (OSError, ValueError):
+        return False
+    if version == 6 and address.startswith("::ffff:"):
+        return False
+    return format_address(int.from_bytes(packed, "big"), version) == address
+
+
 class _PrefixField(Field):
     """Shared behaviour for IPv4/IPv6 prefix fields.
 
@@ -265,8 +314,15 @@ class _PrefixField(Field):
     """
 
     version: int = 0
+    #: The canonical spellings of a prefix length: unsigned decimal in
+    #: range, no leading zero.
+    _lengths: frozenset[str] = frozenset()
 
     def get_prep_value(self, value: Any) -> str:
+        if value.__class__ is str:
+            address, _, length = value.partition("/")
+            if length in self._lengths and _is_canonical(address, self.version):
+                return value
         try:
             interface = ipaddress.ip_interface(str(value))
         except ValueError as exc:
@@ -283,6 +339,7 @@ class V4PrefixField(_PrefixField):
     """An IPv4 prefix in CIDR form, e.g. ``10.0.0.0/31``."""
 
     version = 4
+    _lengths = frozenset(map(str, range(33)))
 
 
 class V6PrefixField(_PrefixField):
@@ -293,6 +350,7 @@ class V6PrefixField(_PrefixField):
     """
 
     version = 6
+    _lengths = frozenset(map(str, range(129)))
 
 
 class _AddressField(Field):
@@ -301,6 +359,8 @@ class _AddressField(Field):
     version: int = 0
 
     def get_prep_value(self, value: Any) -> str:
+        if value.__class__ is str and _is_canonical(value, self.version):
+            return value
         try:
             address = ipaddress.ip_address(str(value))
         except ValueError as exc:
@@ -427,9 +487,9 @@ class ForeignKey(Field):
         return store.get(self.to, raw)
 
     def get_prep_value(self, value: Any) -> Any:
-        from repro.fbnet.base import Model
-
-        if isinstance(value, Model):
+        if value.__class__ is int:  # a raw id: the common case
+            return value
+        if isinstance(value, _model_base()):
             if not isinstance(value, self.to):
                 raise ValidationError(
                     f"{self._label()}: expected {self.to.__name__}, "
@@ -453,6 +513,14 @@ class ForeignKey(Field):
         record["related_name"] = self.related_name
         record["on_delete"] = self.on_delete.value
         return record
+
+
+@cache
+def _model_base() -> type:
+    """``repro.fbnet.base.Model``, imported once (base imports this module)."""
+    from repro.fbnet.base import Model
+
+    return Model
 
 
 def validator(fn: Callable[[Any], Any]) -> Callable[[Any], Any]:

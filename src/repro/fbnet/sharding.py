@@ -36,6 +36,7 @@ from typing import Any, Iterator, TypeVar
 from repro import obs
 from repro.common.errors import ObjectDoesNotExist
 from repro.fbnet.base import Model, model_registry
+from repro.fbnet.fields import ForeignKey
 from repro.fbnet.query import Query
 from repro.fbnet.store import ChangeOp, ChangeRecord, ObjectStore
 
@@ -72,6 +73,10 @@ class ShardAssignment:
         if shard_count < 1:
             raise ValueError(f"shard count must be >= 1, not {shard_count}")
         self.shard_count = shard_count
+        #: model -> its foreign keys as ``(name, field)``, sorted by name.
+        self._fks: dict[type[Model], tuple[tuple[str, ForeignKey], ...]] = {}
+        #: region token -> shard index: the hash runs once per region.
+        self._shard_by_token: dict[str | None, int] = {}
 
     def token(
         self,
@@ -87,14 +92,17 @@ class ShardAssignment:
             return str(name) if name is not None else None
         if _depth >= _TOKEN_DEPTH_LIMIT:
             return None
+        fks = self._fks.get(model)
+        if fks is None:
+            fks = self._fks[model] = tuple(sorted(model._meta.fk_fields.items()))
         tokens: list[str] = []
-        for fk_name in sorted(model._meta.fk_fields):
+        for fk_name, fk in fks:
             raw = values.get(fk_name)
             if not isinstance(raw, int):
                 continue
             token = cache.get(raw, _MISSING) if cache is not None else _MISSING
             if token is _MISSING:
-                target = resolver(model._meta.fk_fields[fk_name].to, raw)
+                target = resolver(fk.to, raw)
                 if target is None:
                     continue
                 token = self.token(
@@ -108,10 +116,15 @@ class ShardAssignment:
 
     def shard_of_token(self, token: str | None) -> int:
         """Hash a region token onto a shard (tokenless objects → shard 0)."""
-        if self.shard_count == 1 or token is None:
-            return 0
-        digest = sha256(token.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % self.shard_count
+        shard = self._shard_by_token.get(token)
+        if shard is None:
+            if self.shard_count == 1 or token is None:
+                shard = 0
+            else:
+                digest = sha256(token.encode("utf-8")).digest()
+                shard = int.from_bytes(digest[:8], "big") % self.shard_count
+            self._shard_by_token[token] = shard
+        return shard
 
     def shard_index(
         self,

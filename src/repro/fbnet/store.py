@@ -50,9 +50,13 @@ class ChangeOp(Enum):
     DELETE = "delete"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChangeRecord:
-    """One committed mutation, as seen by replication and accounting."""
+    """One committed mutation, as seen by replication and accounting.
+
+    Built once per row write and once per replayed record, positionally
+    in field order (``_record``, ``durability.record_from_payload``).
+    """
 
     txn_id: int
     op: ChangeOp
@@ -754,13 +758,8 @@ class ObjectStore:
         obs.counter("store.rows", store=self.name, op=op.value).inc()
         self._pending_records.append(
             ChangeRecord(
-                txn_id=self._current_txn_id,
-                op=op,
-                model=model_name,
-                obj_id=obj_id,
-                values=values,
-                changed_fields=changed,
-                change_id=flight.current_change_id(),
+                self._current_txn_id, op, model_name, obj_id, values, changed,
+                flight.current_change_id(),
             )
         )
 
@@ -794,31 +793,35 @@ class ObjectStore:
         # the record was written — unless the record is hand-built and
         # partial, when the shadow is completed from the row.
         whole = values.keys() == model._meta.fields.keys()
-        table = self._tables.setdefault(record.model, {})
+        obj_id = record.obj_id
+        table = self._tables.get(record.model)
+        if table is None:
+            table = self._tables[record.model] = {}
         # Strict for all three ops: a record that does not fit the rows
         # here means this store diverged from the journal's source (or the
         # log repeats a frame) — surfaced, never papered over.
         if creating:
-            if record.obj_id in table:
+            if obj_id in table:
                 raise self._diverged(record, "live")
             obj = model.__new__(model)
             obj.__dict__.update(values)
-            obj.id = record.obj_id
+            obj.id = obj_id
             obj._store = self
-            table[record.obj_id] = obj
+            table[obj_id] = obj
             self._index(obj, values if whole else obj.clone_values())
             # Keep local id allocation ahead of replicated ids so a promoted
             # replica never reuses a master-assigned id.
-            self._next_id = max(self._next_id, record.obj_id + 1)
+            if obj_id >= self._next_id:
+                self._next_id = obj_id + 1
         elif record.op is ChangeOp.UPDATE:
-            obj = table.get(record.obj_id)
+            obj = table.get(obj_id)
             if obj is None:
                 raise self._diverged(record, "missing")
             self._unindex(obj)
             obj.__dict__.update(values)
             self._index(obj, values if whole else obj.clone_values())
         else:  # DELETE
-            obj = table.pop(record.obj_id, None)
+            obj = table.pop(obj_id, None)
             if obj is None:
                 raise self._diverged(record, "missing")
             self._unindex(obj)
@@ -826,7 +829,8 @@ class ObjectStore:
             obj._store = None
         # Transaction ids likewise: a promoted replica or a recovered store
         # numbers its next transaction above every one it applied.
-        self._next_txn_id = max(self._next_txn_id, record.txn_id + 1)
+        if record.txn_id >= self._next_txn_id:
+            self._next_txn_id = record.txn_id + 1
         if self._durability is not None:
             self._durability.log_applied(record)
         self._journal.append(record)

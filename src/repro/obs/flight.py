@@ -55,7 +55,7 @@ import itertools
 import json
 import threading
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from time import perf_counter
 from typing import Any, Iterable, Iterator
 

@@ -134,6 +134,17 @@ class TestReaderChecks:
         with pytest.raises(DurabilityError, match="plain"):
             recover_store(tmp_path, attach=False)
 
+    @pytest.mark.parametrize(
+        "values", [["name"], "region-01", 7, None], ids=["list", "string", "number", "null"]
+    )
+    def test_record_values_not_an_object(self, tmp_path, values):
+        """A malformed frame is a ``DurabilityError``, whatever the wrong
+        type is — never an ``AttributeError`` out of the reader."""
+        logged_store(tmp_path, ObjectStore())
+        rewrite_commit(tmp_path, lambda p: p["records"][1].__setitem__("values", values))
+        with pytest.raises(DurabilityError, match="values must be an object"):
+            recover_store(tmp_path, attach=False)
+
     def test_segment_from_another_shard_count(self, tmp_path):
         """Frames a wider store wrote, under a narrower store's header: a
         home falls outside the header's range."""
