@@ -45,6 +45,12 @@ def calls(layer: str):
     return lambda run: run["layers"]["calls"][layer]
 
 
+def calls_off(layer: str, expected: float):
+    """How far the calls into ``layer`` a traced round read from
+    ``expected``, in either direction (a count, so exact)."""
+    return lambda run: abs(calls(layer)(run) - expected)
+
+
 def calls_per_call(layer: str, per: str):
     """Calls into ``layer`` for each call into ``per`` (a count, so exact)."""
     return lambda run: run["layers"]["calls"][layer] / run["layers"]["calls"][per]
@@ -168,6 +174,18 @@ GATES = [
     # (ledger_pr30.txt); 1.5 x that.
     ("turnup", "configgen.schema self s a round", self_s("configgen.schema"), 0.032),
     ("turnup", "fbnet.durability share of the round", share("fbnet.durability"), 0.30),
+    # Recovery replays each record through ``apply_record``, entered by name
+    # (the sharded override reaching the base through ``super()``), so a
+    # traced turn-up round makes exactly these entries, every run
+    # (ledger_pr41.txt).  A replay that skips a layer's entry point — a fused
+    # batch, a base method bound at import — hides its work from the layer
+    # and fails here.
+    ("turnup", "fbnet.store.write calls a round off 47505",
+     calls_off("fbnet.store.write", 47505), 0.5),
+    ("turnup", "fbnet.sharding calls a round off 43539",
+     calls_off("fbnet.sharding", 43539), 0.5),
+    ("turnup", "fbnet.durability calls a round off 39",
+     calls_off("fbnet.durability", 39), 0.5),
     ("turnup", "WAL bytes a record", metric("fbnet.durability.bytes_per_record"), 270.0),
     # The two CPU-bound times no ledger workload restates, through the same
     # clock, read straight off the bench's results JSON: 1.5 x the median of

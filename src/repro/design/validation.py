@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ipaddress
 from collections import Counter
+from socket import AF_INET, AF_INET6, inet_pton
 
 from repro.fbnet.models import (
     BgpSessionType,
@@ -99,18 +100,27 @@ def rule_p2p_prefixes_same_subnet(store: ObjectStore) -> list[str]:
 
 
 def rule_no_overlapping_p2p_subnets(store: ObjectStore) -> list[str]:
-    """Distinct bundles must not share or overlap p2p subnets."""
+    """No two prefixes of a family overlap, save a bundle's two ends: masked
+    ``(first, last)`` intervals, as ``IpAllocator.allocated_subnets`` reads them, swept once."""
+    links = {frozenset((bundle.a_agg_interface_id, bundle.z_agg_interface_id))
+             for bundle in store.all(LinkGroup)}
     violations = []
-    for model in (V4Prefix, V6Prefix):
-        seen: dict = {}
+    for model, family, width in ((V4Prefix, AF_INET, 32), (V6Prefix, AF_INET6, 128)):
+        blocks = []  # (first, last, id, row): the id breaks ties, so no two rows are compared
         for prefix_obj in store.all(model):
-            interface = ipaddress.ip_interface(prefix_obj.prefix)
-            if str(interface) in seen:
-                violations.append(
-                    f"duplicate prefix {interface} "
-                    f"(objects {seen[str(interface)]} and {prefix_obj.id})"
-                )
-            seen[str(interface)] = prefix_obj.id
+            address, _, length = prefix_obj.prefix.partition("/")
+            size = 1 << (width - int(length))
+            first = int.from_bytes(inet_pton(family, address), "big") & -size
+            blocks.append((first, first + size - 1, prefix_obj.id, prefix_obj))
+        reaching: list[tuple] = []  # earlier blocks that reach this one's first address
+        for first, last, _id, prefix_obj in sorted(blocks):
+            reaching = [block for block in reaching if block[1] >= first]
+            for other_first, other_last, _, other in reaching:
+                ends = frozenset((other.interface_id, prefix_obj.interface_id))
+                if (other_first, other_last) != (first, last) or ends not in links:
+                    violations.append(f"prefix {prefix_obj.prefix} (object {prefix_obj.id}) "
+                                      f"overlaps {other.prefix} (object {other.id})")
+            reaching.append((first, last, _id, prefix_obj))
     return violations
 
 

@@ -52,7 +52,6 @@ import importlib
 import json
 import os
 import zlib
-from collections.abc import Iterable
 from contextlib import suppress
 from enum import Enum
 from hashlib import sha256
@@ -64,7 +63,7 @@ from typing import TYPE_CHECKING, Any, BinaryIO
 from repro import faults, obs
 from repro.obs import flight
 from repro.common.errors import DurabilityError, ProcessCrash
-from repro.fbnet.store import ChangeOp, ChangeRecord
+from repro.fbnet.store import ChangeOp, ChangeRecord, new_record
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports us lazily)
     from repro.fbnet.store import ObjectStore
@@ -207,16 +206,16 @@ def record_from_payload(payload: dict[str, Any]) -> ChangeRecord:
     The values are copied, not taken over from ``payload``: a row keeps
     them as its shadow, and keeping the decoded frame's own dicts raised
     ``turnup``'s peak RSS by 2 % with no faster recovery (ledger_pr40.txt).
+    A row of scalars (most rows; types tested in C) is copied whole.
     """
     try:
         values = payload["values"]
         if values.__class__ is not dict:
             raise TypeError(f"values must be an object, not {type(values).__name__}")
-        values = {
-            k: v if v.__class__ in _SCALARS else decode_value(v)
-            for k, v in values.items()
+        values = dict(values) if _SCALARS.issuperset(map(type, values.values())) else {
+            k: v if v.__class__ in _SCALARS else decode_value(v) for k, v in values.items()
         }
-        return ChangeRecord(
+        return new_record(
             payload["txn_id"], _OPS[payload["op"]], payload["model"], payload["obj_id"],
             values, tuple(payload["changed_fields"]), payload.get("change_id", ""),
         )
@@ -330,17 +329,17 @@ def _batch(store: ObjectStore, records: list[ChangeRecord]) -> dict[str, Any]:
 
 def _read_batch(
     payload: dict[str, Any], shards: int | None, where: str
-) -> Iterable[tuple[Any, ...]]:
-    """Invert :func:`_batch`: ``(record payload, home)`` pairs — bare
-    ``(record payload,)`` under a plain header, whose store takes no
-    home — checked against the header's ``shards``."""
+) -> tuple[list[Any], list[int] | None]:
+    """Invert :func:`_batch`: the record payloads and their homes — no
+    homes under a plain header, whose store takes none — checked against
+    the header's ``shards``."""
     records, homes = payload.get("records"), payload.get("homes")
     if not isinstance(records, list):
         raise DurabilityError(f"{where}: no record list")
     if shards is None:
         if homes is not None:
             raise DurabilityError(f"{where}: homes in a plain store's log")
-        return zip(records)
+        return records, None
     if (
         not isinstance(homes, list)
         or len(homes) != len(records)
@@ -349,7 +348,7 @@ def _read_batch(
         raise DurabilityError(
             f"{where}: needs one home shard in [0, {shards}) per record"
         )
-    return zip(records, homes)
+    return records, homes
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +517,13 @@ def recover_store(
         commit = _load_json_body(body, "commit")
         if commit is None:
             raise DurabilityError(f"{path.name}: malformed commit frame")
-        for payload, *home in _read_batch(commit, shards, path.name):
-            store.apply_record(record_from_payload(payload), *home)
+        records, homes = _read_batch(commit, shards, path.name)
+        if homes is None:
+            for payload in records:
+                store.apply_record(record_from_payload(payload))
+        else:
+            for payload, home in zip(records, homes):
+                store.apply_record(record_from_payload(payload), home)
     if torn:
         with path.open("r+b") as handle:
             handle.truncate(valid_end)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import groupby
 from operator import attrgetter
@@ -37,7 +37,7 @@ from repro.fbnet.changelog import ReadSet, equality_dependencies, query_models
 from repro.fbnet.fields import OnDelete
 from repro.fbnet.query import Expr, Query, ensure_query, plan
 
-__all__ = ["ChangeOp", "ChangeRecord", "ObjectStore"]
+__all__ = ["ChangeOp", "ChangeRecord", "ObjectStore", "new_record"]
 
 M = TypeVar("M", bound=Model)
 
@@ -54,8 +54,8 @@ class ChangeOp(Enum):
 class ChangeRecord:
     """One committed mutation, as seen by replication and accounting.
 
-    Built once per row write and once per replayed record, positionally
-    in field order (``_record``, ``durability.record_from_payload``).
+    Built once per row write and once per replayed record, by
+    :func:`new_record` (``_record``, ``durability.record_from_payload``).
     """
 
     txn_id: int
@@ -71,6 +71,25 @@ class ChangeRecord:
     #: state).  Replication carries the id along unchanged, so a replica's
     #: journal attributes rows to the same change as the master's.
     change_id: str = ""
+
+
+(_set_txn_id, _set_op, _set_model, _set_obj_id, _set_values, _set_changed,
+ _set_change_id) = (getattr(ChangeRecord, f.name).__set__ for f in fields(ChangeRecord))
+
+
+def new_record(txn_id: int, op: ChangeOp, model: str, obj_id: int, values: dict[str, Any],
+               changed_fields: tuple[str, ...], change_id: str) -> ChangeRecord:
+    """``ChangeRecord(...)``, each slot set through its descriptor instead of
+    the frozen ``__init__``'s ``object.__setattr__``: the same record, at half the cost."""
+    record = object.__new__(ChangeRecord)
+    _set_txn_id(record, txn_id)
+    _set_op(record, op)
+    _set_model(record, model)
+    _set_obj_id(record, obj_id)
+    _set_values(record, values)
+    _set_changed(record, changed_fields)
+    _set_change_id(record, change_id)
+    return record
 
 
 @dataclass
@@ -97,6 +116,7 @@ class _Slots(NamedTuple):
 
 #: Sort key of live rows (a row in a table always has its id).
 _row_id = attrgetter("id")
+_KEYS = frozenset({str, int})  #: exact types ``hashable`` returns as they are
 
 
 class ObjectStore:
@@ -129,6 +149,8 @@ class ObjectStore:
         # model -> the entries of the three indexes above a row of that
         # model lands in, resolved on the model's first write (_slots).
         self._model_slots: dict[type[Model], _Slots] = {}
+        # model name -> (class, field names, table): apply_record's look-ups.
+        self._replayed: dict[str, tuple[type[Model], Any, dict[int, Model]]] = {}
         self._next_id = 1
         # Plain int (not itertools.count) so apply_record can keep it above
         # every applied transaction.
@@ -568,9 +590,9 @@ class ObjectStore:
     def _index(self, obj: Model, values: dict[str, Any]) -> None:
         """Enter ``obj`` — whose field values are ``values`` — in every
         index, and keep ``values`` as its shadow."""
-        obj_id = obj.id
+        obj_id, model = obj.id, type(obj)
         assert obj_id is not None
-        fks, uniques, togethers = self._slots(type(obj))
+        fks, uniques, togethers = self._model_slots.get(model) or self._slots(model)
         for name, buckets in fks:
             raw = values[name]
             if raw is not None:
@@ -578,16 +600,18 @@ class ObjectStore:
                 if bucket is None:
                     bucket = buckets[raw] = set()
                 bucket.add(obj_id)
-        key = self._hashable
+        key = self._hashable  # a str or int is its own key (_KEYS)
         for name, held in uniques:
             value = values[name]
             if value is not None:
-                held[key(value)] = obj_id
+                held[value if value.__class__ in _KEYS else key(value)] = obj_id
         for group, held in togethers:
-            combo = tuple([key(values[n]) for n in group])
+            combo = tuple([values[n] for n in group])
+            if not _KEYS.issuperset(map(type, combo)):
+                combo = tuple(map(key, combo))
             if None not in combo:
                 held[combo] = obj_id
-        self._known_values[type(obj).__name__, obj_id] = values
+        self._known_values[model.__name__, obj_id] = values
 
     def _unindex(self, obj: Model) -> None:
         values = self._known_values.pop((type(obj).__name__, obj.id), None)
@@ -757,7 +781,7 @@ class ObjectStore:
         assert self._current_txn_id is not None
         obs.counter("store.rows", store=self.name, op=op.value).inc()
         self._pending_records.append(
-            ChangeRecord(
+            new_record(
                 self._current_txn_id, op, model_name, obj_id, values, changed,
                 flight.current_change_id(),
             )
@@ -787,16 +811,18 @@ class ObjectStore:
         Object ids are preserved so that replicas remain id-compatible with
         the master.
         """
-        model = model_registry.get(record.model)
+        target = self._replayed.get(record.model)
+        if target is None:  # this store's first record of the model
+            model = model_registry.get(record.model)
+            target = self._replayed[record.model] = (model, model._meta.fields.keys(),
+                                                     self._tables.setdefault(record.model, {}))
+        model, field_names, table = target
         values, creating = record.values, record.op is ChangeOp.CREATE
         # The record's values are the row's shadow here as they are where
         # the record was written — unless the record is hand-built and
         # partial, when the shadow is completed from the row.
-        whole = values.keys() == model._meta.fields.keys()
+        whole = values.keys() == field_names
         obj_id = record.obj_id
-        table = self._tables.get(record.model)
-        if table is None:
-            table = self._tables[record.model] = {}
         # Strict for all three ops: a record that does not fit the rows
         # here means this store diverged from the journal's source (or the
         # log repeats a frame) — surfaced, never papered over.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import IntegrityError
 from repro.design.validation import (
     rule_agg_members_on_same_device,
     rule_bgp_asn_consistency,
@@ -23,8 +24,10 @@ from repro.fbnet.models import (
     LinkGroup,
     NetworkSwitch,
     PhysicalInterface,
+    V4Prefix,
     V6Prefix,
 )
+from repro.fbnet.store import ChangeOp, ChangeRecord
 
 
 @pytest.fixture
@@ -108,8 +111,56 @@ class TestPrefixRules:
 
     def test_duplicate_prefix_on_other_family_object(self, store, rig):
         # The store's unique constraint already blocks exact duplicates;
-        # the rule also reports them if present via direct load.
+        # the rule also reports them if present via direct load (a replayed
+        # record is applied as written, not re-checked).
         assert rule_no_overlapping_p2p_subnets(store) == []
+        a_pref, z_pref = rig["prefixes"]
+        other = store.create(
+            AggregatedInterface, name="ae7", device=rig["devices"][0], number=7
+        )
+        with pytest.raises(IntegrityError, match="unique"):
+            store.create(V6Prefix, prefix=a_pref.prefix, interface=other)
+        store.apply_record(ChangeRecord(
+            99, ChangeOp.CREATE, "V6Prefix", 999,
+            {"interface": other.id, "pool": None, "prefix": a_pref.prefix},
+        ))
+        violations = rule_no_overlapping_p2p_subnets(store)
+        # It shares the bundle's /127 with both of the bundle's ends.
+        assert len(violations) == 2 and all("(object 999)" in v for v in violations)
+        for end in (a_pref, z_pref):
+            assert any(f"(object {end.id})" in v for v in violations)
+
+    @pytest.mark.parametrize(
+        "probe", ["10.128.0.3/30", "10.128.0.1/32", "10.128.0.0/24"],
+    )
+    def test_prefix_covering_another_bundles_subnet(self, store, rig, probe):
+        """A prefix on a third interface that covers, or sits in, a bundle's
+        /31 overlaps both of its ends; the two ends alone do not overlap."""
+        a_agg, z_agg = rig["aggs"]
+        ends = [
+            store.create(V4Prefix, prefix="10.128.0.0/31", interface=a_agg),
+            store.create(V4Prefix, prefix="10.128.0.1/31", interface=z_agg),
+        ]
+        assert rule_no_overlapping_p2p_subnets(store) == []
+        third = store.create(
+            AggregatedInterface, name="ae7", device=rig["devices"][0], number=7
+        )
+        store.create(V4Prefix, prefix=probe, interface=third)
+        violations = rule_no_overlapping_p2p_subnets(store)
+        assert len(violations) == 2 and all(probe in v for v in violations)
+        for end in ends:
+            assert any(f"{end.prefix} (object {end.id})" in v for v in violations)
+
+    def test_shared_subnet_off_a_bundle(self, store, rig):
+        """Two prefixes in one /127 are a bundle's ends only if their
+        interfaces are that bundle's two aggregates."""
+        a_pref, z_pref = rig["prefixes"]
+        other = store.create(
+            AggregatedInterface, name="ae7", device=rig["devices"][0], number=7
+        )
+        store.update(a_pref, interface=other)
+        [violation] = rule_no_overlapping_p2p_subnets(store)
+        assert a_pref.prefix in violation and z_pref.prefix in violation
 
 
 class TestMembershipRules:

@@ -39,7 +39,7 @@ from repro.fbnet.models import (
 from repro.fbnet.store import ObjectStore
 
 from tests.durability.conftest import STORES, WAL_CRASHES
-from tests.invariants import replay
+from tests.invariants import replay, store_violations
 
 pytestmark = pytest.mark.durability
 
@@ -107,6 +107,7 @@ def test_seeded_crash_recovers_bit_identical(
 
     recovered = ObjectStore.recover(tmp_path, attach=False)
     assert type(recovered) is type(store)
+    assert store_violations(recovered) == []
 
     # The recovered journal is byte-for-byte a prefix of the crash-free
     # journal: nothing reordered, nothing corrupted, nothing invented.
@@ -154,6 +155,7 @@ def test_multi_shard_transaction_recovers_whole_or_not_at_all(
     faults.uninstall()
 
     recovered = ObjectStore.recover(tmp_path, attach=False)
+    assert store_violations(recovered) == []
     survivors = 8 if crash_point == "wal.append_torn" else 16
     assert [r.obj_id for r in recovered.journal] == list(range(1, survivors + 1))
     assert recovered.count(Region) == recovered.total_objects() == survivors
@@ -165,6 +167,7 @@ def test_crash_free_run_recovers_to_full_oracle(tmp_path, oracle):
     store.attach_durability(tmp_path)
     build_fleet_design(store)
     recovered = ObjectStore.recover(tmp_path, attach=False)
+    assert store_violations(recovered) == []
     assert [encode_record(r) for r in recovered.journal] == oracle["journal"]
     assert store_digest(recovered) == oracle["digest"]
     assert store_digest(recovered) == store_digest(store)
@@ -201,6 +204,7 @@ class TestManagementPlaneResumes:
         faults.uninstall()
 
         resumed = Robotron.recover(tmp_path)
+        assert store_violations(resumed.store) == []
         assert resumed.store.journal_position == robotron.store.journal_position + 1
         # The durable-but-unapplied mutation came back.
         recovered_pif = resumed.store.get(PhysicalInterface, pif.id)
@@ -258,6 +262,7 @@ class TestManagementPlaneResumes:
         )
 
         resumed = Robotron.recover(tmp_path)
+        assert store_violations(resumed.store) == []
         recovered_journal = [encode_record(r) for r in resumed.store.journal]
         # Everything the crashed process saw committed survives (plus at
         # most the one durable-but-unapplied record).

@@ -18,6 +18,8 @@ from repro.fbnet.durability import encode_record, store_digest
 from repro.fbnet.replication import ReplicatedFBNet
 from repro.simulation.clock import EventScheduler
 
+from tests.invariants import store_violations
+
 pytestmark = pytest.mark.durability
 
 REGIONS = ["na-east", "na-west", "eu-central"]
@@ -67,6 +69,7 @@ class TestResyncModes:
         cluster.recover_database("na-west")
         assert west.store is not before, "divergence must force a rebuild"
         assert resync_count("na-west", "full") == 1
+        assert store_violations(west.store) == []
         assert store_digest(west.store) == store_digest(cluster.master.store)
 
     def test_fresh_replica_resync_is_incremental_from_zero(self, cluster):
@@ -103,6 +106,7 @@ class TestMasterCrashRecovery:
 
         recovered = cluster.recover_master(tmp_path)
         assert cluster.master.store is recovered
+        assert store_violations(recovered) == []
 
         # Replica journals were prefixes — every resync was incremental.
         for region in ("na-west", "eu-central"):
@@ -132,7 +136,7 @@ class TestMasterCrashRecovery:
             client.create_objects([("Region", {"name": "in-flight"})])
         faults.uninstall()
 
-        cluster.recover_master(tmp_path)
+        assert store_violations(cluster.recover_master(tmp_path)) == []
         # New writes replicate from the recovered store at the right
         # positions — no double-apply, no gap.
         client.create_objects([("Region", {"name": "post-recovery"})])
@@ -160,6 +164,7 @@ class TestMasterCrashRecovery:
                 client.create_objects([("Region", {"name": "in-flight"})])
             faults.uninstall()
             recovered = cl.recover_master(root)
+            assert store_violations(recovered) == []
             return b"".join(encode_record(r) for r in recovered.journal)
 
         first = run(tmp_path / "a")

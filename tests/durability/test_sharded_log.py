@@ -28,6 +28,8 @@ from repro.fbnet.models import ClusterGeneration, Region
 from repro.fbnet.sharding import ShardedObjectStore
 from repro.fbnet.store import ObjectStore
 
+from tests.invariants import store_violations
+
 pytestmark = pytest.mark.durability
 
 SHARDS = 4
@@ -74,6 +76,7 @@ class TestOneLayout:
         live = robotron.store
         recovered = Robotron.recover(tmp_path).store
         assert type(recovered) is ShardedObjectStore
+        assert store_violations(recovered) == []
         assert recovered.shard_count == SHARDS
         assert store_digest(recovered) == store_digest(live)
         assert [encode_record(r) for r in recovered.journal] == [
@@ -92,7 +95,9 @@ class TestOneLayout:
         logged_store(tmp_path, ObjectStore())
         header, commit = read_frames(tmp_path)
         assert "shards" not in header and "homes" not in commit
-        assert type(recover_store(tmp_path, attach=False)) is ObjectStore
+        recovered = recover_store(tmp_path, attach=False)
+        assert type(recovered) is ObjectStore
+        assert store_violations(recovered) == []
 
     def test_snapshot_carries_shards_and_homes(self, tmp_path):
         """A late attach logs the history it finds — ``shards`` and ``homes``
@@ -106,6 +111,7 @@ class TestOneLayout:
         assert created["homes"] == [store._placed[r.obj_id] for r in store.journal[:3]]
         assert deleted["homes"] == created["homes"][:1]
         recovered = recover_store(tmp_path / "later", attach=False)
+        assert store_violations(recovered) == []
         assert recovered._home == store._home
         assert store_digest(recovered) == store_digest(store)
 

@@ -20,6 +20,7 @@ from repro.fbnet.models import Region
 from repro.fbnet.store import ObjectStore
 
 from tests.durability.conftest import STORES
+from tests.invariants import store_violations
 
 pytestmark = pytest.mark.durability
 
@@ -45,6 +46,7 @@ class TestAppendAndRecover:
         store = ObjectStore(name="main")
         store.attach_durability(tmp_path)
         recovered = ObjectStore.recover(tmp_path, attach=False)
+        assert store_violations(recovered) == []
         assert recovered.journal == []
         assert recovered.name == "main"
         assert store_digest(recovered) == store_digest(store)
@@ -56,6 +58,7 @@ class TestAppendAndRecover:
         store.delete(regions[2])
 
         recovered = ObjectStore.recover(tmp_path, attach=False)
+        assert store_violations(recovered) == []
         assert [encode_record(r) for r in recovered.journal] == [
             encode_record(r) for r in store.journal
         ]
@@ -72,6 +75,7 @@ class TestAppendAndRecover:
                 raise RuntimeError("abort")
         make_writes(store, 1, prefix="post")
         recovered = ObjectStore.recover(tmp_path, attach=False)
+        assert store_violations(recovered) == []
         assert store_digest(recovered) == store_digest(store)
         assert recovered.first(Region, None) is not None
         # Committed txn ids are preserved exactly — including the gap the
@@ -84,8 +88,10 @@ class TestAppendAndRecover:
         store.attach_durability(tmp_path)
         make_writes(store, 3)
         recovered = ObjectStore.recover(tmp_path)
+        assert store_violations(recovered) == []
         make_writes(recovered, 2, prefix="post")
         second = ObjectStore.recover(tmp_path, attach=False)
+        assert store_violations(second) == []
         assert store_digest(second) == store_digest(recovered)
         assert second.count(Region) == 5
 
@@ -93,6 +99,7 @@ class TestAppendAndRecover:
         store.attach_durability(tmp_path)
         make_writes(store, 3)
         recovered = ObjectStore.recover(tmp_path)
+        assert store_violations(recovered) == []
         make_writes(recovered, 1, prefix="post")
         old_ids = {r.txn_id for r in store.journal}
         new_ids = {r.txn_id for r in recovered.journal} - old_ids
@@ -119,6 +126,7 @@ class TestAttachRules:
         make_writes(store, 2, prefix="post")
         assert [path.name for path in tmp_path.iterdir()] == [WAL_NAME]
         recovered = ObjectStore.recover(tmp_path, attach=False)
+        assert store_violations(recovered) == []
         assert recovered.journal_position == 6
         assert store_digest(recovered) == store_digest(store)
 
@@ -157,6 +165,7 @@ class TestAttachRules:
         store.detach_durability()
         make_writes(store, 2, prefix="lost")  # volatile again
         recovered = ObjectStore.recover(tmp_path, attach=False)
+        assert store_violations(recovered) == []
         assert recovered.count(Region) == 2
 
 
@@ -173,6 +182,7 @@ class TestTornTail:
         faults.uninstall()
 
         recovered = ObjectStore.recover(tmp_path, attach=False)
+        assert store_violations(recovered) == []
         # The torn commit never happened; everything before it survives.
         assert store_digest(recovered) == before
         assert obs.counter("store.wal.torn_truncated", store="fbnet").value == 1
@@ -188,8 +198,10 @@ class TestTornTail:
         faults.uninstall()
 
         recovered = ObjectStore.recover(tmp_path)  # attaches + truncates
+        assert store_violations(recovered) == []
         make_writes(recovered, 2, prefix="post")
         second = ObjectStore.recover(tmp_path, attach=False)
+        assert store_violations(second) == []
         assert store_digest(second) == store_digest(recovered)
         assert second.count(Region) == 5
 
@@ -246,6 +258,7 @@ class TestOneTornTailRule:
         root = tmp_path_factory.mktemp("cut")
         (root / WAL_NAME).write_bytes(log[:cut])
         recovered = ObjectStore.recover(root, attach=False)
+        assert store_violations(recovered) == []
         whole = sum(1 for end in ends[1:] if end <= cut)  # transactions that fit
         assert [encode_record(r) for r in recovered.journal] == [
             encode_record(r) for r in journal if r.txn_id <= whole
@@ -286,6 +299,7 @@ class TestCrashPoints:
         faults.uninstall()
 
         recovered = ObjectStore.recover(tmp_path, attach=False)
+        assert store_violations(recovered) == []
         # In-memory the crashed store never saw the row; on disk it exists.
         assert recovered.count(Region) == 4
         assert recovered.journal_position == store.journal_position + 1

@@ -6,7 +6,11 @@
   string, or a ``ValidationError`` with the same message.
 * ``decode_value`` looks an ``$enum`` up in a per-class map and falls back
   to calling the class: the answer (or the error) is ``Enum(value)``'s.
-* ``ChangeRecord`` is slotted: still frozen, still ``replace``-able.
+* ``ChangeRecord`` is slotted: still frozen, still ``replace``-able, and
+  ``new_record`` (its slots set through their descriptors) builds the
+  record ``ChangeRecord(...)`` builds.
+* ``record_from_payload`` copies a row of scalars whole and decodes any
+  other row value by value: either way it inverts ``record_payload``.
 """
 
 from __future__ import annotations
@@ -19,8 +23,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import ValidationError
-from repro.fbnet.durability import decode_value, encode_value
+from repro.common.errors import DurabilityError, ValidationError
+from repro.fbnet.durability import (
+    decode_value,
+    encode_value,
+    record_from_payload,
+    record_payload,
+)
 from repro.fbnet.fields import (
     V4AddressField,
     V4PrefixField,
@@ -28,7 +37,8 @@ from repro.fbnet.fields import (
     V6PrefixField,
     format_address,
 )
-from repro.fbnet.store import ChangeOp, ChangeRecord
+from repro.fbnet.models import ClusterGeneration, DeviceRole
+from repro.fbnet.store import ChangeOp, ChangeRecord, new_record
 
 FIELDS = {
     "V4PrefixField": V4PrefixField,
@@ -320,3 +330,73 @@ def test_change_record_is_frozen_and_replaceable():
     assert moved.txn_id == 0 and moved.values is record.values
     assert dataclasses.replace(moved, txn_id=3) == record
     assert ChangeRecord(1, ChangeOp.CREATE, "Region", 1).values == {}
+
+
+# -- new_record builds what ChangeRecord(...) builds -------------------------
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**53), 2**53),
+    st.floats(allow_nan=False),
+    st.text(max_size=12),
+)
+#: What a row may hold beyond scalars: enum members, lists, and dicts whose
+#: keys may look like the encoder's own ``$enum`` / ``$dict`` tags.
+nested = st.recursive(
+    st.one_of(scalars, st.sampled_from(list(ClusterGeneration) + list(DeviceRole))),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.sampled_from(["$enum", "$value", "$dict", "k"]), children, max_size=3),
+    ),
+    max_leaves=8,
+)
+names = st.text(min_size=1, max_size=8)
+record_fields = st.tuples(
+    st.integers(1, 10**9),
+    st.sampled_from(list(ChangeOp)),
+    names,
+    st.integers(1, 10**9),
+    st.one_of(
+        st.dictionaries(names, scalars, max_size=6),  # copied whole
+        st.dictionaries(names, nested, max_size=6),  # decoded value by value
+    ),
+    st.lists(names, max_size=3).map(tuple),
+    st.text(max_size=8),
+)
+
+
+def frozen_errors(record) -> list[str]:
+    errors = []
+    for attempt in (lambda: setattr(record, "txn_id", 0), lambda: delattr(record, "op")):
+        with pytest.raises(dataclasses.FrozenInstanceError) as caught:
+            attempt()
+        errors.append(str(caught.value))
+    return errors
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=record_fields, txn_id=st.integers(1, 10**9))
+def test_new_record_is_the_record_the_dataclass_builds(args, txn_id):
+    made, built = new_record(*args), ChangeRecord(*args)
+    assert type(made) is ChangeRecord
+    assert made == built and repr(made) == repr(built)
+    assert dataclasses.astuple(made) == dataclasses.astuple(built)
+    assert made.values is built.values
+    assert dataclasses.replace(made, txn_id=txn_id) == dataclasses.replace(built, txn_id=txn_id)
+    assert frozen_errors(made) == frozen_errors(built)
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=record_fields)
+def test_record_from_payload_inverts_record_payload(args):
+    record = ChangeRecord(*args)
+    payload = record_payload(record)
+    decoded = record_from_payload(payload)
+    assert decoded == record
+    # A row is copied, never taken over from the payload it was read from.
+    assert decoded.values is not payload["values"]
+    # Values that are not an object make a malformed frame, whatever the row held.
+    payload["values"] = list(payload["values"].items())
+    with pytest.raises(DurabilityError, match="values must be an object"):
+        record_from_payload(payload)
