@@ -195,6 +195,14 @@ GATES = [
     # ipaddress, 8.8 in integers; provision 6.4 (ledger_pr38.txt); 1.5 x each.
     ("BENCH_shard", "fleet_2k build, reference s", itemgetter("build_ref_s"), 13.2),
     ("BENCH_shard", "fleet_2k provision, reference s", itemgetter("provision_ref_s"), 9.6),
+    # One design change at 1,014 devices validates the whole store: 4.2 / 3.4
+    # reference s (validate / relabel p50) while the BGP rule tested every
+    # session against every subnet, 0.70 / 0.68 with the prefix rules reading
+    # integer intervals (BENCH_change.txt); 1.5 x each.
+    ("BENCH_change", "ledger_1k validate p50, reference s",
+     lambda run: run["ledger_1k"]["validate_p50_ref_s"], 1.05),
+    ("BENCH_change", "ledger_1k relabel p50, reference s",
+     lambda run: run["ledger_1k"]["relabel_p50_ref_s"], 1.02),
 ]
 
 

@@ -203,9 +203,7 @@ class DesignChange:
             self._close_flight(exc_type, exc, tb)
             return False
         try:
-            violations: list[str] = []
-            for validator in self.validators:
-                violations.extend(validator(self._store))
+            violations = [v for validator in self.validators for v in validator(self._store)]
             if violations:
                 raise DesignValidationError(
                     f"design change rejected: {len(violations)} rule violation(s)",

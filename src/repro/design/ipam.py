@@ -13,18 +13,18 @@ addresses are assigned to the two endpoint interfaces.  Loopbacks get a
 FBNet is the source of truth, and ``IpAllocator.allocated_subnets`` its one
 reader of a pool.  Allocation is integer arithmetic: a pool is an address
 interval, each block taken from it a ``(start, end)`` interval read from a
-stored prefix with ``inet_pton`` (exact: the prefix field stores canonical
-``str(ip_interface)``), and each granted address is formatted once.
+stored prefix by :func:`~repro.fbnet.fields.prefix_interval` (the design
+rules read prefixes through it too), and each granted address is
+formatted once.
 """
 
 from __future__ import annotations
 
 import ipaddress
-import socket
 from bisect import insort
 
 from repro.common.errors import DesignValidationError
-from repro.fbnet.fields import format_address
+from repro.fbnet.fields import format_address, prefix_interval
 from repro.fbnet.models import PrefixPool, V4Prefix, V6Prefix
 from repro.fbnet.query import Expr, Op
 from repro.fbnet.store import ObjectStore
@@ -36,7 +36,6 @@ P2P_PLEN = {4: 31, 6: 127}
 #: Host (loopback) prefix length per IP version.
 HOST_PLEN = {4: 32, 6: 128}
 
-_FAMILY = {4: socket.AF_INET, 6: socket.AF_INET6}
 _NETWORK = {4: ipaddress.IPv4Network, 6: ipaddress.IPv6Network}
 
 
@@ -114,18 +113,9 @@ class IpAllocator:
         ``(first, last)`` address intervals, one per block (the two
         endpoint objects of a p2p pair share one).
         """
-        family, width = _FAMILY[self.version], self._width
-        sizes: dict[str, int] = {}  # block size by prefix length, as written
-        taken: dict[tuple[int, int], None] = {}
         in_pool = Expr("pool", Op.EQUAL, self.pool.id)  # the reverse-FK index
-        for obj in self._store.filter(self._model, in_pool):
-            address, _, length = obj.prefix.partition("/")
-            size = sizes.get(length)
-            if size is None:
-                size = sizes[length] = 1 << (width - int(length))
-            start = int.from_bytes(socket.inet_pton(family, address), "big") & -size
-            taken[start, start + size - 1] = None
-        return list(taken)
+        rows = self._store.filter(self._model, in_pool)
+        return list(dict.fromkeys(prefix_interval(obj.prefix, self.version) for obj in rows))
 
     def allocate_subnet(self, prefixlen: int) -> ipaddress._BaseNetwork:
         """Find the first free subnet of ``prefixlen`` within the pool.

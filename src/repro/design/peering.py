@@ -22,6 +22,7 @@ import ipaddress
 from repro.common.errors import DesignValidationError
 from repro.fbnet.base import Model
 from repro.fbnet.models import (
+    AggregatedInterface,
     AutonomousSystem,
     BgpSessionType,
     BgpV6Session,
@@ -30,9 +31,11 @@ from repro.fbnet.models import (
     PeeringRouter,
     Pop,
     RoutePolicy,
+    V6Prefix,
 )
 from repro.fbnet.query import Expr, Op
 from repro.fbnet.store import ObjectStore
+from repro.design.bundles import next_agg_number
 from repro.design.ipam import IpAllocator
 from repro.design.materializer import PortAllocator
 
@@ -134,9 +137,6 @@ class PeeringDesignTool:
             # Our side of the interconnect: a dedicated PR interface with
             # one half of a fresh /127; the ISP configures the other half.
             ports = PortAllocator(self._store, router)
-            from repro.fbnet.models import AggregatedInterface
-            from repro.design.bundles import next_agg_number
-
             number = next_agg_number(self._store, router)
             agg = self._store.create(
                 AggregatedInterface,
@@ -151,8 +151,6 @@ class PeeringDesignTool:
             subnet = allocator.allocate_subnet(127)
             our_ip = str(subnet.network_address)
             their_ip = str(subnet.network_address + 1)
-            from repro.fbnet.models import V6Prefix
-
             self._store.create(
                 V6Prefix, prefix=f"{our_ip}/127", interface=agg, pool=allocator.pool
             )

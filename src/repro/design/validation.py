@@ -8,15 +8,15 @@ of a circuit are rejected if they belong to different subnets", section 1).
 
 Every rule is a function ``rule(store) -> list[str]`` returning
 human-readable violations.  :data:`DEFAULT_RULES` bundles them for use as
-:class:`~repro.design.changes.DesignChange` validators.
+:class:`~repro.design.changes.DesignChange` validators.  The prefix rules
+read a prefix as IPAM does (:func:`~repro.fbnet.fields.prefix_interval`).
 """
 
 from __future__ import annotations
 
-import ipaddress
 from collections import Counter
-from socket import AF_INET, AF_INET6, inet_pton
 
+from repro.fbnet.fields import format_address, prefix_interval
 from repro.fbnet.models import (
     BgpSessionType,
     BgpV4Session,
@@ -72,48 +72,63 @@ def rule_circuit_endpoints(store: ObjectStore) -> list[str]:
     return violations
 
 
+#: Each prefix model with the IP version of its addresses.
+_PREFIX_MODELS = ((V4Prefix, 4), (V6Prefix, 6))
+
+
+def _intervals(store: ObjectStore, model: type, version: int):
+    """Each stored prefix of ``model`` as ``(row, first, last)``: the row and
+    the masked interval of its network."""
+    for row in store.all(model):
+        yield (row, *prefix_interval(row.prefix, version))
+
+
+def _names(nets: set[tuple[int, int]], version: int) -> str:
+    """Networks as sorted prefix text, for a message."""
+    width = 32 if version == 4 else 128
+    texts = (f"{format_address(a, version)}/{width - (b - a).bit_length()}" for a, b in nets)
+    return ", ".join(sorted(texts)) or "none"
+
+
 def rule_p2p_prefixes_same_subnet(store: ObjectStore) -> list[str]:
     """The two ends of a bundle must take addresses from the same subnet."""
     violations = []
-    # Precompute interface id -> subnets, per family, in one pass.
-    nets_by_interface: dict[str, dict[int, set]] = {"v4": {}, "v6": {}}
-    for model, family in ((V4Prefix, "v4"), (V6Prefix, "v6")):
-        for prefix_obj in store.all(model):
-            nets_by_interface[family].setdefault(prefix_obj.interface_id, set()).add(
-                ipaddress.ip_interface(prefix_obj.prefix).network
-            )
+    # Interface id -> the networks of its prefixes, per version, in one pass.
+    nets_by_interface: dict[int, dict[int, set]] = {}
+    for model, version in _PREFIX_MODELS:
+        nets = nets_by_interface[version] = {}
+        for row, first, last in _intervals(store, model, version):
+            nets.setdefault(row.interface_id, set()).add((first, last))
     for bundle in store.all(LinkGroup):
         a_agg = bundle.related("a_agg_interface")
         z_agg = bundle.related("z_agg_interface")
         if a_agg is None or z_agg is None:
             violations.append(f"link group {bundle.name}: missing an endpoint")
             continue
-        for family in ("v4", "v6"):
-            a_nets = nets_by_interface[family].get(a_agg.id, set())
-            z_nets = nets_by_interface[family].get(z_agg.id, set())
+        for version, nets in nets_by_interface.items():
+            a_nets = nets.get(a_agg.id, set())
+            z_nets = nets.get(z_agg.id, set())
             if (a_nets or z_nets) and not (a_nets & z_nets):
                 violations.append(
-                    f"link group {bundle.name}: {family} endpoint addresses "
-                    f"belong to different subnets ({a_nets} vs {z_nets})"
+                    f"link group {bundle.name}: v{version} endpoint addresses "
+                    f"belong to different subnets ({_names(a_nets, version)} "
+                    f"vs {_names(z_nets, version)})"
                 )
     return violations
 
 
 def rule_no_overlapping_p2p_subnets(store: ObjectStore) -> list[str]:
-    """No two prefixes of a family overlap, save a bundle's two ends: masked
-    ``(first, last)`` intervals, as ``IpAllocator.allocated_subnets`` reads them, swept once."""
+    """No two prefixes of a family overlap, save a bundle's two ends: their
+    networks' intervals, sorted and swept once."""
     links = {frozenset((bundle.a_agg_interface_id, bundle.z_agg_interface_id))
              for bundle in store.all(LinkGroup)}
     violations = []
-    for model, family, width in ((V4Prefix, AF_INET, 32), (V6Prefix, AF_INET6, 128)):
-        blocks = []  # (first, last, id, row): the id breaks ties, so no two rows are compared
-        for prefix_obj in store.all(model):
-            address, _, length = prefix_obj.prefix.partition("/")
-            size = 1 << (width - int(length))
-            first = int.from_bytes(inet_pton(family, address), "big") & -size
-            blocks.append((first, first + size - 1, prefix_obj.id, prefix_obj))
+    for model, version in _PREFIX_MODELS:
+        # (first, last, id, row): the id breaks ties, so no two rows are compared
+        blocks = sorted((first, last, row.id, row)
+                        for row, first, last in _intervals(store, model, version))
         reaching: list[tuple] = []  # earlier blocks that reach this one's first address
-        for first, last, _id, prefix_obj in sorted(blocks):
+        for first, last, _id, prefix_obj in blocks:
             reaching = [block for block in reaching if block[1] >= first]
             for other_first, other_last, _, other in reaching:
                 ends = frozenset((other.interface_id, prefix_obj.interface_id))
@@ -149,11 +164,8 @@ def rule_bundle_members_consistent(store: ObjectStore) -> list[str]:
         bundle = circuit.related("link_group")
         assert bundle is not None
         expected = {bundle.a_agg_interface_id, bundle.z_agg_interface_id}
-        actual = set()
-        for side in ("a_interface", "z_interface"):
-            pif = circuit.related(side)
-            if pif is not None and pif.agg_interface_id is not None:
-                actual.add(pif.agg_interface_id)
+        pifs = (circuit.related(side) for side in ("a_interface", "z_interface"))
+        actual = {pif.agg_interface_id for pif in pifs if pif is not None} - {None}
         if actual and not actual.issubset(expected):
             violations.append(
                 f"circuit {circuit.name}: members not on link group "
@@ -163,21 +175,24 @@ def rule_bundle_members_consistent(store: ObjectStore) -> list[str]:
 
 
 def rule_bgp_sessions_share_subnet(store: ObjectStore) -> list[str]:
-    """Both addresses of a BGP session must fall in one connected subnet."""
+    """Both addresses of an eBGP session (iBGP is not checked) must fall in
+    one connected subnet: each is masked once per prefix length in use."""
     violations = []
-    for model, prefix_model in (
-        (BgpV4Session, V4Prefix),
-        (BgpV6Session, V6Prefix),
-    ):
-        # All known connected subnets, for membership testing.
-        subnets = {
-            ipaddress.ip_interface(p.prefix).network for p in store.all(prefix_model)
-        }
+    for model, (prefix_model, version) in zip((BgpV4Session, BgpV6Session), _PREFIX_MODELS):
+        subnets, lengths = set(), set()
+        for row, first, last in _intervals(store, prefix_model, version):
+            subnets.add((first, last))
+            lengths.add(row.prefix.partition("/")[2])
         for session in store.all(model):
-            local = ipaddress.ip_address(session.local_ip)
-            peer = ipaddress.ip_address(session.peer_ip)
-            shared = any(local in net and peer in net for net in subnets)
-            if session.session_type is BgpSessionType.EBGP and not shared:
+            if session.session_type is not BgpSessionType.EBGP:
+                continue
+            local, peer = session.local_ip, session.peer_ip
+            shared = any(
+                (net := prefix_interval(f"{local}/{length}", version)) in subnets
+                and net == prefix_interval(f"{peer}/{length}", version)
+                for length in lengths
+            )
+            if not shared:
                 violations.append(
                     f"eBGP session {session.local_ip}<->{session.peer_ip} on "
                     f"{session.related('device').name}: endpoints not in a "
@@ -208,14 +223,8 @@ def rule_bgp_asn_consistency(store: ObjectStore) -> list[str]:
 def rule_port_capacity(store: ObjectStore) -> list[str]:
     """No device may have more interfaces than its hardware provides."""
     violations = []
-    per_device: Counter = Counter()
-    device_of: dict = {}
-    for pif in store.all(PhysicalInterface):
-        device = pif.device()
-        per_device[device.id] += 1
-        device_of[device.id] = device
-    for device_id, used in per_device.items():
-        device = device_of[device_id]
+    per_device = Counter(pif.device() for pif in store.all(PhysicalInterface))
+    for device, used in per_device.items():
         profile = device.related("hardware_profile")
         assert isinstance(profile, HardwareProfile)
         capacity = profile.total_ports()

@@ -152,19 +152,17 @@ def _resolve_enum(ref: str) -> tuple[type[Enum], dict[Any, Enum]]:
 
 
 def decode_value(value: Any) -> Any:
-    """Invert :func:`encode_value`."""
+    """Invert :func:`encode_value` (a wrapper is told by its key count and names)."""
     if isinstance(value, dict):
-        keys = set(value)
-        if keys == {"$enum", "$value"}:
+        if len(value) == 2 and "$enum" in value and "$value" in value:
             cls, members = _resolve_enum(value["$enum"])
             raw = decode_value(value["$value"])
             try:
                 return members[raw]
             except (KeyError, TypeError):  # unknown or unhashable: _missing_ decides
                 return cls(raw)
-        if keys == {"$dict"}:
-            inner = value["$dict"]
-            return {key: decode_value(item) for key, item in inner.items()}
+        if len(value) == 1 and "$dict" in value:
+            value = value["$dict"]
         return {key: decode_value(item) for key, item in value.items()}
     if isinstance(value, list):
         return [decode_value(item) for item in value]

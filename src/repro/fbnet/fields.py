@@ -10,7 +10,9 @@ The address fields store ``ipaddress``'s canonical text.  A string that
 already is that text (one ``inet_pton``, then :func:`format_address`
 spells it back the same) is kept as it is; anything else is normalised,
 or refused, by ``ipaddress`` — so the stored value and every error are
-what ``ipaddress`` alone would give.
+what ``ipaddress`` alone would give, save that a scoped address
+(``fe80::1%eth0``) is refused.  :func:`prefix_interval` is the one reader
+of that text as a network.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "V6AddressField",
     "V6PrefixField",
     "format_address",
+    "prefix_interval",
 ]
 
 #: Sentinel distinguishing "no default was given" from "default is None".
@@ -290,21 +293,55 @@ def format_address(value: int, version: int) -> str:
     return text
 
 
-def _is_canonical(address: str, version: int) -> bool:
-    """Whether ``address`` is ``str(ipaddress.ip_address(address))`` for an
-    address of ``version``: it parses, and it is the one spelling
-    :func:`format_address` gives its value.  Python 3.13 spells an
-    IPv4-mapped address dotted, so those are left to ``ipaddress``."""
-    try:
-        packed = socket.inet_pton(_FAMILY[version], address)
-    except (OSError, ValueError):
-        return False
-    if version == 6 and address.startswith("::ffff:"):
-        return False
-    return format_address(int.from_bytes(packed, "big"), version) == address
+def prefix_interval(prefix: str, version: int) -> tuple[int, int]:
+    """The first and last address of the network a stored prefix names.
+
+    >>> prefix_interval("10.0.0.1/31", 4)
+    (167772160, 167772161)
+    """
+    address, _, length = prefix.partition("/")
+    packed = socket.inet_pton(_FAMILY[version], address)
+    size = 1 << (8 * len(packed) - int(length))
+    first = int.from_bytes(packed, "big") & -size
+    return first, first + size - 1
 
 
-class _PrefixField(Field):
+class _AddressField(Field):
+    """Single-host IP address fields: canonical text is kept, the rest parsed."""
+
+    version: int = 0
+    _parse = staticmethod(ipaddress.ip_address)
+
+    def _canonical(self, address: str) -> bool:
+        """Whether ``address`` parses and is the one spelling :func:`format_address`
+        gives its value, as ``ipaddress`` spells it.  Python 3.13 spells an
+        IPv4-mapped address dotted, so those are left to ``ipaddress``."""
+        try:
+            packed = socket.inet_pton(_FAMILY[self.version], address)
+        except (OSError, ValueError):
+            return False
+        if self.version == 6 and address.startswith("::ffff:"):
+            return False
+        return format_address(int.from_bytes(packed, "big"), self.version) == address
+
+    def get_prep_value(self, value: Any) -> str:
+        if value.__class__ is str and self._canonical(value):
+            return value
+        try:
+            parsed = self._parse(str(value))
+        except ValueError as exc:
+            raise ValidationError(f"{self._label()}: {value!r}: {exc}") from None
+        if parsed.version != self.version:
+            raise ValidationError(
+                f"{self._label()}: {value!r} is IPv{parsed.version}, "
+                f"expected IPv{self.version}"
+            )
+        if getattr(parsed, "scope_id", None) is not None:  # a link on one host
+            raise ValidationError(f"{self._label()}: {value!r} is a scoped address")
+        return str(parsed)
+
+
+class _PrefixField(_AddressField):
     """Shared behaviour for IPv4/IPv6 prefix fields.
 
     Values are stored as ``ip_interface`` strings, preserving host bits —
@@ -313,26 +350,14 @@ class _PrefixField(Field):
     preserved the given address.
     """
 
-    version: int = 0
+    _parse = staticmethod(ipaddress.ip_interface)
     #: The canonical spellings of a prefix length: unsigned decimal in
     #: range, no leading zero.
     _lengths: frozenset[str] = frozenset()
 
-    def get_prep_value(self, value: Any) -> str:
-        if value.__class__ is str:
-            address, _, length = value.partition("/")
-            if length in self._lengths and _is_canonical(address, self.version):
-                return value
-        try:
-            interface = ipaddress.ip_interface(str(value))
-        except ValueError as exc:
-            raise ValidationError(f"{self._label()}: {value!r}: {exc}") from None
-        if interface.version != self.version:
-            raise ValidationError(
-                f"{self._label()}: {value!r} is IPv{interface.version}, "
-                f"expected IPv{self.version}"
-            )
-        return str(interface)
+    def _canonical(self, value: str) -> bool:
+        address, _, length = value.partition("/")
+        return length in self._lengths and super()._canonical(address)
 
 
 class V4PrefixField(_PrefixField):
@@ -351,26 +376,6 @@ class V6PrefixField(_PrefixField):
 
     version = 6
     _lengths = frozenset(map(str, range(129)))
-
-
-class _AddressField(Field):
-    """Shared behaviour for single-host IP address fields."""
-
-    version: int = 0
-
-    def get_prep_value(self, value: Any) -> str:
-        if value.__class__ is str and _is_canonical(value, self.version):
-            return value
-        try:
-            address = ipaddress.ip_address(str(value))
-        except ValueError as exc:
-            raise ValidationError(f"{self._label()}: {value!r}: {exc}") from None
-        if address.version != self.version:
-            raise ValidationError(
-                f"{self._label()}: {value!r} is IPv{address.version}, "
-                f"expected IPv{self.version}"
-            )
-        return str(address)
 
 
 class V4AddressField(_AddressField):

@@ -56,7 +56,9 @@ def _field(kind: str):
 
 def reference(field, value) -> str:
     """What the field stored before it kept canonical text: ``ipaddress``
-    parses every value."""
+    parses every value.  A scoped address (``fe80::1%eth0``), which
+    ``ipaddress`` takes, is refused: no reader of a stored address can
+    place it on a network."""
     parse = ipaddress.ip_interface if "Prefix" in type(field).__name__ else ipaddress.ip_address
     try:
         parsed = parse(str(value))
@@ -67,6 +69,8 @@ def reference(field, value) -> str:
             f"{field._label()}: {value!r} is IPv{parsed.version}, "
             f"expected IPv{field.version}"
         )
+    if getattr(parsed, "scope_id", None) is not None:
+        raise ValidationError(f"{field._label()}: {value!r} is a scoped address")
     return str(parsed)
 
 

@@ -148,6 +148,17 @@ class TestPrefixFields:
         with pytest.raises(ValidationError, match="IPv6"):
             clean(V4PrefixField(), "2401:db00::/127")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [(V6PrefixField, "fe80::1%eth0/64"), (V6PrefixField, "2401:db00::1%0/127"),
+         (V6AddressField, "fe80::1%eth0")],
+    )
+    def test_scoped_address_refused(self, field, value):
+        # ipaddress takes a zone id; no reader of a stored prefix can place
+        # one on a network, so the field refuses it.
+        with pytest.raises(ValidationError, match="scoped address"):
+            clean(field(), value)
+
 
 class TestAddressFields:
     def test_v4_address(self):

@@ -17,6 +17,7 @@ TRACED = BENCHMARKS / "ledger" / "baseline" / "traced"
 BENCHES = {
     "BENCH_remediation": {"convergence_ref_s": 0.2},
     "BENCH_shard": {"build_ref_s": 9.0, "provision_ref_s": 7.0},
+    "BENCH_change": {"ledger_1k": {"validate_p50_ref_s": 0.7, "relabel_p50_ref_s": 0.7}},
 }
 
 
