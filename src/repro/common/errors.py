@@ -52,6 +52,10 @@ class DurabilityError(FBNetError):
     layout, attaching to a root that already holds another store's log)."""
 
 
+class CursorAheadError(FBNetError):
+    """A journal cursor is past its journal's end: what is new is unknowable."""
+
+
 class RpcError(FBNetError):
     """The service layer could not complete an RPC (all replicas failed)."""
 

@@ -11,13 +11,10 @@ design state it came from.
 Generation is *change-aware* (section 5.3/8): every config carries the
 :class:`~repro.fbnet.changelog.ReadSet` of its derivation plus the
 template versions it rendered with, and :meth:`ConfigGenerator.
-regenerate_dirty` follows the journal once — one cursor, one
-:class:`~repro.fbnet.changelog.ReadSetIndex` over every golden config's
-read-set — to regenerate only the devices an FBNet mutation (or a
-template bump) actually affects.  The incremental output is
-byte-identical to a full regeneration because every read the derivation
-performs is captured at the store layer — a device whose read-set
-matches no journal record cannot render differently.
+regenerate_dirty` regenerates only the devices the journal's new records
+(or a template bump) affect — byte-identical to a full regeneration,
+because every read the derivation performs is captured at the store
+layer (DESIGN.md §2.10).
 """
 
 from __future__ import annotations
@@ -32,9 +29,9 @@ from repro import faults, obs, parallel
 from repro.obs import flight
 from repro.common.errors import ConfigGenerationError
 from repro.fbnet.base import Model
-from repro.fbnet.changelog import ReadSet, ReadSetIndex
+from repro.fbnet.changelog import JournalFollower, ReadSet, changes_since
 from repro.fbnet.models.device import Device
-from repro.fbnet.store import ChangeRecord, ObjectStore
+from repro.fbnet.store import ObjectStore
 from repro.configgen.configerator import Configerator
 from repro.configgen.derive import derive_device_data, fetch_location_devices
 from repro.configgen.engine import Template
@@ -88,6 +85,7 @@ class IncrementalGenReport:
     #: generator's cursor, each looked up once in the read-set index.
     records_scanned: int = 0
     #: Device name -> why it was regenerated (``"new"``, ``"untracked"``,
+    #: ``"ahead"`` for a golden config generated past the journal's end,
     #: ``"template"``, or ``"<model>#<id> <op>"`` for a journal match).
     dirty: dict[str, str] = field(default_factory=dict)
     #: Device name -> the flight-recorder change id of the journal record
@@ -131,12 +129,10 @@ class ConfigGenerator:
         #: Golden configs by device name — what monitoring compares against.
         #: Written only by :meth:`adopt` and the retire step.
         self.golden: dict[str, DeviceConfig] = {}
-        # Change propagation: the read-sets of the golden configs, inverted;
-        # how far along the journal they have been followed; and, per
-        # device, the first record that invalidated its golden config.
-        self._read_sets = ReadSetIndex()
-        self._cursor = store.journal_position
-        self._marks: dict[str, ChangeRecord] = {}
+        # The journal, followed for the golden configs' read-sets, and per
+        # device why its golden config is invalid: ``(reason, origin)``.
+        self._follower = JournalFollower(store)
+        self._marks: dict[str, tuple[str, str]] = {}
         # Called with each batch of freshly generated configs (ConfMon uses
         # this to point drift sweeps at just-regenerated devices).
         self._subscribers: list[Callable[[list[DeviceConfig]], None]] = []
@@ -203,12 +199,14 @@ class ConfigGenerator:
         self.golden[name] = config
         self._marks.pop(name, None)
         if config.read_set is None:
-            self._read_sets.discard(name)
+            self._follower.index.discard(name)
         else:
-            self._read_sets.put(name, config.read_set)
-        # A config older than the cursor (only a hand-built one can be)
-        # has records still to answer for: follow them again.
-        self._cursor = min(self._cursor, config.design_position)
+            self._follower.index.put(name, config.read_set)
+        # Only a hand-built config can sit behind the cursor (follow its
+        # records again) or past the journal's end (nothing can vouch for it).
+        self._follower.rewind(config.design_position)
+        if config.design_position > self._store.journal_position:
+            self._marks[name] = ("ahead", "")
 
     def _render(self, device: Model) -> DeviceConfig:
         """Fetch → derive → render one device; pure (no generator state).
@@ -346,14 +344,8 @@ class ConfigGenerator:
     ) -> IncrementalGenReport:
         """Regenerate only the devices invalidated since their last generation.
 
-        The journal records committed since the last pass are followed
-        once (:meth:`_follow_journal`), marking the devices whose golden
-        config's read-set they match; a device is dirty when it carries a
-        mark, when a template it rendered with was bumped, when it has no
-        golden config yet, or when its golden config predates read
-        tracking.  Clean devices keep their golden config byte-for-byte —
-        the incremental result is identical to a full regeneration because
-        the read-set is a superset of the derivation's true dependencies.
+        A device is dirty for a reason :attr:`IncrementalGenReport.dirty`
+        lists; clean devices keep their golden config byte-for-byte.
         """
         if devices is None:
             devices = self._store.all(Device)
@@ -402,7 +394,7 @@ class ConfigGenerator:
                 present = {device.name for device in devices}
                 for name in sorted(set(self.golden) - present):
                     del self.golden[name]
-                    self._read_sets.discard(name)
+                    self._follower.index.discard(name)
                     self._marks.pop(name, None)
                     report.retired.append(name)
         report.position = self._store.journal_position
@@ -410,32 +402,26 @@ class ConfigGenerator:
         return report
 
     def _follow_journal(self) -> int:
-        """Mark the devices the records since the cursor invalidate.
-
-        Each device keeps its *first* matching record at or after its
-        golden config's ``design_position`` (a golden generated ahead of
-        the cursor already incorporates the records before it).  Marks
-        outlive the pass — a subset pass or a failed batch leaves them
-        for the next one — and go when the device is adopted or retired.
-        Returns the number of records followed.  No record before the
-        oldest golden (the journal's end with none) can mark, so the first
-        pass after a turn-up follows what changed since provisioning.
-        """
+        """Mark each device with its first new record at or after its
+        golden config's ``design_position`` that invalidates it; marks
+        outlive the pass until :meth:`adopt` or retirement.  No record
+        before the oldest golden can mark (the floor).  Returns the number
+        of records followed."""
         oldest = min(
             (c.design_position for c in self.golden.values()),
             default=self._store.journal_position,
         )
-        self._cursor = max(self._cursor, oldest)
-        records = self._store.journal_since(self._cursor)
-        for position, record in enumerate(records, self._cursor):
-            for name in self._read_sets.affected(record):
+        followed = 0
+        for position, record, names in self._follower.follow(floor=oldest):
+            followed += 1
+            for name in names:
                 if (
                     name not in self._marks
                     and position >= self.golden[name].design_position
                 ):
-                    self._marks[name] = record
-        self._cursor += len(records)
-        return len(records)
+                    reason = f"{record.model}#{record.obj_id} {record.op.value}"
+                    self._marks[name] = (reason, record.change_id)
+        return followed
 
     def _dirty_reason(self, device: Model) -> tuple[str, str] | None:
         """Why ``device`` needs regeneration — ``(reason, origin change id)``
@@ -448,10 +434,7 @@ class ConfigGenerator:
         for path, version in golden.template_versions.items():
             if self.configerator.current_version(path) != version:
                 return "template", ""
-        match = self._marks.get(device.name)
-        if match is not None:
-            return f"{match.model}#{match.obj_id} {match.op.value}", match.change_id
-        return None
+        return self._marks.get(device.name)
 
     # ------------------------------------------------------------------
     # Staleness detection (section 8: "Stale Configs")
@@ -459,19 +442,16 @@ class ConfigGenerator:
 
     def is_stale(self, config: DeviceConfig) -> bool:
         """Whether FBNet design state ``config`` read changed since it was
-        generated.
+        generated (section 8's stale-config outage).
 
-        The paper recounts an outage from deploying configs generated
-        before a later design change; deployment uses this check to warn.
-        The evidence is the config's own read-set, the predicate
-        :meth:`regenerate_dirty` marks by — so monitoring's Derived writes
-        and unrelated design changes, which move the journal, do not cry
-        wolf.  A position *ahead* of the store's journal is stale too:
-        after a replica promotion loses the journal tail, a config
-        generated against the lost tail can no longer be trusted.  A
-        hand-built config with no read-set is current only at its position.
+        :meth:`regenerate_dirty` regenerates every golden config this calls
+        stale; this asks it of any config, and no pipeline stage calls it
+        (the failure drills do).  The evidence is the config's read-set
+        through :func:`~repro.fbnet.changelog.changes_since`, so a position
+        past the journal's end is stale; a hand-built config with no
+        read-set is current only at its position.
         """
         position, store = config.design_position, self._store
-        if config.read_set is None or position > store.journal_position:
+        if config.read_set is None:
             return position != store.journal_position
-        return any(map(config.read_set.matches, store.journal_since(position)))
+        return changes_since(store, position, config.read_set) != []  # None: ahead

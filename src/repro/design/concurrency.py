@@ -8,12 +8,13 @@ Statesman's conflict-resolution ideas).
 
 This module implements the optimistic scheme the discussion points
 toward.  Engineers *propose* changes against a snapshot of FBNet (the
-journal position they read).  At commit time the coordinator replays the
-journal since that base position; if any object the proposal touches was
-concurrently modified, the commit is rejected with a conflict report and
-the engineer rebases — no locks, no lost updates, and the stale-config
-incident of section 8 (Engineer A deploying over Engineer B's change)
-becomes structurally impossible at the design layer.
+journal position they read).  At commit time the coordinator asks the
+journal what changed since then under the proposal's touches (a touch on
+a base model covers its subclass rows); if anything did, the commit is
+rejected with a conflict report and the engineer rebases — no locks, no
+lost updates, and the stale-config incident of section 8 (Engineer A
+deploying over Engineer B's change) becomes structurally impossible at
+the design layer.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import DesignValidationError, RobotronError
 from repro.design.changes import ChangeSummary, summarize_journal
+from repro.fbnet.changelog import ReadSet, changes_since
 from repro.fbnet.store import ObjectStore
 
 __all__ = ["ChangeCoordinator", "ChangeProposal", "DesignConflict"]
@@ -98,15 +100,15 @@ class ChangeCoordinator:
 
     def conflicts_for(self, proposal: ChangeProposal) -> list[str]:
         """What changed under the proposal since its base snapshot."""
-        conflicts = []
-        for record in self._store.journal_since(proposal.base_position):
-            key = (record.model, record.obj_id)
-            if key in proposal.touches:
-                conflicts.append(
-                    f"{record.model} id={record.obj_id} was {record.op.value}d "
-                    "after the proposal's base snapshot"
-                )
-        return conflicts
+        touches = ReadSet(objects=set(proposal.touches))
+        records = changes_since(self._store, proposal.base_position, touches)
+        if records is None:
+            return [f"the base snapshot ({proposal.base_position}) is past the journal's end"]
+        return [
+            f"{record.model} id={record.obj_id} was {record.op.value}d "
+            "after the proposal's base snapshot"
+            for record in records
+        ]
 
     def commit(self, proposal: ChangeProposal) -> ChangeSummary:
         """Validate-then-apply: reject on conflict, else run atomically."""

@@ -8,17 +8,11 @@ fills it in while a :meth:`~repro.fbnet.store.ObjectStore.track_reads`
 block is active), and can then decide whether a later journal record
 invalidates that computation.  A :class:`ReadSetIndex` holds many
 read-sets inverted, so one journal record maps straight onto the
-computations it invalidates.  The journal itself is followed one way: a
-cursor and ``store.journal_since(cursor)``.
-
-Together they power incremental config generation (paper section 5.3/8:
-regenerating tens of thousands of devices from scratch is both too slow
-and the root cause of the "stale configs" outage): each generated config
-carries the read-set of its derivation, and
-``ConfigGenerator.regenerate_dirty()`` follows the journal once, through
-the index, to the configs each new record invalidates instead of
-regenerating the world.  The read cache (:mod:`repro.fbnet.rpc`) evicts
-its entries through the same index.
+computations it invalidates.  The journal is read one way, here: a
+:class:`JournalFollower` walks it forward for an index, and
+:func:`changes_since` answers one read-set from a position (DESIGN.md
+§2.10).  Config generation, the read cache and design concurrency are
+their users.
 
 Dependency kinds, from most to least precise:
 
@@ -39,18 +33,21 @@ Dependency kinds, from most to least precise:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
+from repro.common.errors import CursorAheadError
 from repro.fbnet.base import hashable as _norm, model_registry
 from repro.fbnet.query import And, Expr, Or, Query, fold_equalities, path_plan
 
 if TYPE_CHECKING:
     from repro.fbnet.base import Model
-    from repro.fbnet.store import ChangeRecord
+    from repro.fbnet.store import ChangeRecord, ObjectStore
 
 __all__ = [
+    "JournalFollower",
     "ReadSet",
     "ReadSetIndex",
+    "changes_since",
     "equality_dependencies",
     "query_models",
 ]
@@ -250,3 +247,47 @@ class ReadSetIndex:
                     term = (name, field_name, _norm(record.values.get(field_name)))
                 keys.update(postings.get(term, ()))
         return keys
+
+
+def changes_since(
+    store: ObjectStore, position: int, read_set: ReadSet
+) -> list[ChangeRecord] | None:
+    """The records since ``position`` that ``read_set`` depends on, or
+    ``None`` — stale, never "nothing changed" — for a position past the
+    journal's end (another journal's, or one whose tail a promotion lost)."""
+    if position > store.journal_position:
+        return None
+    return list(filter(read_set.matches, store.journal_since(position)))
+
+
+class JournalFollower:
+    """A cursor over one store's journal and the read-sets it answers for;
+    it never passes the journal's end, and one set past it is refused."""
+
+    __slots__ = ("store", "index", "position")
+
+    def __init__(self, store: ObjectStore):
+        self.store = store
+        self.index = ReadSetIndex()
+        self.position = store.journal_position
+
+    def rewind(self, position: int) -> None:
+        """Follow the records from ``position`` again, if already past it."""
+        self.position = min(self.position, position)
+
+    def follow(self, floor: int = 0) -> Iterable[tuple[int, ChangeRecord, set[Any]]]:
+        """``(position, record, keys it invalidates)`` for each new record
+        from ``floor`` on (at most the end); caught up, one compare."""
+        end = self.store.journal_position
+        if self.position == end:
+            return ()
+        if self.position > end:
+            raise CursorAheadError(f"journal cursor at {self.position}, past its end {end}")
+        return self._follow(max(self.position, min(floor, end)))
+
+    def _follow(self, start: int) -> Iterator[tuple[int, ChangeRecord, set[Any]]]:
+        self.position = start
+        affected = self.index.affected
+        for position, record in enumerate(self.store.journal_since(start), start):
+            self.position = position + 1
+            yield position, record, affected(record)

@@ -37,7 +37,7 @@ from typing import Any, Sequence
 from repro import faults, obs
 from repro.common.errors import ReplicaUnavailable, RpcError
 from repro.fbnet.api import ReadApi, WriteApi
-from repro.fbnet.changelog import ReadSet, ReadSetIndex
+from repro.fbnet.changelog import JournalFollower, ReadSet, changes_since
 from repro.fbnet.query import Query
 from repro.fbnet.store import ObjectStore
 
@@ -227,35 +227,23 @@ class ReadCache:
     answer: a hit decodes and encodes nothing, and no caller is ever
     handed an object the cache still holds.
 
-    Invalidation is journal-driven and precise.  Each fill runs with
-    read tracking *suspended and replaced* (the ambient read-set of any
-    enclosing ``track_reads`` block is untouched — see
-    :meth:`~repro.fbnet.store.ObjectStore._suspend_tracking`), capturing
-    the fill's own :class:`ReadSet`.  Before every lookup the cache
-    advances over the journal delta since its last position and evicts
-    exactly the entries whose read-sets the new records match
-    (``rpc.cache.invalidations``), looked up in the same
-    :class:`~repro.fbnet.changelog.ReadSetIndex` the config generator
-    follows the journal with.  Because replication applies records
-    through the same journal, a cache over a replica store invalidates
-    on apply with no extra plumbing.
-
-    A fill that races a commit (records land between the fill's position
-    snapshot and its admission) is *stale on arrival*: the entry is
-    discarded (``rpc.cache.stale_evictions``) and the fill retried, so a
+    Invalidation is journal-driven and precise (DESIGN.md §2.16): each
+    fill captures its own :class:`ReadSet` (:meth:`_compute`), and before
+    every lookup the cache's :class:`~repro.fbnet.changelog.JournalFollower`
+    evicts exactly the entries the new records invalidate
+    (``rpc.cache.invalidations``) — replicated applies included.  A fill
+    that races a commit is *stale on arrival* (:meth:`_admit`), so a
     cache-served answer is always byte-identical to a fresh store read.
-    Entries never expire otherwise — no TTLs, no blanket flushes.
+    Entries never expire otherwise: no TTLs, no blanket flushes.
     """
 
     def __init__(self, store: ObjectStore, *, name: str = "rpc"):
         self._store = store
         self._api = ReadApi(store)
         self.name = name
-        #: The cursor: how much of the store's journal has been replayed.
-        self._position = store.journal_position
         self._entries: dict[tuple[str, bytes], _CacheEntry] = {}
-        #: The entries' read-sets, inverted: journal record -> entry keys.
-        self._read_sets = ReadSetIndex()
+        #: The journal, followed for the entries' read-sets.
+        self._follower = JournalFollower(store)
 
     @property
     def store(self) -> ObjectStore:
@@ -282,28 +270,18 @@ class ReadCache:
 
     # -- invalidation --------------------------------------------------
 
-    def advance(self) -> int:
-        """Process the journal delta since the last advance.
-
-        Every record committed (or replication-applied) since the cache
-        last looked evicts the entries whose read-sets it matches.
-        Returns the eviction count.
-        """
-        records = self._store.journal_since(self._position)
-        evicted = 0
-        for record in records:
-            for key in sorted(self._read_sets.affected(record)):
+    def advance(self) -> None:
+        """Evict the entries the records since the last advance invalidate."""
+        for _position, _record, keys in self._follower.follow():
+            for key in sorted(keys):
                 del self._entries[key]
-                self._read_sets.discard(key)
+                self._follower.index.discard(key)
                 obs.counter("rpc.cache.invalidations", cache=self.name).inc()
-                evicted += 1
-        self._position += len(records)
-        return evicted
 
     def clear(self) -> None:
         """Drop every entry (the one blanket flush, for tests/operators)."""
         self._entries.clear()
-        self._read_sets.clear()
+        self._follower.index.clear()
 
     # -- fills ---------------------------------------------------------
 
@@ -330,24 +308,17 @@ class ReadCache:
         return encode_message(payload), read_set
 
     def _admit(
-        self,
-        key: tuple[str, bytes],
-        body: bytes,
-        read_set: ReadSet,
-        position: int,
+        self, key: tuple[str, bytes], body: bytes, read_set: ReadSet, position: int
     ) -> bool:
-        """Install a filled entry unless it is stale on arrival.
-
-        Records committed after ``position`` (the fill's snapshot) that
-        match the fill's read-set mean the answer may predate the
-        mutation: count a stale eviction and refuse the entry.
-        """
-        for record in self._store.journal_since(position):
-            if read_set.matches(record):
-                obs.counter("rpc.cache.stale_evictions", cache=self.name).inc()
-                return False
+        """Install a filled entry unless it is stale on arrival: records
+        since ``position`` (the fill's snapshot) that its read-set depends
+        on mean the answer may predate them — count a stale eviction, and
+        refuse the entry (the serve then retries the fill)."""
+        if changes_since(self._store, position, read_set) != []:  # None: ahead
+            obs.counter("rpc.cache.stale_evictions", cache=self.name).inc()
+            return False
         self._entries[key] = _CacheEntry(body, read_set)
-        self._read_sets.put(key, read_set)
+        self._follower.index.put(key, read_set)
         return True
 
     def _answer(self, method: str, specs: Sequence[Any]) -> list[bytes]:
@@ -372,7 +343,7 @@ class ReadCache:
                 fills.setdefault(key, spec)
         for key, spec in fills.items():
             for _ in range(2):
-                position = self._position
+                position = self._follower.position
                 body, read_set = self._compute(method, *spec)
                 if self._admit(key, body, read_set, position):
                     break

@@ -6,6 +6,8 @@ regeneration from scratch.  The property test at the bottom drives that
 guarantee over randomized design-mutation sequences.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -290,6 +292,48 @@ class TestJournalFollowedOnce:
         generator.adopt(old)
         report = generator.regenerate_dirty()
         assert report.dirty == {device.name: f"PeeringRouter#{device.id} update"}
+        assert golden_texts(generator) == full_regeneration(store, generator)
+
+    def test_golden_ahead_of_the_journal_is_regenerated(
+        self, store, env, pop_cluster, generator
+    ):
+        # A golden rendered past this journal's end (on a master that then
+        # lost its tail): no record here can vouch for it.
+        generator.generate_devices(store.all(Device))
+        device = pop_cluster.devices["PR"][0]
+        ahead = replace(
+            generator.golden[device.name],
+            design_position=store.journal_position + 10,
+        )
+        generator.adopt(ahead)
+        store.update(device, drain_state=DrainState.DRAINING)
+        assert generator.is_stale(ahead)
+        for n in range(10):  # the journal grows past the golden's position
+            store.create(Region, name=f"unrelated-{n}")
+        report = generator.regenerate_dirty()
+        assert report.records_scanned == 11
+        assert report.dirty == {device.name: "ahead"}
+        assert golden_texts(generator) == full_regeneration(store, generator)
+
+    def test_every_golden_ahead_leaves_the_cursor_at_the_journal_end(
+        self, store, env, pop_cluster, generator
+    ):
+        generator.generate_devices(store.all(Device))
+        for config in list(generator.golden.values()):
+            generator.adopt(
+                replace(config, design_position=store.journal_position + 10)
+            )
+        first, second = pop_cluster.devices["PR"][:2]
+        store.update(first, drain_state=DrainState.DRAINING)
+        report = generator.regenerate_dirty()
+        assert report.dirty == dict.fromkeys(generator.golden, "ahead")
+        assert not any(map(generator.is_stale, generator.golden.values()))
+        # The next record is followed, not hidden behind a cursor that the
+        # ahead goldens had lifted past the journal's end.
+        store.update(second, drain_state=DrainState.DRAINING)
+        report = generator.regenerate_dirty()
+        assert report.records_scanned == 1
+        assert report.dirty == {second.name: f"PeeringRouter#{second.id} update"}
         assert golden_texts(generator) == full_regeneration(store, generator)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.common.errors import DesignValidationError
 from repro.design.concurrency import ChangeCoordinator, DesignConflict
-from repro.fbnet.models import Rack, RackProfile, Region
+from repro.fbnet.models import PeeringRouter, Rack, RackProfile, Region
 from repro.fbnet.query import Expr, Op
 
 
@@ -110,6 +110,29 @@ class TestConflicts:
         store.create(Region, name="elsewhere")  # concurrent but unrelated
         coordinator.commit(proposal)
         assert profile.downlinks_per_rack == 6
+
+    def test_touch_on_a_base_model_covers_its_subclass_rows(
+        self, store, env, coordinator
+    ):
+        """A proposal declares ``("Device", id)``; the row under it is a
+        ``PeeringRouter``, and a concurrent update to it is a conflict."""
+        router = store.create(
+            PeeringRouter,
+            name="pr1",
+            hardware_profile=env.profiles["Router_Vendor1"],
+            pop=env.pops["pop01"],
+        )
+        proposal = coordinator.propose(
+            employee_id="a", ticket_id="T-1", description="re-home the router",
+            touches={("Device", router.id)},
+            mutate=lambda s: None,
+        )
+        store.update(router, name="pr1-renamed")
+        assert coordinator.conflicts_for(proposal) == [
+            f"PeeringRouter id={router.id} was updated after the proposal's base snapshot"
+        ]
+        with pytest.raises(DesignConflict):
+            coordinator.commit(proposal)
 
     def test_rebase_reruns_against_current_state(self, store, coordinator, profile):
         key = ("RackProfile", profile.id)

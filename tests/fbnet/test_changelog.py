@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import CursorAheadError
 from repro.fbnet.base import Model, ModelGroup, model_registry
 from repro.fbnet.changelog import (
+    JournalFollower,
     ReadSet,
     ReadSetIndex,
+    changes_since,
     equality_dependencies,
     query_models,
 )
@@ -367,3 +370,72 @@ class TestReadSetIndex:
         index.discard("k")
         index.discard("never put")
         assert not index._postings and not index._terms
+
+
+class _Journal:
+    """The two reads a follower makes of a store, over a hand-built journal."""
+
+    def __init__(self):
+        self.records: list[ChangeRecord] = []
+
+    @property
+    def journal_position(self):
+        return len(self.records)
+
+    def journal_since(self, position):
+        return self.records[position:]
+
+
+class TestJournalFollower:
+    """One cursor: each record once, with exactly the keys it invalidates."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        read_sets=st.dictionaries(st.integers(0, 5), _read_sets(), max_size=6),
+        chunks=st.lists(st.lists(_records(), max_size=4), max_size=6),
+    )
+    def test_follow_yields_what_matches_answers(self, read_sets, chunks):
+        journal = _Journal()
+        follower = JournalFollower(journal)
+        for key, read_set in read_sets.items():
+            follower.index.put(key, read_set)
+        followed = []
+        for chunk in chunks:  # the journal grows between follow() calls
+            journal.records.extend(chunk)
+            followed.extend(follower.follow())
+            assert follower.position == journal.journal_position
+        assert [position for position, _record, _keys in followed] == list(
+            range(len(journal.records))
+        )
+        for position, record, keys in followed:
+            assert record is journal.records[position]
+            assert keys == {
+                key for key, read_set in read_sets.items() if read_set.matches(record)
+            }
+
+    def test_a_floor_past_the_end_stops_the_cursor_at_the_end(self, store):
+        follower = JournalFollower(store)
+        store.create(Region, name="r1")
+        assert list(follower.follow(floor=store.journal_position + 5)) == []
+        assert follower.position == store.journal_position
+        store.create(Region, name="r2")
+        assert [record.values["name"] for _p, record, _k in follower.follow()] == ["r2"]
+
+    def test_a_cursor_past_the_end_is_refused(self, store):
+        store.create(Region, name="r1")
+        follower = JournalFollower(store)
+        # A position this journal never reached (another store's, or one
+        # whose tail a promotion lost) is not "nothing new".
+        follower.position = store.journal_position + 1
+        with pytest.raises(CursorAheadError):
+            follower.follow()
+
+    def test_changes_since_a_position_past_the_end_is_stale(self, store):
+        read_set = ReadSet()
+        read_set.add_model("Region")
+        region = store.create(Region, name="r1")
+        position = store.journal_position
+        assert changes_since(store, position, read_set) == []
+        assert changes_since(store, position + 1, read_set) is None
+        store.update(region, name="r2")
+        assert [r.obj_id for r in changes_since(store, position, read_set)] == [region.id]

@@ -164,11 +164,11 @@ def cache_violations(cache: ReadCache) -> list[str]:
     whose :meth:`ReadSet.matches` says so; and the index holds the entries."""
     out: list[str] = []
     entries = cache._entries
-    if set(cache._read_sets._terms) != set(entries):
+    if set(cache._follower.index._terms) != set(entries):
         out.append(f"{cache.name}: the read-set index holds other keys than the entries")
     for record in cache.store.journal_since(max(0, cache.store.journal_position - 8)):
         want = {key for key, entry in entries.items() if entry.read_set.matches(record)}
-        got = cache._read_sets.affected(record)
+        got = cache._follower.index.affected(record)
         if got != want:
             out.append(
                 f"{cache.name}: {record.op.value} {record.model} #{record.obj_id} "

@@ -215,7 +215,7 @@ class TestInvalidation:
 class TestStaleOnArrival:
     def test_fill_racing_a_commit_is_not_admitted(self, store, regions):
         cache = ReadCache(store)
-        position = cache._position
+        position = cache._follower.position
         body, read_set = cache._compute(
             "get", "Region", ("name",), Expr("name", Op.EQUAL, "r1").to_wire()
         )
